@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -375,3 +378,269 @@ def test_dual_document_flow_snapshots_are_triples(two_coflow_instance):
     _, dual = permute_flow_level(two_coflow_instance)
     doc = json.loads(dual_to_document(dual, two_coflow_instance))
     assert doc["beta"][0]["snapshot"] == [[1, 1, 1], [1, 1, 2]]
+
+
+# ---------------------------------------------------------------------------
+# pinned certificates: documents, objectives and tight sets stay bit-exact
+# ---------------------------------------------------------------------------
+
+def _corpus_instance(mode, horizon, deg):
+    seed = 100 * DENSITY_CASES.index(mode) + 10 * (horizon > 0) + deg
+    return generate_instance(GeneratorParams(
+        n=10, num_ports=6, num_cores=2, deg=deg, seed=seed,
+        density_mode=mode, release_horizon=horizon))
+
+
+DENSITY_CASES = ["dense", "sparse", "default"]
+CORPUS = [(mode, horizon, deg) for mode in DENSITY_CASES
+          for horizon in (0, 30) for deg in (0, 3)]
+
+
+def _scaled(dual, factor):
+    return DualSolution(
+        dual.kind, dual.kappa,
+        {key: v * factor for key, v in dual.alpha.items()},
+        tuple(BetaRecord(r.side, r.port, r.coflows, r.value * factor)
+              for r in dual.beta),
+        {key: v * factor for key, v in dual.gamma.items()})
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _certificate(dual, subject):
+    """(document sha256, repr of the objective, tight set, and the sha256 of
+    the constraint sides of the dual scaled by 0.37, where no side equals
+    its weight)."""
+    report = check_dual_feasibility(dual, subject)
+    scaled = check_dual_feasibility(_scaled(dual, 0.37), subject)
+    return (_sha16(dual_to_document(dual, subject)),
+            repr(dual_objective(dual, subject)), report.tight_set,
+            _sha16(repr(sorted(scaled.lhs.items()))))
+
+
+def _corpus_certificates():
+    out = {}
+    for mode, horizon, deg in CORPUS:
+        inst = _corpus_instance(mode, horizon, deg)
+        js = jobset_from_instance(inst)
+        for level, (_, dual), subject in (
+                ("flow", permute_flow_level(inst), inst),
+                ("coflow", permute_coflow_level(inst), inst),
+                ("job", permute_jobs(js), js)):
+            out[f"{mode}-r{horizon}-d{deg}-{level}"] = _certificate(dual,
+                                                                    subject)
+    return out
+
+
+PINNED = {
+    "dense-r0-d0-flow": ("83afb7318af56ca2", "296415.30880799296",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "3e15d3543ecfe2b2"),
+    "dense-r0-d0-coflow": ("257ea61ab77e54cf", "390219.4998729976",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "3e15d3543ecfe2b2"),
+    "dense-r0-d0-job": ("d8fda3225089f029", "857830.2940293151",
+        (1, 2, 3, 4), "45971729328a1378"),
+    "dense-r0-d3-flow": ("4b7ef06fe67baddc", "209350.75109047827",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "1f56e0527171ae8b"),
+    "dense-r0-d3-coflow": ("1075e94bc766b73e", "294144.82149285544",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "1f56e0527171ae8b"),
+    "dense-r0-d3-job": ("7a51b074e5dc8015", "604122.5492405115",
+        (1, 2, 3, 4), "da8683dfd81d2f7d"),
+    "dense-r30-d0-flow": ("e03f368b4624a1fa", "758856.0493151371",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "706183c6c65d7bd7"),
+    "dense-r30-d0-coflow": ("9bbf29c399908efa", "888890.6754333542",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "706183c6c65d7bd7"),
+    "dense-r30-d0-job": ("36dbc705538dbdc4", "1792044.6275796278",
+        (1, 2, 3, 4), "9c03f0a3425b6c5b"),
+    "dense-r30-d3-flow": ("d480fd45c6eb9a66", "439042.0081993442",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "5dadd37fc6e4804d"),
+    "dense-r30-d3-coflow": ("e36ad3443d8980de", "646798.6829706277",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "5dadd37fc6e4804d"),
+    "dense-r30-d3-job": ("2152e830a51f2eaf", "903074.8745441668",
+        (1, 2, 3, 4), "317f4f349e6346ba"),
+    "sparse-r0-d0-flow": ("b4cf78bf344fea4f", "44136.077852103794",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "6697d9a3e93e1797"),
+    "sparse-r0-d0-coflow": ("b4c4c5754bc64d01", "53206.37577330866",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "6697d9a3e93e1797"),
+    "sparse-r0-d0-job": ("fc9d5fe8ba52f734", "220385.7179258984",
+        (1, 2, 3, 4), "e891e4f04b753b3a"),
+    "sparse-r0-d3-flow": ("7ca14e967b169f1e", "165954.97729519277",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "56e948dec0ffbd6a"),
+    "sparse-r0-d3-coflow": ("721fa1ea0c5b67fd", "212422.31229742643",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "56e948dec0ffbd6a"),
+    "sparse-r0-d3-job": ("ce457c7cae098569", "94549.90918680547",
+        (1, 2, 3, 4), "4f2681b4f3deac06"),
+    "sparse-r30-d0-flow": ("1c9ed656efb843a7", "32845.947580473534",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "cbd393676b272c16"),
+    "sparse-r30-d0-coflow": ("cab70ad92b7cd13f", "34268.38424980048",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "cbd393676b272c16"),
+    "sparse-r30-d0-job": ("66b0c320484ae8bf", "84266.06860276834",
+        (1, 2, 3, 4), "0b8ef3e3d828e614"),
+    "sparse-r30-d3-flow": ("4bf5e487590c5002", "94373.26260339661",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "1853e9468e09c8b4"),
+    "sparse-r30-d3-coflow": ("d362f886cceafb36", "118224.96086788065",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "1853e9468e09c8b4"),
+    "sparse-r30-d3-job": ("20c6c6ff254dcec6", "346315.7431466191",
+        (1, 2, 3, 4), "6cd0e6a26a0cb91a"),
+    "default-r0-d0-flow": ("3a9c28eec3184e80", "977468.6222221272",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "9eb2f521040923bb"),
+    "default-r0-d0-coflow": ("fc7df83e7ee704b0", "1194652.7842066495",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "9eb2f521040923bb"),
+    "default-r0-d0-job": ("530965b14b811cdc", "1733564.8717087412",
+        (1, 2, 3, 4), "455e16563d025539"),
+    "default-r0-d3-flow": ("403b29d157cad1a8", "624550.462488335",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "9aa8a378951eca65"),
+    "default-r0-d3-coflow": ("c2aa2298874da14b", "751619.2903260338",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "9aa8a378951eca65"),
+    "default-r0-d3-job": ("af22b6d323697f09", "1429530.8826096202",
+        (1, 2, 3, 4), "a3632d05060c8500"),
+    "default-r30-d0-flow": ("25fe5f1aed8d0834", "376758.517450241",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "fae26e09baa59b98"),
+    "default-r30-d0-coflow": ("d0fd7a818495c801", "473485.9331147688",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "fae26e09baa59b98"),
+    "default-r30-d0-job": ("7ec058bf50a5cf93", "1282271.3643726974",
+        (1, 2, 3, 4), "257c4733a307b3fa"),
+    "default-r30-d3-flow": ("2bfe97734f78a17f", "1166122.5931944472",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "05763021f2cd1bad"),
+    "default-r30-d3-coflow": ("7dbacf1fe569489d", "1407380.2776413462",
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "05763021f2cd1bad"),
+    "default-r30-d3-job": ("7a16e030b360d74a", "1288072.4821585922",
+        (1, 2, 3, 4), "061d76907c37de91"),
+}
+
+
+def test_certificates_match_pinned_corpus():
+    assert _corpus_certificates() == PINNED
+
+
+# ---------------------------------------------------------------------------
+# hand-built duals against a naive reference
+# ---------------------------------------------------------------------------
+
+def _naive_sizes(c, side, port):
+    return [f.size for f in sorted(c.flows, key=lambda f: (f.source, f.dest))
+            if (f.source if side == "in" else f.dest) == port]
+
+
+def _naive_objective(dual, subject):
+    by_id = subject.coflow_by_id()
+    m = subject.config.num_cores
+    total = 0.0
+    for (side, port, k), value in dual.alpha.items():
+        if dual.kind == JOB_LEVEL:
+            job, = (j for j in subject.jobs if j.id == k)
+            total += value * by_id[job.coflows[0]].release
+            continue
+        c = by_id[k]
+        if dual.kind == FLOW_LEVEL:
+            slot = [f.size for f in c.flows
+                    if (f.source, f.dest) == ((port, 1) if side == "in"
+                                              else (1, port))]
+            total += value * (c.release + sum(slot))
+        else:
+            total += value * (c.release + sum(_naive_sizes(c, side, port)))
+    for rec in dual.beta:
+        if dual.kind == FLOW_LEVEL:
+            sizes = [d for k in rec.coflows
+                     for d in _naive_sizes(by_id[k], rec.side, rec.port)]
+        else:
+            sizes = [sum(_naive_sizes(by_id[k], rec.side, rec.port))
+                     for k in rec.coflows]
+        s = float(sum(sizes))
+        total += rec.value * ((s * s + sum(d * d for d in sizes)) / (2.0 * m))
+    return total
+
+
+def _naive_lhs(dual, subject):
+    by_id = subject.coflow_by_id()
+    lhs = {c.id: 0.0 for c in subject.coflows}
+    for rec in dual.beta:
+        for k in rec.coflows:
+            lhs[k] += rec.value * float(sum(
+                _naive_sizes(by_id[k], rec.side, rec.port)))
+    for (a, b), value in dual.gamma.items():
+        lhs[b] += value
+        lhs[a] -= value
+    for (_, _, k), value in dual.alpha.items():
+        lhs[k] += value
+    return lhs
+
+
+def _naive_document(dual, subject):
+    by_id = subject.coflow_by_id()
+
+    def snapshot(rec):
+        if dual.kind != FLOW_LEVEL:
+            return sorted(rec.coflows)
+        return [[f.source, f.dest, k] for k in sorted(rec.coflows)
+                for f in sorted(by_id[k].flows, key=lambda f: (f.source,
+                                                               f.dest))
+                if (f.source if rec.side == "in" else f.dest) == rec.port]
+
+    return json.dumps({
+        "kind": dual.kind, "kappa": dual.kappa,
+        "alpha": [{"side": s, "port": p, "id": e, "value": v}
+                  for (s, p, e), v in sorted(dual.alpha.items())],
+        "beta": [{"side": r.side, "port": r.port, "snapshot": snapshot(r),
+                  "value": r.value} for r in dual.beta],
+        "gamma": [{"pred": a, "succ": b, "value": v}
+                  for (a, b), v in sorted(dual.gamma.items())],
+    }, indent=2) + "\n"
+
+
+def _hand_built(kind, seed):
+    """Snapshots that are neither nested nor sorted, with repeats and with
+    coflows that have no flow at the record's port."""
+    inst = generate_instance(GeneratorParams(
+        n=12, num_ports=4, num_cores=3, deg=3, seed=seed,
+        density_mode="sparse", release_horizon=20))
+    rng = np.random.default_rng(seed)
+    beta = []
+    for _ in range(9):
+        ids = rng.choice(np.arange(1, 13), int(rng.integers(0, 9)))
+        beta.append(BetaRecord(str(rng.choice(["in", "out"])),
+                               int(rng.integers(1, 5)),
+                               tuple(int(k) for k in ids),
+                               float(rng.random()) / 7))
+    alpha = {("out", 2, 5): 0.3, ("in", 1, 9): 1.25}
+    gamma = {(1, 4): 0.5, (3, 2): 0.125} if kind != JOB_LEVEL else {}
+    dual = DualSolution(kind, 0.5, alpha, tuple(beta), gamma)
+    if kind == JOB_LEVEL:
+        js = jobset_from_instance(inst)
+        return DualSolution(kind, 0.5, {("out", 2, 1): 0.3}, tuple(beta),
+                            {}), js
+    return dual, inst
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL])
+def test_hand_built_dual_matches_naive_reference(kind, seed):
+    dual, inst = _hand_built(kind, seed)
+    assert any(len(set(r.coflows)) < len(r.coflows) for r in dual.beta)
+    assert dual_objective(dual, inst) == _naive_objective(dual, inst)
+    assert check_dual_feasibility(dual, inst).lhs == _naive_lhs(dual, inst)
+    assert dual_to_document(dual, inst) == _naive_document(dual, inst)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hand_built_job_dual_matches_naive_reference(seed):
+    dual, js = _hand_built(JOB_LEVEL, seed)
+    lhs = _naive_lhs(DualSolution(COFLOW_LEVEL, 0.5, {}, dual.beta, {}), js)
+    assert check_dual_feasibility(dual, js).lhs == {
+        j.id: sum(lhs[k] for k in j.coflows) + (0.3 if j.id == 1 else 0)
+        for j in js.jobs}
+    assert dual_objective(dual, js) == _naive_objective(dual, js)
+    assert dual_to_document(dual, js) == _naive_document(dual, js)
+
+
+@pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL, JOB_LEVEL])
+def test_unknown_snapshot_coflow_raises_value_error(kind):
+    dual, subject = _hand_built(kind, 0)
+    bad = DualSolution(kind, 0.5, dual.alpha,
+                       dual.beta + (BetaRecord("in", 1, (3, 99), 0.1),),
+                       dual.gamma)
+    with pytest.raises(ValueError, match="unknown coflow 99"):
+        dual_objective(bad, subject)
+    with pytest.raises(ValueError, match="unknown coflow 99"):
+        check_dual_feasibility(bad, subject)
