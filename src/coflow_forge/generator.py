@@ -13,6 +13,7 @@ from the seed alone.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -131,24 +132,20 @@ def generate_dag(n: int, deg: int, p: float, seed: int) -> PrecedenceDag:
     if sum(widths) < n:
         widths[-1] += n - sum(widths)
 
-    level_of: dict[int, int] = {}
-    nxt = 1
-    for lv, w in enumerate(widths):
-        for _ in range(w):
-            level_of[nxt] = lv
-            nxt += 1
-
-    nodes = range(1, n + 1)
+    # Nodes are numbered level by level, so the nodes on higher levels than
+    # node k are the ones numbered after the last node of k's level.
     edges: list[tuple[int, int]] = []
-    if deg > 0:
-        for k in nodes:
-            higher = [k2 for k2 in nodes if level_of[k2] > level_of[k]]
-            if not higher:
-                continue
-            prob = min(1.0, deg / len(higher))
-            draws = _rng(seed, _STREAM_EDGES, k).random(len(higher))
-            edges.extend((k, k2) for k2, u in zip(higher, draws) if u < prob)
-    return PrecedenceDag.make(nodes, edges)
+    first = 1
+    for last in itertools.accumulate(widths):
+        higher = n - last
+        if deg > 0 and higher > 0:
+            prob = min(1.0, deg / higher)
+            for k in range(first, last + 1):
+                draws = _rng(seed, _STREAM_EDGES, k).random(higher)
+                edges.extend((k, last + 1 + int(i))
+                             for i in np.flatnonzero(draws < prob))
+        first = last + 1
+    return PrecedenceDag.make(range(1, n + 1), edges)
 
 
 def _bipartite_flows(rng: Generator, cfg: WorkloadConfig,

@@ -1,8 +1,16 @@
+import math
 from statistics import mean
 
 import pytest
 
-from coflow_forge import is_conforming, longest_path_chi, validate_instance
+from coflow_forge import (
+    Instance,
+    PrecedenceDag,
+    instance_to_document,
+    is_conforming,
+    longest_path_chi,
+    validate_instance,
+)
 from coflow_forge.generator import (
     GeneratorParams,
     WorkloadConfig,
@@ -141,3 +149,57 @@ def test_default_mix_uses_port_count():
     mix = default_workload_mix(24)
     assert mix[2].w_max == 24 and mix[3].w_max == 24
     assert abs(sum(c.probability for c in mix) - 1.0) < 1e-12
+
+
+def _quadratic_dag(n, deg, p, seed):
+    """The edge rule as first written: rescan every node for each node."""
+    from coflow_forge.generator import (_STREAM_EDGES, _STREAM_LEVELS, _rng,
+                                        _uniform_mean)
+    rng = _rng(seed, _STREAM_LEVELS)
+    sqrt_n = math.sqrt(n)
+    num_levels = _uniform_mean(rng, sqrt_n / p)
+    widths = [_uniform_mean(rng, p * sqrt_n) for _ in range(num_levels)]
+    overflow = sum(widths) - n
+    for i in range(len(widths) - 1, -1, -1):
+        if overflow <= 0:
+            break
+        cut = min(overflow, widths[i] - 1)
+        widths[i] -= cut
+        overflow -= cut
+    if overflow > 0:
+        widths = widths[:len(widths) - overflow]
+    if sum(widths) < n:
+        widths[-1] += n - sum(widths)
+    level_of = {}
+    nxt = 1
+    for lv, w in enumerate(widths):
+        for _ in range(w):
+            level_of[nxt] = lv
+            nxt += 1
+    nodes = range(1, n + 1)
+    edges = []
+    if deg > 0:
+        for k in nodes:
+            higher = [k2 for k2 in nodes if level_of[k2] > level_of[k]]
+            if not higher:
+                continue
+            prob = min(1.0, deg / len(higher))
+            draws = _rng(seed, _STREAM_EDGES, k).random(len(higher))
+            edges.extend((k, k2) for k2, u in zip(higher, draws) if u < prob)
+    return PrecedenceDag.make(nodes, edges)
+
+
+@pytest.mark.parametrize("n, deg, p, seed, mode", [
+    (1, 3, 1.0, 0, "default"), (2, 3, 1.0, 4, "default"),
+    (7, 0, 1.0, 1, "dense"), (25, 3, 1.0, 7, "default"),
+    (40, 5, 0.3, 2, "sparse"), (60, 2, 2.5, 3, "combined"),
+    (90, 8, 0.7, 11, "dense"), (300, 3, 1.0, 77, "sparse"),
+    (2000, 3, 1.0, 77, "sparse")])
+def test_linear_dag_rule_keeps_instance_documents(n, deg, p, seed, mode):
+    params = GeneratorParams(n=n, num_ports=8, num_cores=2, deg=deg, p=p,
+                             seed=seed, density_mode=mode)
+    dag = generate_dag(n, deg, p, seed)
+    assert dag == _quadratic_dag(n, deg, p, seed)
+    inst = generate_instance(params)
+    old = Instance(inst.config, inst.coflows, _quadratic_dag(n, deg, p, seed))
+    assert instance_to_document(inst) == instance_to_document(old)
