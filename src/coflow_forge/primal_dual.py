@@ -17,6 +17,7 @@ weighted completion time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -81,13 +82,17 @@ class FeasibilityReport:
 
 def f_set(sizes: Iterable[float], m: int) -> float:
     """(sum(d)^2 + sum(d^2)) / (2m) over a multiset of flow sizes."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     total = 0.0
     squares = 0.0
     for d in sizes:
         total += d
         squares += d * d
+    return _f_sums(total, squares, m)
+
+
+def _f_sums(total: float, squares: float, m: int) -> float:
+    if m < 1:
+        raise ValueError("m must be >= 1")
     return (total * total + squares) / (2.0 * m)
 
 
@@ -300,10 +305,43 @@ def permute_jobs(jobset: JobSet,
 # dual objective and feasibility
 # ---------------------------------------------------------------------------
 
-def _port_demand(coflow: Coflow, side: str, port: int) -> list[int]:
-    if side == "in":
-        return [f.size for f in coflow.flows if f.source == port]
-    return [f.size for f in coflow.flows if f.dest == port]
+class _PortDemand:
+    """Every coflow's demand at a (side, port), computed once per call.
+
+    Rows follow the subject's coflow order. Sides other than "in" count as
+    "out". Sums are float64 and exact while they stay below 2**53, as the
+    sizes are integers.
+    """
+
+    def __init__(self, subject: Instance | JobSet):
+        coflows = subject.coflows
+        self.n = len(coflows)
+        self.row = {c.id: i for i, c in enumerate(coflows)}
+        flows = [f for c in coflows for f in c.flows]
+        self._owner = np.repeat(np.arange(len(coflows)),
+                                [len(c.flows) for c in coflows])
+        self._size = np.array([f.size for f in flows], dtype=np.float64)
+        self._port = {"in": np.array([f.source for f in flows]),
+                      "out": np.array([f.dest for f in flows])}
+        self._cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def rows(self, ids: Sequence[int]) -> np.ndarray:
+        try:
+            return np.fromiter(map(self.row.__getitem__, ids), np.intp,
+                               len(ids))
+        except KeyError as exc:
+            raise ValueError(
+                f"dual references unknown coflow {exc.args[0]}") from None
+
+    def at(self, side: str, port: int) -> tuple[np.ndarray, np.ndarray]:
+        """(load, sum of squared flow sizes) of every coflow at the port."""
+        key = ("in" if side == "in" else "out", port)
+        if key not in self._cache:
+            mask = self._port[key[0]] == port
+            owner, size = self._owner[mask], self._size[mask]
+            self._cache[key] = (np.bincount(owner, size, self.n),
+                                np.bincount(owner, size * size, self.n))
+        return self._cache[key]
 
 
 def _slot_demand(coflow: Coflow, side: str, port: int) -> int:
@@ -328,12 +366,10 @@ def dual_objective(dual: DualSolution,
     adds non-negative terms).
     """
     m = subject.config.num_cores
-    by_id = subject.coflow_by_id()
+    demand = _PortDemand(subject)
 
     def coflow(k: int) -> Coflow:
-        if k not in by_id:
-            raise ValueError(f"dual references unknown coflow {k}")
-        return by_id[k]
+        return subject.coflows[demand.rows((k,))[0]]
 
     total = 0.0
     if dual.kind == JOB_LEVEL:
@@ -346,60 +382,42 @@ def dual_objective(dual: DualSolution,
             if t not in jobs:
                 raise ValueError(f"dual references unknown job {t}")
             total += value * coflow(jobs[t].coflows[0]).release
-        for rec in dual.beta:
-            loads = [sum(_port_demand(coflow(k), rec.side, rec.port))
-                     for k in rec.coflows]
-            total += rec.value * f_port_set(loads, m)
-        return total
-
-    for (_, k), _value in dual.gamma.items():
-        coflow(k)  # unknown references are an error even at zero coefficient
-
-    if dual.kind == FLOW_LEVEL:
+    elif dual.kind in (FLOW_LEVEL, COFLOW_LEVEL):
+        # Unknown references are an error even at zero coefficient.
+        demand.rows([k for _, k in dual.gamma])
         for (side, port, k), value in dual.alpha.items():
             c = coflow(k)
-            total += value * (c.release + _slot_demand(c, side, port))
-        for rec in dual.beta:
-            sizes: list[int] = []
-            for k in rec.coflows:
-                sizes.extend(_port_demand(coflow(k), rec.side, rec.port))
-            total += rec.value * f_set(sizes, m)
-        return total
+            if dual.kind == FLOW_LEVEL:
+                size = _slot_demand(c, side, port)
+            else:
+                size = float(demand.at(side, port)[0][demand.row[k]])
+            total += value * (c.release + size)
+    else:
+        raise ValueError(f"unknown dual kind {dual.kind!r}")
 
-    if dual.kind == COFLOW_LEVEL:
-        for (side, port, k), value in dual.alpha.items():
-            c = coflow(k)
-            total += value * (c.release + sum(_port_demand(c, side, port)))
-        for rec in dual.beta:
-            loads = [sum(_port_demand(coflow(k), rec.side, rec.port))
-                     for k in rec.coflows]
-            total += rec.value * f_port_set(loads, m)
-        return total
-
-    raise ValueError(f"unknown dual kind {dual.kind!r}")
+    # Flow level sums the squares of the flow sizes; coflow and job level
+    # treat each coflow's port load as one item.
+    for rec in dual.beta:
+        idx = demand.rows(rec.coflows)
+        load, squares = demand.at(rec.side, rec.port)
+        s = load[idx]
+        q = squares[idx] if dual.kind == FLOW_LEVEL else s * s
+        total += rec.value * _f_sums(float(s.sum()), float(q.sum()), m)
+    return total
 
 
 def constraint_lhs(dual: DualSolution,
                    subject: Instance | JobSet) -> dict[int, float]:
     """Left-hand side of every entity's dual constraint."""
-    by_id = subject.coflow_by_id()
-    port_load: dict[tuple[int, str, int], float] = {}
-
-    def load_of(k: int, side: str, port: int) -> float:
-        key = (k, side, port)
-        if key not in port_load:
-            if k not in by_id:
-                raise ValueError(f"dual references unknown coflow {k}")
-            port_load[key] = float(sum(_port_demand(by_id[k], side, port)))
-        return port_load[key]
-
-    coflow_lhs: dict[int, float] = {c.id: 0.0 for c in subject.coflows}
+    demand = _PortDemand(subject)
+    lhs = np.zeros(demand.n)
     for rec in dual.beta:
-        for k in rec.coflows:
-            if k not in coflow_lhs:
-                raise ValueError(f"dual references unknown coflow {k}")
-            coflow_lhs[k] += rec.value * load_of(k, rec.side, rec.port)
+        idx = demand.rows(rec.coflows)
+        # add.at adds a repeated id once per occurrence, in record order.
+        np.add.at(lhs, idx, rec.value * demand.at(rec.side, rec.port)[0][idx])
+    coflow_lhs = dict(zip(demand.row, lhs.tolist()))
     for (a, b), value in dual.gamma.items():
+        demand.rows((a, b))
         coflow_lhs[b] += value
         coflow_lhs[a] -= value
 
@@ -408,10 +426,13 @@ def constraint_lhs(dual: DualSolution,
         lhs = {j.id: sum(coflow_lhs[k] for k in j.coflows)
                for j in subject.jobs}
         for (_, _, t), value in dual.alpha.items():
+            if t not in lhs:
+                raise ValueError(f"dual references unknown job {t}")
             lhs[t] += value
         return lhs
 
     for (_, _, k), value in dual.alpha.items():
+        demand.rows((k,))
         coflow_lhs[k] += value
     return coflow_lhs
 
@@ -449,56 +470,146 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
 #  "value"}]}. Flow-level beta snapshots list [src, dst, coflow] triples;
 #  coflow- and job-level snapshots list coflow ids.
 
+# Snapshot items sit at depth 8 of the indent=2 rendering, their inner
+# values (flow-level triples) at depth 10.
+_ITEM = "\n" + " " * 8
+_INNER = "\n" + " " * 10
+
+
+def _snapshot_items(dual: DualSolution, subject: Instance | JobSet):
+    """(side, port) -> the rendered snapshot items of every coflow row, with
+    "" where a coflow has none. Coflow- and job-level items are the ids;
+    flow-level items are the triples of the coflow's flows at the port."""
+    n = len(subject.coflows)
+    if dual.kind != FLOW_LEVEL:
+        ids = np.array([str(c.id) for c in subject.coflows], dtype=object)
+        return lambda side, port: ids
+    triples: dict[tuple[str, int], dict[int, list[str]]] = {}
+    for i, c in enumerate(subject.coflows):
+        for f in sorted(c.flows, key=lambda f: (f.source, f.dest)):
+            text = (f"[{_INNER}{f.source},{_INNER}{f.dest},{_INNER}{c.id}"
+                    f"{_ITEM}]")
+            for key in (("in", f.source), ("out", f.dest)):
+                triples.setdefault(key, {}).setdefault(i, []).append(text)
+    columns = {}
+    for key, by_row in triples.items():
+        columns[key] = np.full(n, "", dtype=object)
+        for i, texts in by_row.items():
+            columns[key][i] = ("," + _ITEM).join(texts)
+    empty = np.full(n, "", dtype=object)
+    return lambda side, port: columns.get((side, port), empty)
+
+
 def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
-    by_id = subject.coflow_by_id()
+    demand = _PortDemand(subject)
+    items = _snapshot_items(dual, subject)
 
-    def snapshot_payload(rec: BetaRecord):
-        if dual.kind != FLOW_LEVEL:
-            return sorted(rec.coflows)
-        triples = []
-        for k in sorted(rec.coflows):
-            c = by_id[k]
-            for f in sorted(c.flows, key=lambda f: (f.source, f.dest)):
-                if (rec.side == "in" and f.source == rec.port) or \
-                        (rec.side == "out" and f.dest == rec.port):
-                    triples.append([f.source, f.dest, k])
-        return triples
+    def snapshot(rec: BetaRecord) -> str:
+        idx = demand.rows(sorted(rec.coflows))
+        body = ("," + _ITEM).join(
+            filter(None, items(rec.side, rec.port)[idx].tolist()))
+        return f"[{_ITEM}{body}\n{' ' * 6}]" if body else "[]"
 
+    # json renders everything but the snapshots, which are spliced in at the
+    # null placeholders: '"snapshot": ' can only occur as that key.
     payload = {
         "kind": dual.kind,
         "kappa": dual.kappa,
         "alpha": [{"side": s, "port": p, "id": e, "value": v}
                   for (s, p, e), v in sorted(dual.alpha.items())],
-        "beta": [{"side": rec.side, "port": rec.port,
-                  "snapshot": snapshot_payload(rec), "value": rec.value}
-                 for rec in dual.beta],
+        "beta": [{"side": rec.side, "port": rec.port, "snapshot": None,
+                  "value": rec.value} for rec in dual.beta],
         "gamma": [{"pred": a, "succ": b, "value": v}
                   for (a, b), v in sorted(dual.gamma.items())],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    head, *tails = json.dumps(payload, indent=2).split('"snapshot": null')
+    out = [head]
+    for rec, tail in zip(dual.beta, tails, strict=True):
+        out += ['"snapshot": ', snapshot(rec), tail]
+    out.append("\n")
+    return "".join(out)
+
+
+def _fields(obj, names: tuple[str, ...], where: str) -> list:
+    """The values of exactly the fields `names` of the object `obj`."""
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{where} must be an object, "
+                            f"got {type(obj).__name__}")
+    for key in names:
+        if key not in obj:
+            raise DocumentError(f"missing field '{key}' in {where}")
+    extra = set(obj) - set(names)
+    if extra:
+        raise DocumentError(f"unknown field(s) {sorted(extra)} in {where}")
+    return [obj[key] for key in names]
+
+
+_EXPECTED = {
+    "a list": lambda v: isinstance(v, list),
+    "an integer": lambda v: type(v) is int,
+    "a finite number": lambda v: (type(v) in (int, float)
+                                  and math.isfinite(v)),
+    '"in" or "out"': lambda v: v in ("in", "out"),
+}
+
+
+def _typed(value, expected: str, where: str):
+    """`value`, if it is what `expected` (a key of _EXPECTED) names."""
+    if not _EXPECTED[expected](value):
+        shown = type(value).__name__ if isinstance(value, (list, dict)) \
+            else repr(value)
+        raise DocumentError(f"{where} must be {expected}, got {shown}")
+    return value
 
 
 def document_to_dual(text: str) -> DualSolution:
+    """Parse a dual document strictly: any malformed field raises
+    DocumentError with a one-line message."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not a valid dual document: {exc}") from exc
-    for key in ("kind", "kappa", "alpha", "beta", "gamma"):
-        if key not in doc:
-            raise DocumentError(f"missing field '{key}' in dual document")
-    extra = set(doc) - {"kind", "kappa", "alpha", "beta", "gamma"}
-    if extra:
-        raise DocumentError(f"unknown field(s) {sorted(extra)} in dual document")
+    kind, kappa, alphas, betas, gammas = _fields(
+        doc, ("kind", "kappa", "alpha", "beta", "gamma"), "dual document")
+    if kind not in (FLOW_LEVEL, COFLOW_LEVEL, JOB_LEVEL):
+        raise DocumentError(f"unknown dual kind {kind!r}")
+    _typed(kappa, "a finite number", "kappa")
 
-    kind = doc["kind"]
-    alpha = {(a["side"], a["port"], a["id"]): a["value"] for a in doc["alpha"]}
+    alpha = {}
+    for i, entry in enumerate(_typed(alphas, "a list", "alpha")):
+        where = f"alpha entry {i}"
+        side, port, eid, value = _fields(entry, ("side", "port", "id",
+                                                 "value"), where)
+        alpha[(_typed(side, '"in" or "out"', f"{where} side"),
+               _typed(port, "an integer", f"{where} port"),
+               _typed(eid, "an integer", f"{where} id"))] = \
+            _typed(value, "a finite number", f"{where} value")
     beta = []
-    for b in doc["beta"]:
-        snap = b["snapshot"]
+    for i, entry in enumerate(_typed(betas, "a list", "beta")):
+        where = f"beta entry {i}"
+        side, port, snap, value = _fields(entry, ("side", "port", "snapshot",
+                                                  "value"), where)
+        ids = []
+        for j, item in enumerate(_typed(snap, "a list", f"{where} snapshot")):
+            if kind == FLOW_LEVEL:
+                if not (type(item) is list and len(item) == 3
+                        and all(type(x) is int for x in item)):
+                    raise DocumentError(f"{where} snapshot item {j} must be "
+                                        "a [src, dst, coflow] integer triple")
+                item = item[2]
+            ids.append(_typed(item, "an integer",
+                              f"{where} snapshot item {j}"))
         if kind == FLOW_LEVEL:
-            ids = tuple(sorted({triple[2] for triple in snap}))
-        else:
-            ids = tuple(snap)
-        beta.append(BetaRecord(b["side"], b["port"], ids, b["value"]))
-    gamma = {(g["pred"], g["succ"]): g["value"] for g in doc["gamma"]}
-    return DualSolution(kind, doc["kappa"], alpha, tuple(beta), gamma)
+            ids = sorted(set(ids))
+        beta.append(BetaRecord(
+            _typed(side, '"in" or "out"', f"{where} side"),
+            _typed(port, "an integer", f"{where} port"), tuple(ids),
+            _typed(value, "a finite number", f"{where} value")))
+    gamma = {}
+    for i, entry in enumerate(_typed(gammas, "a list", "gamma")):
+        where = f"gamma entry {i}"
+        pred, succ, value = _fields(entry, ("pred", "succ", "value"), where)
+        gamma[(_typed(pred, "an integer", f"{where} pred"),
+               _typed(succ, "an integer", f"{where} succ"))] = \
+            _typed(value, "a finite number", f"{where} value")
+    return DualSolution(kind, kappa, alpha, tuple(beta), gamma)

@@ -9,6 +9,7 @@ from coflow_forge import (
     FLOW_LEVEL,
     JOB_LEVEL,
     BetaRecord,
+    DocumentError,
     DualSolution,
     InvalidInstanceError,
     Job,
@@ -644,3 +645,97 @@ def test_unknown_snapshot_coflow_raises_value_error(kind):
         dual_objective(bad, subject)
     with pytest.raises(ValueError, match="unknown coflow 99"):
         check_dual_feasibility(bad, subject)
+    with pytest.raises(ValueError, match="unknown coflow 99"):
+        dual_to_document(bad, subject)
+
+
+# ---------------------------------------------------------------------------
+# strict dual documents
+# ---------------------------------------------------------------------------
+
+def _dual_doc(permute=permute_flow_level):
+    """A dual document with alpha, beta and gamma entries."""
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 1), (2, 2, 1)]),
+                              (2, 0, 10, [(1, 1, 1)]),
+                              (3, 100, 1, [(1, 2, 1)])], edges=[(1, 2)])
+    _, dual = permute(inst)
+    assert dual.alpha and dual.beta and dual.gamma
+    return json.loads(dual_to_document(dual, inst))
+
+
+def _rejected(doc, match):
+    with pytest.raises(DocumentError, match=match) as info:
+        document_to_dual(json.dumps(doc))
+    assert "\n" not in str(info.value)
+
+
+def test_strict_dual_alpha_entry_missing_port():
+    doc = _dual_doc()
+    del doc["alpha"][0]["port"]
+    _rejected(doc, "missing field 'port' in alpha entry 0")
+
+
+def test_strict_dual_short_snapshot_triple():
+    doc = _dual_doc()
+    doc["beta"][0]["snapshot"][0] = [1, 1]
+    _rejected(doc, "beta entry 0 snapshot item 0 must be a .src, dst, "
+                   "coflow. integer triple")
+
+
+def test_strict_dual_alpha_not_a_list():
+    doc = _dual_doc()
+    doc["alpha"] = 5
+    _rejected(doc, "alpha must be a list, got 5")
+
+
+def test_strict_dual_unknown_kind():
+    doc = _dual_doc()
+    doc["kind"] = "bogus"
+    _rejected(doc, "unknown dual kind 'bogus'")
+
+
+@pytest.mark.parametrize("path", [
+    ("alpha", 0, "port"), ("alpha", 0, "id"), ("beta", 0, "port"),
+    ("gamma", 0, "pred"), ("gamma", 0, "succ")])
+def test_strict_dual_rejects_bools_as_ints(path):
+    doc = _dual_doc()
+    section, i, key = path
+    doc[section][i][key] = True
+    _rejected(doc, f"{section} entry {i} {key} must be an integer, got True")
+
+
+def test_strict_dual_rejects_bools_in_snapshots():
+    doc = _dual_doc()
+    doc["beta"][0]["snapshot"][0][2] = True
+    _rejected(doc, "integer triple")
+    coflow_doc = _dual_doc(permute_coflow_level)
+    coflow_doc["beta"][0]["snapshot"][0] = False
+    _rejected(coflow_doc, "snapshot item 0 must be an integer, got False")
+
+
+@pytest.mark.parametrize("value, match", [
+    ("x", "must be a finite number, got 'x'"),
+    (True, "must be a finite number, got True"),
+    (None, "must be a finite number, got None")])
+def test_strict_dual_rejects_non_numeric_values(value, match):
+    for section in ("alpha", "beta", "gamma"):
+        doc = _dual_doc()
+        doc[section][0]["value"] = value
+        _rejected(doc, f"{section} entry 0 value {match}")
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda d: d["beta"][0].update(side="up"), 'side must be "in" or "out"'),
+    (lambda d: d["beta"][0].update(extra=1), r"unknown field\(s\) \['extra'\]"),
+    (lambda d: d["gamma"].__setitem__(0, [1, 2]), "must be an object"),
+    (lambda d: d.update(kappa="0.5"), "kappa must be a finite number"),
+    (lambda d: d["beta"][0].update(snapshot={}), "snapshot must be a list")])
+def test_strict_dual_rejects_malformed_entries(mutate, match):
+    doc = _dual_doc()
+    mutate(doc)
+    _rejected(doc, match)
+
+
+def test_strict_dual_root_must_be_an_object():
+    with pytest.raises(DocumentError, match="must be an object, got list"):
+        document_to_dual("[]")
