@@ -410,14 +410,15 @@ def constraint_lhs(dual: DualSolution,
                    subject: Instance | JobSet) -> dict[int, float]:
     """Left-hand side of every entity's dual constraint."""
     demand = _PortDemand(subject)
-    lhs = np.zeros(demand.n)
+    beta_lhs = np.zeros(demand.n)
     for rec in dual.beta:
         idx = demand.rows(rec.coflows)
         # add.at adds a repeated id once per occurrence, in record order.
-        np.add.at(lhs, idx, rec.value * demand.at(rec.side, rec.port)[0][idx])
-    coflow_lhs = dict(zip(demand.row, lhs.tolist()))
+        np.add.at(beta_lhs, idx,
+                  rec.value * demand.at(rec.side, rec.port)[0][idx])
+    coflow_lhs = dict(zip(demand.row, beta_lhs.tolist()))
     for (a, b), value in dual.gamma.items():
-        demand.rows((a, b))
+        demand.rows((a, b))  # raises ValueError on an unknown id
         coflow_lhs[b] += value
         coflow_lhs[a] -= value
 
