@@ -604,14 +604,12 @@ def _hand_built(kind, seed):
                                int(rng.integers(1, 5)),
                                tuple(int(k) for k in ids),
                                float(rng.random()) / 7))
-    alpha = {("out", 2, 5): 0.3, ("in", 1, 9): 1.25}
-    gamma = {(1, 4): 0.5, (3, 2): 0.125} if kind != JOB_LEVEL else {}
-    dual = DualSolution(kind, 0.5, alpha, tuple(beta), gamma)
     if kind == JOB_LEVEL:
-        js = jobset_from_instance(inst)
-        return DualSolution(kind, 0.5, {("out", 2, 1): 0.3}, tuple(beta),
-                            {}), js
-    return dual, inst
+        return (DualSolution(kind, 0.5, {("out", 2, 1): 0.3}, tuple(beta),
+                             {}), jobset_from_instance(inst))
+    alpha = {("out", 2, 5): 0.3, ("in", 1, 9): 1.25}
+    gamma = {(1, 4): 0.5, (3, 2): 0.125}
+    return DualSolution(kind, 0.5, alpha, tuple(beta), gamma), inst
 
 
 @pytest.mark.parametrize("seed", range(4))
