@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DocumentError, Instance, coflow_port_loads
+from .model import (INTEGER, LIST, MATRIX, STRING, DocumentError, Instance,
+                    coflow_port_loads, entries, fields)
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -104,13 +105,19 @@ def assignment_to_payload(assignment: CoreAssignment) -> dict:
 
 
 def payload_to_assignment(payload: dict) -> CoreAssignment:
-    allowed = {"kind", "flows", "load_in", "load_out", "coflows"}
-    extra = set(payload) - allowed
-    if extra:
-        raise DocumentError(f"unknown field(s) {sorted(extra)} in assignment")
-    flow_to_core = {(f["src"], f["dst"], f["coflow"]): f["core"]
-                    for f in payload["flows"]}
-    coflow_to_core = {c["id"]: c["core"] for c in payload.get("coflows", [])}
-    return CoreAssignment(payload["kind"], flow_to_core, coflow_to_core,
-                          np.asarray(payload["load_in"], dtype=np.int64),
-                          np.asarray(payload["load_out"], dtype=np.int64))
+    expected = dict(kind=STRING, flows=LIST, load_in=MATRIX, load_out=MATRIX)
+    if type(payload) is dict and payload.get("kind") == COFLOW_LEVEL:
+        expected["coflows"] = LIST
+    kind, flows, load_in, load_out, *coflows = fields(payload, "assignment",
+                                                      **expected)
+    if kind not in (FLOW_LEVEL, COFLOW_LEVEL):
+        raise DocumentError(f"unknown assignment kind {kind!r}")
+    flow_to_core = {(src, dst, k): core for src, dst, k, core in entries(
+        flows, "assignment flow", src=INTEGER, dst=INTEGER, coflow=INTEGER,
+        core=INTEGER)}
+    coflow_to_core = dict(entries(coflows[0] if coflows else [],
+                                  "assignment coflow", id=INTEGER,
+                                  core=INTEGER))
+    return CoreAssignment(kind, flow_to_core, coflow_to_core,
+                          np.asarray(load_in, dtype=np.int64),
+                          np.asarray(load_out, dtype=np.int64))

@@ -10,13 +10,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .model import (
     DocumentError,
     Instance,
     InvalidInstanceError,
+    JobSet,
     document_to_instance,
     document_to_jobset,
     instance_to_document,
@@ -72,8 +72,13 @@ def _read(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_instance(path: str) -> Instance:
-    instance = document_to_instance(_read(path))
+def _load(path: str, jobs: bool, text: str | None = None) -> Instance | JobSet:
+    """The job set, or the validated instance, in the document at `path`,
+    whose text is read unless given."""
+    text = _read(path) if text is None else text
+    if jobs:
+        return document_to_jobset(text)
+    instance = document_to_instance(text)
     report = validate_instance(instance)
     if not report.ok:
         raise DataError(f"{path}: " + "; ".join(report.violations))
@@ -85,15 +90,6 @@ def _seed_range(spec: str) -> list[int]:
         lo, hi = spec.split(":", 1)
         return list(range(int(lo), int(hi)))
     return [int(s) for s in spec.split(",")]
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("COFLOW_FORGE_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return max(1, cap) if cap else min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +119,7 @@ def _order(subject, algorithm: str, kappa: float):
 
 
 def _cmd_order(args) -> int:
-    if args.alg == "jobs":
-        subject = document_to_jobset(_read(args.instance))
-    else:
-        subject = _load_instance(args.instance)
+    subject = _load(args.instance, args.alg == "jobs")
     perm, dual = _order(subject, args.alg, args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
                "order": list(perm.order)}
@@ -138,14 +131,14 @@ def _cmd_order(args) -> int:
 
 def _cmd_schedule(args) -> int:
     if args.alg == "jobs":
-        jobset = document_to_jobset(_read(args.instance))
+        jobset = _load(args.instance, True)
         perm, _ = permute_jobs(jobset, args.kappa)
         sched = simulate_jobs(jobset, perm)
         payload = {"algorithm": "jobs", "kappa": args.kappa,
                    "order": list(perm.order),
                    "schedule": json.loads(schedule_to_document(sched))}
     else:
-        instance = _load_instance(args.instance)
+        instance = _load(args.instance, False)
         perm, _ = _order(instance, args.alg, args.kappa)
         assignment = assign_flows_fdls(instance, perm) if args.alg == "fdls" \
             else assign_coflows_cdls(instance, perm)
@@ -160,13 +153,14 @@ def _cmd_schedule(args) -> int:
 
 def _evaluate_one(path: str, algorithms: list[str], kappa: float,
                   timing: bool) -> list:
+    text = _read(path)
+    subjects: dict[bool, Instance | JobSet] = {}
     records = []
     for alg in algorithms:
-        if alg == "jobs":
-            subject = document_to_jobset(_read(path))
-        else:
-            subject = _load_instance(path)
-        records.append(evaluate(subject, alg, kappa,
+        jobs = alg == "jobs"
+        if jobs not in subjects:
+            subjects[jobs] = _load(path, jobs, text)
+        records.append(evaluate(subjects[jobs], alg, kappa,
                                 instance_id=os.path.basename(path),
                                 timing=timing))
     return records
@@ -207,6 +201,7 @@ def _cmd_bench(args) -> int:
         raise DataError("--vary and --values must be given together")
     seeds = _seed_range(args.seeds)
     values = args.values.split(",") if args.values else [None]
+    trace = parse_trace(_read(args.trace)) if args.trace else None
 
     def build(value, seed):
         n, m, p, threshold = args.n, args.cores, args.p, None
@@ -218,9 +213,8 @@ def _cmd_bench(args) -> int:
             p = float(value)
         elif args.vary == "threshold":
             threshold = int(value)
-        if args.trace:
-            port_count, coflows = parse_trace(_read(args.trace))
-            instance = to_instance(port_count, coflows, num_cores=m,
+        if trace:
+            instance = to_instance(*trace, num_cores=m,
                                    weight_mode="uniform", seed=seed)
             if threshold:
                 instance = filter_by_min_flows(instance, threshold)
@@ -230,20 +224,15 @@ def _cmd_bench(args) -> int:
                                  seed=seed, conforming=args.conforming)
         return generate_instance(params)
 
-    tasks = [(value, seed) for value in values for seed in seeds]
-
-    def run(task):
-        value, seed = task
-        instance = build(value, seed)
-        tag = f"{args.vary}={value}" if args.vary else "base"
-        return [evaluate(instance, alg, args.kappa, instance_id=tag,
-                         seed=seed, timing=args.timing)
-                for alg in algorithms]
-
     records = []
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for chunk in pool.map(run, tasks):
-            records.extend(chunk)
+    for value in values:
+        tag = f"{args.vary}={value}" if args.vary else "base"
+        for seed in seeds:
+            instance = build(value, seed)
+            records.extend(evaluate(instance, alg, args.kappa,
+                                    instance_id=tag, seed=seed,
+                                    timing=args.timing)
+                           for alg in algorithms)
     _write(args.output, emit_report(EvaluationReport(records), args.format))
     return 0
 

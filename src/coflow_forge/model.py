@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class CycleError(ValueError):
@@ -19,7 +20,7 @@ class CycleError(ValueError):
 
 
 class DocumentError(ValueError):
-    """Raised when an instance/jobset document is malformed."""
+    """Raised when a document is malformed."""
 
 
 class InvalidInstanceError(ValueError):
@@ -303,6 +304,91 @@ def is_conforming(instance: Instance) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# strict document reading
+# ---------------------------------------------------------------------------
+# Every document reader checks the shape and type of each entry with
+# `fields` and raises only DocumentError, with a one-line message. Ranges
+# (positive sizes, known ports, ...) are left to the validators.
+
+INTEGER = "an integer"
+NUMBER = "a finite number"
+STRING = "a string"
+LIST = "a list"
+INTEGERS = "a list of integers"
+PAIR = "a [pred, succ] integer pair"
+TRIPLE = "a [src, dst, coflow] integer triple"
+MATRIX = "a list of equal-length lists of 64-bit integers"
+SIDE = '"in" or "out"'
+
+
+def _integers(v, length: int | None = None) -> bool:
+    return (type(v) is list and length in (None, len(v))
+            and all(type(x) is int for x in v))
+
+
+_EXPECTED = {
+    INTEGER: lambda v: type(v) is int,
+    # Comparisons leave out inf, nan and ints too large for a float.
+    NUMBER: lambda v: (type(v) in (int, float)
+                       and -sys.float_info.max <= v <= sys.float_info.max),
+    STRING: lambda v: type(v) is str,
+    LIST: lambda v: type(v) is list,
+    INTEGERS: _integers,
+    PAIR: lambda v: _integers(v, 2),
+    TRIPLE: lambda v: _integers(v, 3),
+    MATRIX: lambda v: (type(v) is list and all(_integers(r) for r in v)
+                       and len({len(r) for r in v}) <= 1
+                       and all(-2**63 <= x < 2**63 for r in v for x in r)),
+    SIDE: lambda v: v in ("in", "out"),
+}
+
+
+def parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"not a valid {what}: {exc}") from exc
+
+
+def typed(value, expected: str, where: str):
+    """`value`, if it is what `expected` (INTEGER, NUMBER, ...) names."""
+    if not _EXPECTED[expected](value):
+        shown = type(value).__name__ if isinstance(value, (list, dict)) \
+            else repr(value)
+        raise DocumentError(f"{where} must be {expected}, got {shown}")
+    return value
+
+
+def fields(obj, where: str, **expected: str) -> list:
+    """The values of exactly the fields named in `expected` of the object
+    `obj`, in that order, each checked to be what its `expected` names."""
+    return _fields(obj, where, expected)
+
+
+def entries(items: list, where: str, **expected: str) -> list[list]:
+    """`fields` of each object in `items`; the i-th is named `where i`."""
+    return [_fields(obj, f"{where} {i}", expected)
+            for i, obj in enumerate(items)]
+
+
+def _fields(obj, where: str, expected: dict) -> list:
+    if type(obj) is not dict:
+        raise DocumentError(f"{where} must be an object, "
+                            f"got {type(obj).__name__}")
+    if obj.keys() != expected.keys():
+        for key in expected:
+            if key not in obj:
+                raise DocumentError(f"missing field '{key}' in {where}")
+        raise DocumentError(f"unknown field(s) "
+                            f"{sorted(set(obj) - set(expected))} in {where}")
+    values = [obj[key] for key in expected]
+    for value, (key, want) in zip(values, expected.items()):
+        if not _EXPECTED[want](value):
+            typed(value, want, f"{where} {key}")
+    return values
+
+
+# ---------------------------------------------------------------------------
 # instance document format
 # ---------------------------------------------------------------------------
 # One JSON document per instance. Top-level fields: cores, ports, coflows
@@ -310,72 +396,42 @@ def is_conforming(instance: Instance) -> bool:
 # [pred, succ]) and optional jobs (list of {id, weight, coflows}). Unknown
 # fields are rejected.
 
-def _reject_unknown(obj: Mapping, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise DocumentError(f"unknown field(s) {sorted(extra)} in {where}")
-
-
-def _require(obj: Mapping, key: str, where: str):
-    if key not in obj:
-        raise DocumentError(f"missing field '{key}' in {where}")
-    return obj[key]
-
-
-def _parse_document(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not a valid document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DocumentError("document root must be an object")
-    _reject_unknown(doc, {"cores", "ports", "coflows", "edges", "jobs"},
-                    "document root")
-    return doc
-
-
-def _coflows_from_doc(doc: dict) -> tuple[Coflow, ...]:
-    coflows = []
-    for entry in _require(doc, "coflows", "document root"):
-        _reject_unknown(entry, {"id", "release", "weight", "flows"}, "coflow")
-        cid = _require(entry, "id", "coflow")
-        flows = []
-        for fl in _require(entry, "flows", f"coflow {cid}"):
-            _reject_unknown(fl, {"src", "dst", "size"}, f"flow of coflow {cid}")
-            flows.append((_require(fl, "src", "flow"),
-                          _require(fl, "dst", "flow"),
-                          _require(fl, "size", "flow")))
-        coflows.append(Coflow.make(cid, _require(entry, "release", "coflow"),
-                                   _require(entry, "weight", "coflow"), flows))
-    return tuple(coflows)
+def _read_instance(doc, what: str, **extra: str) -> tuple[Instance, list]:
+    """The instance in the parsed document `doc`, and the values of the
+    root fields `extra` names."""
+    cores, ports, coflow_entries, edges, *rest = fields(
+        doc, what, cores=INTEGER, ports=INTEGER, coflows=LIST, edges=LIST,
+        **extra)
+    coflows = tuple(
+        Coflow.make(cid, release, weight,
+                    entries(flows, f"coflow {cid} flow", src=INTEGER,
+                            dst=INTEGER, size=INTEGER))
+        for cid, release, weight, flows in entries(
+            coflow_entries, "coflow entry", id=INTEGER, release=INTEGER,
+            weight=NUMBER, flows=LIST))
+    pairs = [tuple(typed(e, PAIR, f"edge {i}")) for i, e in enumerate(edges)]
+    dag = PrecedenceDag.make((c.id for c in coflows), pairs)
+    return Instance(NetworkConfig(cores, ports), coflows, dag), rest
 
 
 def document_to_instance(text: str) -> Instance:
-    doc = _parse_document(text)
-    coflows = _coflows_from_doc(doc)
-    edges = [tuple(e) for e in _require(doc, "edges", "document root")]
-    for e in edges:
-        if len(e) != 2:
-            raise DocumentError(f"edge {list(e)} must be a [pred, succ] pair")
-    config = NetworkConfig(_require(doc, "cores", "document root"),
-                           _require(doc, "ports", "document root"))
-    return Instance(config, coflows,
-                    PrecedenceDag.make((c.id for c in coflows), edges))
+    """The instance of an instance or jobset document; jobs are not read."""
+    doc = parse_json(text, "instance document")
+    jobs = {"jobs": LIST} if type(doc) is dict and "jobs" in doc else {}
+    return _read_instance(doc, "instance document", **jobs)[0]
 
 
 def document_to_jobset(text: str) -> JobSet:
-    doc = _parse_document(text)
-    if "jobs" not in doc:
+    doc = parse_json(text, "jobset document")
+    if type(doc) is dict and "jobs" not in doc:
         raise DocumentError("document has no 'jobs' field")
-    instance = document_to_instance(
-        json.dumps({k: v for k, v in doc.items() if k != "jobs"}))
-    jobs = []
-    for entry in doc["jobs"]:
-        _reject_unknown(entry, {"id", "weight", "coflows"}, "job")
-        jobs.append(Job(_require(entry, "id", "job"),
-                        _require(entry, "weight", "job"),
-                        tuple(_require(entry, "coflows", "job"))))
-    return JobSet(instance.config, tuple(jobs), instance.coflows, instance.dag)
+    instance, (job_entries,) = _read_instance(doc, "jobset document",
+                                              jobs=LIST)
+    jobs = tuple(Job(jid, weight, tuple(members))
+                 for jid, weight, members in entries(
+                     job_entries, "job entry", id=INTEGER, weight=NUMBER,
+                     coflows=INTEGERS))
+    return JobSet(instance.config, jobs, instance.coflows, instance.dag)
 
 
 def _instance_payload(config: NetworkConfig, coflows: Sequence[Coflow],

@@ -17,22 +17,15 @@ weighted completion time.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .model import (
-    Coflow,
-    DocumentError,
-    Instance,
-    InvalidInstanceError,
-    JobSet,
-    coflow_port_loads,
-    validate_instance,
-    validate_jobset,
-)
+    INTEGER, LIST, NUMBER, SIDE, STRING, TRIPLE, Coflow, DocumentError,
+    Instance, InvalidInstanceError, JobSet, coflow_port_loads, entries,
+    fields, parse_json, typed, validate_instance, validate_jobset)
 
 FLOW_LEVEL = "flow-level"
 COFLOW_LEVEL = "coflow-level"
@@ -94,11 +87,6 @@ def _f_sums(total: float, squares: float, m: int) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     return (total * total + squares) / (2.0 * m)
-
-
-def f_port_set(loads: Iterable[float], m: int) -> float:
-    """Same aggregate applied to per-coflow port loads (zeros allowed)."""
-    return f_set(loads, m)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +428,13 @@ def constraint_lhs(dual: DualSolution,
 
 def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
                            rel_tol: float = 1e-6) -> FeasibilityReport:
-    """Evaluate every dual constraint: feasible iff LHS <= w (1 + rel_tol)."""
+    """Evaluate every dual constraint: feasible iff every dual value is
+    non-negative and every LHS <= w (1 + rel_tol)."""
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
     lhs = constraint_lhs(dual, subject)
+    feasible = min([*dual.alpha.values(), *(r.value for r in dual.beta),
+                    *dual.gamma.values()], default=0.0) >= 0
     if dual.kind == JOB_LEVEL:
         assert isinstance(subject, JobSet)
         weights = {j.id: float(j.weight) for j in subject.jobs}
@@ -452,7 +443,6 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
 
     worst = 0.0
     tight: list[int] = []
-    feasible = True
     for eid, w in sorted(weights.items()):
         excess = (lhs[eid] - w) / w
         worst = max(worst, excess)
@@ -468,8 +458,11 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
 # ---------------------------------------------------------------------------
 # {"kind": ..., "kappa": ..., "alpha": [{"side","port","id","value"}],
 #  "beta": [{"side","port","snapshot","value"}], "gamma": [{"pred","succ",
-#  "value"}]}. Flow-level beta snapshots list [src, dst, coflow] triples;
-#  coflow- and job-level snapshots list coflow ids.
+#  "value"}]}. Flow-level beta snapshots list [src, dst, coflow] triples,
+#  each a flow at the record's port (src for side "in", dst for "out");
+#  coflow- and job-level snapshots list coflow ids. The reader keeps only
+#  the coflow id of a triple; whether the triple names a flow of the
+#  instance can be checked only with the instance in hand, so it is not.
 
 # Snapshot items sit at depth 8 of the indent=2 rendering, their inner
 # values (flow-level triples) at depth 10.
@@ -531,86 +524,40 @@ def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
     return "".join(out)
 
 
-def _fields(obj, names: tuple[str, ...], where: str) -> list:
-    """The values of exactly the fields `names` of the object `obj`."""
-    if not isinstance(obj, dict):
-        raise DocumentError(f"{where} must be an object, "
-                            f"got {type(obj).__name__}")
-    for key in names:
-        if key not in obj:
-            raise DocumentError(f"missing field '{key}' in {where}")
-    extra = set(obj) - set(names)
-    if extra:
-        raise DocumentError(f"unknown field(s) {sorted(extra)} in {where}")
-    return [obj[key] for key in names]
-
-
-_EXPECTED = {
-    "a list": lambda v: isinstance(v, list),
-    "an integer": lambda v: type(v) is int,
-    "a finite number": lambda v: (type(v) in (int, float)
-                                  and math.isfinite(v)),
-    '"in" or "out"': lambda v: v in ("in", "out"),
-}
-
-
-def _typed(value, expected: str, where: str):
-    """`value`, if it is what `expected` (a key of _EXPECTED) names."""
-    if not _EXPECTED[expected](value):
-        shown = type(value).__name__ if isinstance(value, (list, dict)) \
-            else repr(value)
-        raise DocumentError(f"{where} must be {expected}, got {shown}")
-    return value
-
-
 def document_to_dual(text: str) -> DualSolution:
     """Parse a dual document strictly: any malformed field raises
     DocumentError with a one-line message."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not a valid dual document: {exc}") from exc
-    kind, kappa, alphas, betas, gammas = _fields(
-        doc, ("kind", "kappa", "alpha", "beta", "gamma"), "dual document")
+    doc = parse_json(text, "dual document")
+    kind, kappa, alphas, betas, gammas = fields(
+        doc, "dual document", kind=STRING, kappa=NUMBER, alpha=LIST,
+        beta=LIST, gamma=LIST)
     if kind not in (FLOW_LEVEL, COFLOW_LEVEL, JOB_LEVEL):
         raise DocumentError(f"unknown dual kind {kind!r}")
-    _typed(kappa, "a finite number", "kappa")
 
-    alpha = {}
-    for i, entry in enumerate(_typed(alphas, "a list", "alpha")):
-        where = f"alpha entry {i}"
-        side, port, eid, value = _fields(entry, ("side", "port", "id",
-                                                 "value"), where)
-        alpha[(_typed(side, '"in" or "out"', f"{where} side"),
-               _typed(port, "an integer", f"{where} port"),
-               _typed(eid, "an integer", f"{where} id"))] = \
-            _typed(value, "a finite number", f"{where} value")
+    alpha = {(side, port, eid): value
+             for side, port, eid, value in entries(
+                 alphas, "alpha entry", side=SIDE, port=INTEGER, id=INTEGER,
+                 value=NUMBER)}
     beta = []
-    for i, entry in enumerate(_typed(betas, "a list", "beta")):
+    for i, (side, port, snap, value) in enumerate(entries(
+            betas, "beta entry", side=SIDE, port=INTEGER, snapshot=LIST,
+            value=NUMBER)):
         where = f"beta entry {i}"
-        side, port, snap, value = _fields(entry, ("side", "port", "snapshot",
-                                                  "value"), where)
-        ids = []
-        for j, item in enumerate(_typed(snap, "a list", f"{where} snapshot")):
-            if kind == FLOW_LEVEL:
-                if not (type(item) is list and len(item) == 3
-                        and all(type(x) is int for x in item)):
-                    raise DocumentError(f"{where} snapshot item {j} must be "
-                                        "a [src, dst, coflow] integer triple")
-                item = item[2]
-            ids.append(_typed(item, "an integer",
-                              f"{where} snapshot item {j}"))
         if kind == FLOW_LEVEL:
-            ids = sorted(set(ids))
-        beta.append(BetaRecord(
-            _typed(side, '"in" or "out"', f"{where} side"),
-            _typed(port, "an integer", f"{where} port"), tuple(ids),
-            _typed(value, "a finite number", f"{where} value")))
-    gamma = {}
-    for i, entry in enumerate(_typed(gammas, "a list", "gamma")):
-        where = f"gamma entry {i}"
-        pred, succ, value = _fields(entry, ("pred", "succ", "value"), where)
-        gamma[(_typed(pred, "an integer", f"{where} pred"),
-               _typed(succ, "an integer", f"{where} succ"))] = \
-            _typed(value, "a finite number", f"{where} value")
+            ids = set()
+            for j, item in enumerate(snap):
+                src, dst, k = typed(item, TRIPLE, f"{where} snapshot item {j}")
+                if (src if side == "in" else dst) != port:
+                    raise DocumentError(f"{where} snapshot item {j} {item} "
+                                        f"is not a flow at {side} port {port}")
+                ids.add(k)
+            ids = sorted(ids)
+        else:
+            ids = [typed(item, INTEGER, f"{where} snapshot item {j}")
+                   for j, item in enumerate(snap)]
+        beta.append(BetaRecord(side, port, tuple(ids), value))
+    gamma = {(pred, succ): value
+             for pred, succ, value in entries(
+                 gammas, "gamma entry", pred=INTEGER, succ=INTEGER,
+                 value=NUMBER)}
     return DualSolution(kind, kappa, alpha, tuple(beta), gamma)

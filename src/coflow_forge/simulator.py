@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .model import DocumentError, Instance, JobSet, PrecedenceDag, topological_order
+from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag, entries,
+                    fields, parse_json, topological_order)
 from .assignment import CoreAssignment, assign_coflows_cdls, assign_flows_fdls
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
@@ -352,22 +353,17 @@ def schedule_to_document(schedule: Schedule) -> str:
 
 
 def document_to_schedule(text: str) -> Schedule:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not a valid schedule document: {exc}") from exc
-    allowed = {"flows", "coflows", "jobs", "segments"}
-    extra = set(doc) - allowed
-    if extra:
-        raise DocumentError(f"unknown field(s) {sorted(extra)} in schedule")
-    for key in allowed:
-        if key not in doc:
-            raise DocumentError(f"missing field '{key}' in schedule document")
+    doc = parse_json(text, "schedule document")
+    flows, coflows, jobs, segments = fields(
+        doc, "schedule document", flows=LIST, coflows=LIST, jobs=LIST,
+        segments=LIST)
     return Schedule(
-        {(f["src"], f["dst"], f["coflow"]): f["completion"]
-         for f in doc["flows"]},
-        {c["id"]: c["completion"] for c in doc["coflows"]},
-        {j["id"]: j["completion"] for j in doc["jobs"]},
-        tuple(Segment(g["src"], g["dst"], g["coflow"], g["core"],
-                      g["start"], g["end"]) for g in doc["segments"]),
+        {(src, dst, k): done for src, dst, k, done in entries(
+            flows, "flow entry", src=INTEGER, dst=INTEGER, coflow=INTEGER,
+            completion=INTEGER)},
+        dict(entries(coflows, "coflow entry", id=INTEGER, completion=INTEGER)),
+        dict(entries(jobs, "job entry", id=INTEGER, completion=INTEGER)),
+        tuple(Segment(*g) for g in entries(
+            segments, "segment", src=INTEGER, dst=INTEGER, coflow=INTEGER,
+            core=INTEGER, start=INTEGER, end=INTEGER)),
     )

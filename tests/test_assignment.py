@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coflow_forge import Permutation
+from coflow_forge import DocumentError, Permutation
 from coflow_forge.assignment import (
     assign_coflows_cdls,
     assign_flows_fdls,
@@ -137,3 +137,22 @@ def test_determinism_and_payload_round_trip():
     back = payload_to_assignment(payload)
     assert back.flow_to_core == a1.flow_to_core
     assert (back.load_in == a1.load_in).all()
+
+
+@pytest.mark.parametrize("assigner", [assign_flows_fdls, assign_coflows_cdls])
+def test_payload_kind_must_be_known(assigner):
+    inst = generate_instance(GeneratorParams(n=6, num_ports=4, num_cores=2,
+                                             seed=11))
+    perm = Permutation(tuple(sorted(c.id for c in inst.coflows)))
+    asg = assigner(inst, perm)
+    back = payload_to_assignment(assignment_to_payload(asg))
+    assert back.kind == asg.kind
+    assert back.coflow_to_core == asg.coflow_to_core
+    payload = assignment_to_payload(asg)
+    del payload["kind"]
+    with pytest.raises(DocumentError, match="missing field 'kind'"):
+        payload_to_assignment(payload)
+    payload = assignment_to_payload(assign_flows_fdls(inst, perm))
+    payload["kind"] = "bogus"
+    with pytest.raises(DocumentError, match="unknown assignment kind 'bogus'"):
+        payload_to_assignment(payload)

@@ -3,9 +3,16 @@ import os
 
 import pytest
 
-from coflow_forge import document_to_instance, validate_instance
+from coflow_forge import (
+    document_to_instance,
+    instance_to_document,
+    jobset_to_document,
+    validate_instance,
+)
 from coflow_forge.cli import main
 from coflow_forge.metrics_report import parse_report
+
+from conftest import jobset_from_instance
 
 TRACE = """3 2
 1 100 2 1 2 2 3:100 2:200
@@ -119,8 +126,44 @@ def test_invalid_instance_data_exits_1(tmp_path, capsys):
     assert "weight" in capsys.readouterr().err
 
 
-def test_bench_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("COFLOW_FORGE_THREADS", "2")
+# Each case is (key path, bad value, document is a jobset). None of them
+# may exit through a traceback.
+MALFORMED = {
+    "string weight": (("coflows", 0, "weight"), "x", False),
+    "coflows not a list": (("coflows",), 5, False),
+    "edge not a pair": (("edges",), [5], False),
+    "jobs not a list": (("jobs",), 5, True),
+    "job coflows not a list": (("jobs", 0, "coflows"), 5, True),
+    "bool release": (("coflows", 0, "release"), True, False),
+    "bool flow size": (("coflows", 0, "flows", 0, "size"), True, False),
+    "infinite weight": (("coflows", 0, "weight"), float("inf"), False),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "order"])
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_document_exits_1_with_one_line(tmp_path, capsys, command,
+                                                  case):
+    path, value, jobs = MALFORMED[case]
+    inst = document_to_instance(_generate(tmp_path).read_text())
+    doc = json.loads(jobset_to_document(jobset_from_instance(inst)) if jobs
+                     else instance_to_document(inst))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([command, str(bad), "--alg", "jobs" if jobs else "fdls",
+                 "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("coflow-forge: error: ")
+    assert "Traceback" not in err
+
+
+def test_bench_sweep(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--seeds", "0:3", "--vary", "n", "--values",
                  "4,6", "--ports", "5", "--cores", "2", "--alg", "fdls",
@@ -153,10 +196,9 @@ def test_bench_vary_requires_values(tmp_path, capsys):
     assert "--values" in capsys.readouterr().err
 
 
-def test_bench_deterministic_under_threads(tmp_path, monkeypatch):
+def test_bench_byte_reproducible(tmp_path):
     outs = []
-    for threads, name in (("1", "a.csv"), ("4", "b.csv")):
-        monkeypatch.setenv("COFLOW_FORGE_THREADS", threads)
+    for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         assert main(["bench", "--seeds", "0:4", "--ports", "5", "--cores",
                      "2", "--n", "6", "--alg", "fdls,cdls",

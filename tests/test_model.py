@@ -1,6 +1,10 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coflow_forge import (
     Coflow,
@@ -20,7 +24,15 @@ from coflow_forge import (
     validate_instance,
     validate_jobset,
 )
+from coflow_forge.assignment import (
+    assign_coflows_cdls,
+    assign_flows_fdls,
+    assignment_to_payload,
+    payload_to_assignment,
+)
 from coflow_forge.generator import GeneratorParams, generate_instance
+from coflow_forge.primal_dual import document_to_dual, permute_flow_level
+from coflow_forge.simulator import document_to_schedule
 
 from conftest import jobset_from_instance, mk_instance
 
@@ -249,3 +261,69 @@ def test_jobset_document_round_trip():
     assert jobset_to_document(back) == text
     with pytest.raises(DocumentError, match="no 'jobs' field"):
         document_to_jobset(instance_to_document(inst))
+
+
+# ---------------------------------------------------------------------------
+# every reader on mutated golden documents
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_documents() -> list:
+    """The golden documents, parsed, and the FDLS and CDLS assignment
+    payloads of the golden instance."""
+    docs = [json.loads((GOLDEN / name).read_text())
+            for name in ("instance.json", "jobset.json", "dual_flow.json",
+                         "dual_coflow.json", "dual_job.json",
+                         "schedule.json")]
+    inst = document_to_instance((GOLDEN / "instance.json").read_text())
+    perm, _ = permute_flow_level(inst)
+    return docs + [assignment_to_payload(assign(inst, perm))
+                   for assign in (assign_flows_fdls, assign_coflows_cdls)]
+
+
+def _paths(node, path=()):
+    """The key path of `node` and of every value inside it."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+DOCUMENTS = _golden_documents()
+PATHS = [list(_paths(doc)) for doc in DOCUMENTS]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+READERS = (document_to_instance, document_to_jobset, document_to_dual,
+           document_to_schedule,
+           lambda text: payload_to_assignment(json.loads(text)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_readers_raise_only_document_error_on_mutated_documents(data):
+    i = data.draw(st.integers(0, len(DOCUMENTS) - 1), label="document")
+    doc = copy.deepcopy(DOCUMENTS[i])
+    path = data.draw(st.sampled_from(PATHS[i]), label="path")
+    if not path:
+        doc = data.draw(JSON_VALUES, label="root")
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans(), label="drop"):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+    text = json.dumps(doc)
+    for read in READERS:
+        try:
+            read(text)
+        except DocumentError:
+            pass

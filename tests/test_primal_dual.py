@@ -20,7 +20,6 @@ from coflow_forge import (
     document_to_dual,
     dual_objective,
     dual_to_document,
-    f_port_set,
     f_set,
     permute_coflow_level,
     permute_flow_level,
@@ -32,7 +31,7 @@ from conftest import jobset_from_instance, mk_instance
 
 
 # ---------------------------------------------------------------------------
-# f_set / f_port_set
+# f_set
 # ---------------------------------------------------------------------------
 
 def test_f_set_examples():
@@ -41,17 +40,15 @@ def test_f_set_examples():
     assert f_set([7], 1) == 49.0
 
 
-def test_f_port_set_examples():
-    assert f_port_set([1, 2], 1) == 7.0
-    assert f_port_set([], 3) == 0.0
-    assert f_port_set([3], 3) == 3.0
+def test_f_set_port_load_examples():
+    assert f_set([1, 2], 1) == 7.0
+    assert f_set([], 3) == 0.0
+    assert f_set([3], 3) == 3.0
 
 
 def test_f_requires_positive_m():
     with pytest.raises(ValueError):
         f_set([1], 0)
-    with pytest.raises(ValueError):
-        f_port_set([1], 0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -61,7 +58,6 @@ def test_observation_squared_sum_bound(seed):
     sizes = rng.integers(1, 1000, size=rng.integers(1, 30)).tolist()
     m = int(rng.integers(1, 10))
     assert sum(sizes) ** 2 <= 2 * m * f_set(sizes, m) + 1e-9
-    assert sum(sizes) ** 2 <= 2 * m * f_port_set(sizes, m) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +229,28 @@ def test_feasibility_scaled_beta_detected(two_coflow_instance):
     report = check_dual_feasibility(scaled, two_coflow_instance)
     assert not report.feasible
     assert report.max_violation > 1.0
+
+
+@pytest.mark.parametrize("negate", ["alpha", "beta", "gamma"])
+def test_feasibility_rejects_negative_values(negate):
+    inst = mk_instance(1, 2, [(1, 0, 3, [(1, 1, 2), (2, 2, 1)]),
+                              (2, 0, 5, [(1, 2, 3)]),
+                              (3, 0, 2, [(2, 1, 2)])])
+    _, dual = permute_flow_level(inst)
+    assert check_dual_feasibility(dual, inst).feasible
+    assert dual_objective(dual, inst) == pytest.approx(34.0)
+    alpha, beta, gamma = dict(dual.alpha), dual.beta, dict(dual.gamma)
+    if negate == "alpha":
+        alpha[("in", 1, 1)] = -1.0
+    elif negate == "beta":
+        # The objective of this dual is -160, far below the true bound.
+        beta = tuple(BetaRecord(r.side, r.port, r.coflows, -5.0)
+                     for r in beta)
+    else:
+        # Small enough to keep every constraint within its tolerance.
+        gamma[(1, 2)] = -1e-9
+    changed = DualSolution(dual.kind, dual.kappa, alpha, beta, gamma)
+    assert not check_dual_feasibility(changed, inst).feasible
 
 
 def test_feasibility_empty_dual(two_coflow_instance):
@@ -732,6 +750,17 @@ def test_strict_dual_rejects_malformed_entries(mutate, match):
     doc = _dual_doc()
     mutate(doc)
     _rejected(doc, match)
+
+
+def test_strict_dual_rejects_foreign_snapshot_triple():
+    doc = _dual_doc()
+    rec = doc["beta"][0]
+    end = 0 if rec["side"] == "in" else 1
+    foreign = list(rec["snapshot"][0])
+    foreign[end] = 3 - rec["port"]
+    rec["snapshot"].append(foreign)
+    _rejected(doc, f"beta entry 0 snapshot item {len(rec['snapshot']) - 1} "
+                   rf"\[.*\] is not a flow at {rec['side']} port {rec['port']}")
 
 
 def test_strict_dual_root_must_be_an_object():

@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
 from coflow_forge import (
+    DocumentError,
     Instance,
     Job,
     JobSet,
@@ -309,3 +311,14 @@ def test_schedule_document_round_trip():
     back = document_to_schedule(text)
     assert back == sched
     assert schedule_to_document(back) == text
+
+
+def test_schedule_document_flow_without_completion():
+    inst = generate_instance(GeneratorParams(n=5, num_ports=4, num_cores=2,
+                                             seed=2))
+    sched, _, _ = _run_fdls(inst)
+    doc = json.loads(schedule_to_document(sched))
+    del doc["flows"][0]["completion"]
+    with pytest.raises(DocumentError,
+                       match="missing field 'completion' in flow entry 0"):
+        document_to_schedule(json.dumps(doc))
