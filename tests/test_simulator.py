@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -11,6 +12,9 @@ from coflow_forge import (
     Permutation,
     PrecedenceDag,
     coflow_port_loads,
+    permute_coflow_level,
+    permute_flow_level,
+    permute_jobs,
 )
 from coflow_forge.assignment import assign_coflows_cdls, assign_flows_fdls
 from coflow_forge.generator import GeneratorParams, generate_instance
@@ -24,7 +28,9 @@ from coflow_forge.simulator import (
     verify_schedule,
 )
 
-from conftest import mk_instance
+from coflow_forge.model import topological_order
+
+from conftest import jobset_from_instance, mk_instance
 
 
 def _run_fdls(inst, order=None):
@@ -89,6 +95,34 @@ def test_empty_coflow_completes_at_readiness():
                        edges=[(1, 2)])
     sched, _, _ = _run_fdls(inst)
     assert sched.coflow_completions == {1: 4, 2: 4}
+
+
+def test_empty_coflow_chain_completes_when_unblocked():
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 4)]), (2, 0, 1, []),
+                              (3, 1, 1, []), (4, 0, 1, [])],
+                       edges=[(1, 2), (2, 3), (3, 4)])
+    sched, _, _ = _run_fdls(inst)
+    assert sched.coflow_completions == {1: 4, 2: 4, 3: 4, 4: 4}
+
+
+def test_empty_coflow_released_after_all_flows_completes_at_release():
+    # Nothing is admissible after time 2, so the loop jumps to release 10.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]), (2, 10, 1, []),
+                              (3, 0, 1, [])],
+                       edges=[(2, 3)])
+    sched, _, _ = _run_fdls(inst)
+    assert sched.coflow_completions == {1: 2, 2: 10, 3: 10}
+
+
+def test_successor_of_empty_coflow_starts_at_its_completion():
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 3)]), (2, 0, 1, []),
+                              (3, 0, 1, [(2, 2, 2)])],
+                       edges=[(1, 2), (2, 3)])
+    sched, asg, _ = _run_fdls(inst)
+    assert sched.coflow_completions == {1: 3, 2: 3, 3: 5}
+    assert [(g.coflow, g.start, g.end) for g in sched.segments] \
+        == [(1, 0, 3), (3, 3, 5)]
+    assert verify_schedule(sched, inst, asg).ok
 
 
 def test_unassigned_flow_errors():
@@ -235,18 +269,15 @@ def test_determinism(seed):
     assert a == b
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_work_conservation_replay(seed):
-    # At every event instant, re-running the greedy admission over the
-    # recorded remaining state must admit exactly the recorded active set.
-    inst = generate_instance(GeneratorParams(n=6, num_ports=4, num_cores=2,
-                                             deg=2, seed=seed,
-                                             release_horizon=15))
-    sched, asg, perm = _run_fdls(inst)
+def _replay_admissions(inst, sched, asg, perm, flow_level):
+    # At every event instant, re-running the greedy admission from scratch
+    # over the recorded remaining state must admit exactly the recorded
+    # active set. Flow level orders a coflow's flows by remaining size;
+    # coflow level keeps the fixed list order (size, then ports).
     by_id = inst.coflow_by_id()
     rank = {k: r for r, k in enumerate(perm.order)}
     preds = inst.dag.predecessors()
-    events = sorted({seg.start for seg in sched.segments})
+    events = sorted({t for seg in sched.segments for t in (seg.start, seg.end)})
     for t in events:
         active = {(s.source, s.dest, s.coflow): s.core
                   for s in sched.segments if s.start <= t < s.end}
@@ -270,14 +301,56 @@ def test_work_conservation_replay(seed):
                 flows = [f for f in by_id[k].flows
                          if asg.core_of(f.source, f.dest, k) == h
                          and remaining[(f.source, f.dest, k)] > 0]
-                flows.sort(key=lambda f: (-remaining[(f.source, f.dest, k)],
-                                          f.source, f.dest))
+                if flow_level:
+                    flows.sort(key=lambda f: (
+                        -remaining[(f.source, f.dest, k)], f.source, f.dest))
+                else:
+                    flows.sort(key=lambda f: (-f.size, f.source, f.dest))
                 for f in flows:
                     if f.source not in busy_in and f.dest not in busy_out:
                         busy_in.add(f.source)
                         busy_out.add(f.dest)
                         expected[(f.source, f.dest, k)] = h
-        assert expected == active, (seed, t)
+        assert expected == active, t
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_work_conservation_replay(seed):
+    inst = generate_instance(GeneratorParams(n=6, num_ports=4, num_cores=2,
+                                             deg=2, seed=seed,
+                                             release_horizon=15))
+    perm = Permutation(tuple(sorted(c.id for c in inst.coflows)))
+    for assigner, flow_level in ((assign_flows_fdls, True),
+                                 (assign_coflows_cdls, False)):
+        asg = assigner(inst, perm)
+        sched = simulate(inst, asg, perm)
+        _replay_admissions(inst, sched, asg, perm, flow_level)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_work_conservation_replay_jobs(seed):
+    # simulate_jobs gates job i+1 behind every coflow of job i and orders
+    # coflows topologically inside each job; rebuild that instance here.
+    js = jobset_from_instance(generate_instance(GeneratorParams(
+        n=7, num_ports=4, num_cores=2, deg=2, seed=seed,
+        release_horizon=15)))
+    jobs = {j.id: j for j in js.jobs}
+    job_order = tuple(sorted(jobs, reverse=True))
+    intra = js.intra_job_dag.edges
+    priority = [k for t in job_order for k in topological_order(
+        PrecedenceDag.make(jobs[t].coflows,
+                           [(a, b) for a, b in intra
+                            if a in jobs[t].coflows and b in jobs[t].coflows]))]
+    edges = set(intra) | {(a, b) for prev, nxt in zip(job_order, job_order[1:])
+                          for a in jobs[prev].coflows for b in jobs[nxt].coflows}
+    gated = Instance(js.config, js.coflows,
+                     PrecedenceDag.make(priority, edges))
+    perm = Permutation(tuple(priority))
+    for rule, assigner, flow_level in (("fdls", assign_flows_fdls, True),
+                                       ("cdls", assign_coflows_cdls, False)):
+        sched = simulate_jobs(js, Permutation(job_order), rule)
+        _replay_admissions(gated, sched, assigner(gated, perm), perm,
+                           flow_level)
 
 
 def test_restriction_removing_last_priority_coflow():
@@ -322,3 +395,114 @@ def test_schedule_document_flow_without_completion():
     with pytest.raises(DocumentError,
                        match="missing field 'completion' in flow entry 0"):
         document_to_schedule(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# pinned schedules: simulator output stays byte-exact
+# ---------------------------------------------------------------------------
+
+DENSITY_CASES = ["default", "dense", "sparse", "combined"]
+CORPUS = [(mode, horizon, deg) for mode in DENSITY_CASES
+          for horizon in (0, 25) for deg in (0, 3)]
+
+
+def _corpus_instance(mode, horizon, deg):
+    seed = 100 * DENSITY_CASES.index(mode) + 10 * (horizon > 0) + deg
+    return generate_instance(GeneratorParams(
+        n=12, num_ports=6, num_cores=3, deg=deg, seed=seed,
+        density_mode=mode, release_horizon=horizon))
+
+
+def _sha16(sched):
+    return hashlib.sha256(
+        schedule_to_document(sched).encode()).hexdigest()[:16]
+
+
+def _corpus_schedules():
+    out = {}
+    for mode, horizon, deg in CORPUS:
+        inst = _corpus_instance(mode, horizon, deg)
+        name = f"{mode}-r{horizon}-d{deg}"
+        fperm, _ = permute_flow_level(inst)
+        out[f"{name}-fdls"] = _sha16(
+            simulate(inst, assign_flows_fdls(inst, fperm), fperm))
+        cperm, _ = permute_coflow_level(inst)
+        out[f"{name}-cdls"] = _sha16(
+            simulate(inst, assign_coflows_cdls(inst, cperm), cperm))
+        js = jobset_from_instance(inst)
+        jperm, _ = permute_jobs(js)
+        for rule in ("fdls", "cdls"):
+            out[f"{name}-jobs-{rule}"] = _sha16(simulate_jobs(js, jperm, rule))
+    return out
+
+
+PINNED_SCHEDULES = {
+    "default-r0-d0-fdls": "b4b1eb169b2873e4",
+    "default-r0-d0-cdls": "c9531a7c7f9494fb",
+    "default-r0-d0-jobs-fdls": "5b2da027bb84d1af",
+    "default-r0-d0-jobs-cdls": "055ab8f6980e09cd",
+    "default-r0-d3-fdls": "481a25a118a3bb26",
+    "default-r0-d3-cdls": "3f7cb5b096844ef3",
+    "default-r0-d3-jobs-fdls": "7e84a6b0249f2c6e",
+    "default-r0-d3-jobs-cdls": "7f367d2677236cd1",
+    "default-r25-d0-fdls": "83749a7425a40148",
+    "default-r25-d0-cdls": "921c2d265ea92219",
+    "default-r25-d0-jobs-fdls": "6ba16614678a4330",
+    "default-r25-d0-jobs-cdls": "0b83c538af955c18",
+    "default-r25-d3-fdls": "9101ced349312594",
+    "default-r25-d3-cdls": "13e9e345ebb84c0d",
+    "default-r25-d3-jobs-fdls": "288aeda56c80ce56",
+    "default-r25-d3-jobs-cdls": "40cdbe8789195eb5",
+    "dense-r0-d0-fdls": "88f5548f35f0a881",
+    "dense-r0-d0-cdls": "a0f1732da7d4b6cf",
+    "dense-r0-d0-jobs-fdls": "627c05961932b67b",
+    "dense-r0-d0-jobs-cdls": "a867cd835fa2a1b0",
+    "dense-r0-d3-fdls": "1b0c2e1727cb3011",
+    "dense-r0-d3-cdls": "3b3e7a0d4bfac27e",
+    "dense-r0-d3-jobs-fdls": "de90c227fe9fe654",
+    "dense-r0-d3-jobs-cdls": "79b7eaba08256e4f",
+    "dense-r25-d0-fdls": "eb9ff50aaa74b7cf",
+    "dense-r25-d0-cdls": "cb625d80000706d6",
+    "dense-r25-d0-jobs-fdls": "d1b2fc1a078de636",
+    "dense-r25-d0-jobs-cdls": "334937e241f4dd2b",
+    "dense-r25-d3-fdls": "2b795feef1282441",
+    "dense-r25-d3-cdls": "61fe8c201a23f105",
+    "dense-r25-d3-jobs-fdls": "746faf5295b50442",
+    "dense-r25-d3-jobs-cdls": "3b5279ed9e5b1ce4",
+    "sparse-r0-d0-fdls": "3f6a19b1eef0f872",
+    "sparse-r0-d0-cdls": "f1ebe05ff5c68cd3",
+    "sparse-r0-d0-jobs-fdls": "fb0da515d8c8918b",
+    "sparse-r0-d0-jobs-cdls": "e34c007557f1519a",
+    "sparse-r0-d3-fdls": "071b06c3c200cb92",
+    "sparse-r0-d3-cdls": "b58f3afcf9c6c155",
+    "sparse-r0-d3-jobs-fdls": "d1bcb2c5c22f7a04",
+    "sparse-r0-d3-jobs-cdls": "e525a0adf7f2a805",
+    "sparse-r25-d0-fdls": "8065b1aa560a79a5",
+    "sparse-r25-d0-cdls": "52740827cea4cb17",
+    "sparse-r25-d0-jobs-fdls": "6286d34ac9feed79",
+    "sparse-r25-d0-jobs-cdls": "bb724f93a0980efb",
+    "sparse-r25-d3-fdls": "bd3a270139c51990",
+    "sparse-r25-d3-cdls": "a42e9f7b52d47adb",
+    "sparse-r25-d3-jobs-fdls": "22e29bb390a73cd3",
+    "sparse-r25-d3-jobs-cdls": "d17e65c782a6edff",
+    "combined-r0-d0-fdls": "65ac390e0e240e12",
+    "combined-r0-d0-cdls": "e50d78c7b82023ae",
+    "combined-r0-d0-jobs-fdls": "cf09de5213bd3f80",
+    "combined-r0-d0-jobs-cdls": "920a1a1d4e63bf56",
+    "combined-r0-d3-fdls": "5c44c13ebafd3f7e",
+    "combined-r0-d3-cdls": "8dd0132b198d26ad",
+    "combined-r0-d3-jobs-fdls": "bdfce73b54d45bb5",
+    "combined-r0-d3-jobs-cdls": "1a326cd1cbc43234",
+    "combined-r25-d0-fdls": "f0b75125ba83093d",
+    "combined-r25-d0-cdls": "65d3192645e55caa",
+    "combined-r25-d0-jobs-fdls": "98838b5ae920103d",
+    "combined-r25-d0-jobs-cdls": "98f3eebb4c72a080",
+    "combined-r25-d3-fdls": "2c9bf8de6a67750f",
+    "combined-r25-d3-cdls": "f92b35a0180897a3",
+    "combined-r25-d3-jobs-fdls": "ebbc0d9e22d4af6c",
+    "combined-r25-d3-jobs-cdls": "1b429490481e0ee7",
+}
+
+
+def test_schedules_match_pinned_corpus():
+    assert _corpus_schedules() == PINNED_SCHEDULES
