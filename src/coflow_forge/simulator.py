@@ -2,17 +2,24 @@
 
 Time is a non-negative integer in data units. At every event (a flow
 completes, a coflow is released, a predecessor finishes and unblocks its
-successors) each core rebuilds its active set greedily: coflows in priority
-order, flows within a coflow by non-increasing remaining size (flow-level) or
-by the coflow's fixed list order (coflow-level), admitting a flow only when
-its input and output port on that core are both idle. Admitted flows transmit
-at rate 1 until the next event, so preemption happens at event boundaries
-only.
+successors) each core admits flows greedily: coflows in priority order, flows
+within a coflow by non-increasing remaining size (flow-level) or by the
+coflow's fixed list order (coflow-level), admitting a flow only when its
+input and output port on that core are both idle. Admitted flows transmit at
+rate 1 until the next event, so preemption happens at event boundaries only.
+
+The loop keeps its state between events: each core holds its ready coflows
+in priority order (a coflow enters when its release and its last predecessor
+are behind it and leaves when its flows on that core are done), each
+(core, coflow) pair its unfinished flows, and each core its admitted set,
+which is recomputed only when one of those lists changed.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag, entries,
                     fields, parse_json, topological_order)
@@ -20,8 +27,7 @@ from .assignment import CoreAssignment, assign_coflows_cdls, assign_flows_fdls
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     source: int
     dest: int
     coflow: int
@@ -56,6 +62,8 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     if assignment.kind not in (FLOW_LEVEL, COFLOW_LEVEL):
         raise ValueError(f"unknown assignment kind {assignment.kind!r}")
     flow_level = assignment.kind == FLOW_LEVEL
+    if not ids:
+        return Schedule({}, {}, {}, ())
 
     by_id = instance.coflow_by_id()
     rank = {k: r for r, k in enumerate(priority.order)}
@@ -80,131 +88,177 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             core.append(assignment.core_of(f.source, f.dest, f.coflow))
     remaining = list(size)
     nflows = len(src)
-
-    # Per (core, coflow) flow lists in list order (size desc, then ports).
     m = instance.config.num_cores
-    num_ports = instance.config.num_ports
-    core_flows: dict[tuple[int, int], list[int]] = {}
-    for fid in range(nflows):
-        core_flows.setdefault((core[fid], owner[fid]), []).append(fid)
-    core_order: list[list[int]] = [[] for _ in range(m + 1)]
-    for h in range(1, m + 1):
-        ks = {k for (c, k) in core_flows if c == h}
-        core_order[h] = sorted(ks, key=lambda k: rank[k])
 
-    preds = instance.dag.predecessors()
-    succs = instance.dag.successors()
-    preds_left = {k: len(preds.get(k, ())) for k in ids}
+    # rank_key[fid] orders a coflow's flows by (-remaining, src, dst) as one
+    # integer; it rises by `stride` per unit sent.
+    pairs = sorted(set(zip(src, dst)))
+    stride = len(pairs)
+    pair_rank = {pair: i for i, pair in enumerate(pairs)}
+    rank_key = [pair_rank[src[fid], dst[fid]] - size[fid] * stride
+                for fid in range(nflows)]
+    # ports[fid] has one bit for the flow's input port and one for its output
+    # port, numbered over the ports in use; a core is full once every input
+    # or every output port in use is busy.
+    in_bit = {p: 1 << i for i, p in enumerate(sorted(set(src)))}
+    out_bit = {p: 1 << (len(in_bit) + i)
+               for i, p in enumerate(sorted(set(dst)))}
+    ports = [in_bit[src[fid]] | out_bit[dst[fid]] for fid in range(nflows)]
+    full = min(len(in_bit), len(out_bit))
+
+    # unfinished[h][k]: coflow k's unfinished flows on core h in list order
+    # (size desc, then ports). Flow level keeps them sorted by remaining
+    # size; coflow level keeps the initial order.
+    unfinished: list[dict[int, list[int]]] = [{} for _ in range(m + 1)]
+    for fid in range(nflows):
+        unfinished[core[fid]].setdefault(owner[fid], []).append(fid)
+    cores_of: dict[int, list[int]] = {k: [] for k in ids}
+    for h in range(1, m + 1):
+        for k in unfinished[h]:
+            cores_of[k].append(h)
     flows_left = {k: 0 for k in ids}
     for fid in range(nflows):
         flows_left[owner[fid]] += 1
 
+    # A coflow waits for its release and for each predecessor; it becomes
+    # ready when the count reaches zero, and then sits in the ready list of
+    # every core holding one of its unfinished flows, in rank order.
+    preds = instance.dag.predecessors()
+    succs = instance.dag.successors()
+    waiting = {k: len(preds.get(k, ())) + 1 for k in ids}
+    by_release = sorted(ids, key=lambda k: release[k])
+    next_rel = 0
+    woken: list[int] = []
+    ready: list[list[int]] = [[] for _ in range(m + 1)]
+    # admitted[h] is core h's admitted set and sent_from[h] the coflows it
+    # draws on, both recomputed only for the cores in `changed`.
+    admitted: list[list[int]] = [[] for _ in range(m + 1)]
+    sent_from: list[list[int]] = [[] for _ in range(m + 1)]
+    changed: set[int] = set()
+    active: list[int] = []
+
     flow_completions: dict[tuple[int, int, int], int] = {}
     coflow_completions: dict[int, int] = {}
-    segments: list[Segment] = []
+    # (start, core, src, dst, coflow, end), which sorts in document order.
+    segments: list[tuple[int, int, int, int, int, int]] = []
     open_seg: dict[int, int] = {}
 
-    if not ids:
-        return Schedule({}, {}, {}, ())
-    release_times = sorted({release[k] for k in ids})
-    t = release_times[0]
-    rel_idx = 1
+    def unblock(k: int) -> None:
+        waiting[k] -= 1
+        if waiting[k] == 0:
+            woken.append(k)
 
     def complete_coflow(k: int, at: int) -> None:
         coflow_completions[k] = at
         for s in succs.get(k, ()):
-            preds_left[s] -= 1
+            unblock(s)
 
-    def settle_empty(at: int) -> None:
-        # Coflows without flows finish the moment they are released and ready.
-        changed = True
-        while changed:
-            changed = False
-            for k in ids:
-                if flows_left[k] == 0 and k not in coflow_completions \
-                        and release[k] <= at and preds_left[k] == 0:
-                    complete_coflow(k, at)
-                    changed = True
+    def wake(at: int) -> None:
+        # Release what is due at `at` and file every coflow that became
+        # ready; a coflow without flows completes the moment it is ready.
+        nonlocal next_rel
+        while next_rel < len(ids) and release[by_release[next_rel]] <= at:
+            unblock(by_release[next_rel])
+            next_rel += 1
+        while woken:
+            k = woken.pop()
+            if flows_left[k] == 0:
+                complete_coflow(k, at)
+                continue
+            for h in cores_of[k]:
+                insort(ready[h], k, key=rank.__getitem__)
+                changed.add(h)
 
-    def rebuild() -> list[int]:
-        admitted: list[int] = []
-        for h in range(1, m + 1):
-            busy_in = [False] * (num_ports + 1)
-            busy_out = [False] * (num_ports + 1)
-            free_in = num_ports
-            free_out = num_ports
-            for k in core_order[h]:
-                if free_in == 0 or free_out == 0:
+    def admit(h: int) -> None:
+        # Greedy list scheduling on core h under port exclusivity. Each
+        # admitted flow takes one input and one output port.
+        chosen: list[int] = []
+        owners: list[int] = []
+        busy = 0
+        flows_of = unfinished[h]
+        for k in ready[h]:
+            before = len(chosen)
+            for fid in flows_of[k]:
+                if not busy & ports[fid]:
+                    busy |= ports[fid]
+                    chosen.append(fid)
+            if len(chosen) > before:
+                owners.append(k)
+                if len(chosen) == full:
                     break
-                if release[k] > t or preds_left[k] > 0 or flows_left[k] == 0:
-                    continue
-                flows = [fid for fid in core_flows[(h, k)] if remaining[fid] > 0]
-                if flow_level:
-                    flows.sort(key=lambda fid: (-remaining[fid], src[fid], dst[fid]))
-                for fid in flows:
-                    if free_in == 0 or free_out == 0:
-                        break
-                    if not busy_in[src[fid]] and not busy_out[dst[fid]]:
-                        busy_in[src[fid]] = True
-                        busy_out[dst[fid]] = True
-                        free_in -= 1
-                        free_out -= 1
-                        admitted.append(fid)
-        return admitted
+        kept = set(chosen)
+        for fid in admitted[h]:
+            if remaining[fid] and fid not in kept:
+                segments.append((open_seg.pop(fid), h, src[fid], dst[fid],
+                                 owner[fid], t))
+        for fid in chosen:
+            if fid not in open_seg:
+                open_seg[fid] = t
+        admitted[h] = chosen
+        sent_from[h] = owners
 
     incomplete = nflows
-    active: set[int] = set()
-    settle_empty(t)
+    t = release[by_release[0]]
+    wake(t)
     while incomplete > 0 or len(coflow_completions) < len(ids):
-        admitted = rebuild()
-        new_active = set(admitted)
-        for fid in active - new_active:
-            segments.append(Segment(src[fid], dst[fid], owner[fid], core[fid],
-                                    open_seg.pop(fid), t))
-        for fid in new_active - active:
-            open_seg[fid] = t
-        active = new_active
+        if changed:
+            for h in changed:
+                admit(h)
+            changed.clear()
+            active = [fid for h in range(1, m + 1) for fid in admitted[h]]
+        next_release = (release[by_release[next_rel]]
+                        if next_rel < len(ids) else None)
 
-        next_release = None
-        while rel_idx < len(release_times):
-            if release_times[rel_idx] > t:
-                next_release = release_times[rel_idx]
-                break
-            rel_idx += 1
-
-        if not admitted:
+        if not active:
             if incomplete == 0 and len(coflow_completions) == len(ids):
                 break
             if next_release is None:
                 raise RuntimeError("simulation stalled: incomplete flows but "
                                    "nothing admissible and no future release")
             t = next_release
-            settle_empty(t)
+            wake(t)
             continue
 
-        dt = min(remaining[fid] for fid in admitted)
+        dt = min(map(remaining.__getitem__, active))
         if next_release is not None:
             dt = min(dt, next_release - t)
         t += dt
+        step = dt * stride
         finished: list[int] = []
-        for fid in admitted:
+        for fid in active:
             remaining[fid] -= dt
-            if remaining[fid] == 0:
+            rank_key[fid] += step
+            if not remaining[fid]:
                 finished.append(fid)
         for fid in finished:
-            segments.append(Segment(src[fid], dst[fid], owner[fid], core[fid],
-                                    open_seg.pop(fid), t))
-            active.discard(fid)
-            flow_completions[(src[fid], dst[fid], owner[fid])] = t
+            h, k = core[fid], owner[fid]
+            segments.append((open_seg.pop(fid), h, src[fid], dst[fid], k, t))
+            flow_completions[(src[fid], dst[fid], k)] = t
             incomplete -= 1
-            k = owner[fid]
+            flows = unfinished[h][k]
+            flows.remove(fid)
+            if not flows:
+                ready[h].remove(k)
+            changed.add(h)
             flows_left[k] -= 1
             if flows_left[k] == 0:
                 complete_coflow(k, t)
-        settle_empty(t)
+        if flow_level:
+            # Only the admitted flows' remaining sizes moved; a core whose
+            # lists keep their order keeps its admitted set.
+            for h in range(1, m + 1):
+                for k in sent_from[h]:
+                    flows = unfinished[h][k]
+                    before = flows[:]
+                    flows.sort(key=rank_key.__getitem__)
+                    if flows != before:
+                        changed.add(h)
+        wake(t)
 
-    segments.sort(key=lambda s: (s.start, s.core, s.source, s.dest, s.coflow))
-    return Schedule(flow_completions, coflow_completions, {}, tuple(segments))
+    segments.sort()
+    return Schedule(flow_completions, coflow_completions, {},
+                    tuple(Segment(s, d, k, h, start, end)
+                          for start, h, s, d, k, end in segments))
 
 
 def simulate_jobs(jobset: JobSet, job_perm: Permutation,
