@@ -168,6 +168,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
         v.append(f"num_ports must be a positive integer, got {cfg.num_ports!r}")
 
     seen_ids: set[int] = set()
+    volume = 0
     for c in instance.coflows:
         if c.id in seen_ids:
             v.append(f"duplicate coflow id {c.id}")
@@ -184,6 +185,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
             if not (isinstance(f.size, int) and f.size > 0):
                 v.append(f"coflow {c.id}: non-positive flow size on "
                          f"({f.source},{f.dest})")
+            else:
+                volume += f.size
             if isinstance(cfg.num_ports, int) and cfg.num_ports >= 1:
                 if not (1 <= f.source <= cfg.num_ports
                         and 1 <= f.dest <= cfg.num_ports):
@@ -194,6 +197,19 @@ def validate_instance(instance: Instance) -> ValidationReport:
                          f"({f.source},{f.dest})")
             pairs.add((f.source, f.dest))
 
+    if volume >= 2**63:
+        # Port loads are summed in int64 arrays downstream; no port load can
+        # pass the limit unless the total volume does.
+        load: dict[tuple[str, int], int] = {}
+        for c in instance.coflows:
+            for f in c.flows:
+                if isinstance(f.size, int) and f.size > 0:
+                    for key in (("in", f.source), ("out", f.dest)):
+                        load[key] = load.get(key, 0) + f.size
+        for (side, port), total in sorted(load.items()):
+            if total >= 2**63:
+                v.append(f"{side}-port {port}: total load {total} exceeds "
+                         f"the 64-bit limit {2**63 - 1}")
     if instance.dag.nodes != seen_ids:
         v.append("dag nodes differ from coflow ids")
     for a, b in sorted(instance.dag.edges):

@@ -137,6 +137,10 @@ MALFORMED = {
     "bool release": (("coflows", 0, "release"), True, False),
     "bool flow size": (("coflows", 0, "flows", 0, "size"), True, False),
     "infinite weight": (("coflows", 0, "weight"), float("inf"), False),
+    "flow size past int64": (("coflows", 0, "flows", 0, "size"), 10**23,
+                             False),
+    "job flow size past int64": (("coflows", 0, "flows", 0, "size"), 10**23,
+                                 True),
 }
 
 

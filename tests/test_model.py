@@ -76,6 +76,21 @@ def test_validate_flags_everything_else():
         assert needle in text, needle
 
 
+def test_validate_flags_port_load_past_int64():
+    limit = 2**63 - 1
+    at_limit = mk_instance(1, 2, [(1, 0, 1, [(1, 1, limit - 5)]),
+                                  (2, 0, 1, [(1, 2, 5)])])
+    assert validate_instance(at_limit).ok
+    spread = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2**62), (2, 2, 2**62)])])
+    assert validate_instance(spread).ok
+    over = mk_instance(1, 2, [(1, 0, 1, [(1, 1, limit - 4)]),
+                              (2, 0, 1, [(1, 2, 5)])])
+    assert validate_instance(over).violations == (
+        f"in-port 1: total load {2**63} exceeds the 64-bit limit {limit}",)
+    huge = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 10**23)])])
+    assert len(validate_instance(huge).violations) == 2
+
+
 def test_validate_flags_duplicate_ids():
     coflows = (Coflow.make(1, 0, 1, [(1, 1, 1)]),
                Coflow.make(1, 0, 1, [(2, 2, 1)]))
