@@ -178,6 +178,9 @@ def validate_instance(instance: Instance) -> ValidationReport:
         if not (isinstance(c.release, int) and c.release >= 0):
             v.append(f"coflow {c.id}: release must be a non-negative integer, "
                      f"got {c.release!r}")
+        elif c.release >= 2**63:
+            v.append(f"coflow {c.id}: release {c.release} exceeds the 64-bit "
+                     f"limit {2**63 - 1}")
         pairs: set[tuple[int, int]] = set()
         for f in c.flows:
             if f.coflow != c.id:

@@ -141,6 +141,7 @@ MALFORMED = {
                              False),
     "job flow size past int64": (("coflows", 0, "flows", 0, "size"), 10**23,
                                  True),
+    "release past int64": (("coflows", 0, "release"), 2**63, False),
 }
 
 

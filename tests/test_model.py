@@ -91,6 +91,13 @@ def test_validate_flags_port_load_past_int64():
     assert len(validate_instance(huge).violations) == 2
 
 
+def test_validate_flags_release_past_int64():
+    assert validate_instance(mk_instance(1, 1, [(1, 2**63 - 1, 1, [])])).ok
+    report = validate_instance(mk_instance(1, 1, [(1, 2**63, 1, [])]))
+    assert report.violations == (
+        f"coflow 1: release {2**63} exceeds the 64-bit limit {2**63 - 1}",)
+
+
 def test_validate_flags_duplicate_ids():
     coflows = (Coflow.make(1, 0, 1, [(1, 1, 1)]),
                Coflow.make(1, 0, 1, [(2, 2, 1)]))
