@@ -18,6 +18,7 @@ from coflow_forge import (
 )
 from coflow_forge.assignment import assign_coflows_cdls, assign_flows_fdls
 from coflow_forge.generator import GeneratorParams, generate_instance
+from coflow_forge.model import topological_order
 from coflow_forge.simulator import (
     Schedule,
     Segment,
@@ -27,8 +28,6 @@ from coflow_forge.simulator import (
     simulate_jobs,
     verify_schedule,
 )
-
-from coflow_forge.model import topological_order
 
 from conftest import jobset_from_instance, mk_instance
 
