@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +233,45 @@ def test_jobs_pipeline_via_documents(tmp_path):
                  "-o", str(csv_out)]) == 0
     rec, = parse_report(csv_out.read_text()).records
     assert rec.ratio >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# pinned CLI outputs: order, schedule and eval files stay byte-exact
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _cli_outputs(tmp_path):
+    runs = {}
+    for alg, doc in (("fdls", "instance.json"), ("cdls", "instance.json"),
+                     ("jobs", "jobset.json")):
+        runs[f"order-{alg}"] = ["order", GOLDEN / doc, "--alg", alg,
+                                "--emit-dual", tmp_path / f"dual-{alg}"]
+        runs[f"schedule-{alg}"] = ["schedule", GOLDEN / doc, "--alg", alg]
+    runs["eval-fdls,cdls"] = ["eval", GOLDEN / "instance.json",
+                              "--alg", "fdls,cdls"]
+    runs["eval-jobs"] = ["eval", GOLDEN / "jobset.json", "--alg", "jobs"]
+    for name, argv in runs.items():
+        assert main([*map(str, argv), "-o", str(tmp_path / name)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in sorted(tmp_path.iterdir())}
+
+
+PINNED_CLI_OUTPUTS = {
+    "dual-cdls": "7f2d73912b229328",
+    "dual-fdls": "c6ab760f32a77431",
+    "dual-jobs": "91863d34b9638f73",
+    "eval-fdls,cdls": "4080b393d2e3f9d3",
+    "eval-jobs": "880a2512d36a5f6f",
+    "order-cdls": "6fcf4c08fdcae1e6",
+    "order-fdls": "162d61f227d70b46",
+    "order-jobs": "577c7678eb54c084",
+    "schedule-cdls": "cb6ee6b69b02d2aa",
+    "schedule-fdls": "914a29506a84437d",
+    "schedule-jobs": "1db8c6b2aed0abfe",
+}
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path):
+    assert _cli_outputs(tmp_path) == PINNED_CLI_OUTPUTS
