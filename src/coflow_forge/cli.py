@@ -22,11 +22,7 @@ from .model import (
     instance_to_document,
     validate_instance,
 )
-from .assignment import (
-    assign_coflows_cdls,
-    assign_flows_fdls,
-    assignment_to_payload,
-)
+from .assignment import assignment_to_payload
 from .generator import (
     DENSITY_MODES,
     GeneratorParams,
@@ -37,15 +33,10 @@ from .metrics_report import (
     EvaluationReport,
     emit_report,
     evaluate,
+    run_algorithm,
 )
-from .primal_dual import (
-    DEFAULT_KAPPA,
-    dual_to_document,
-    permute_coflow_level,
-    permute_flow_level,
-    permute_jobs,
-)
-from .simulator import schedule_to_document, simulate, simulate_jobs
+from .primal_dual import DEFAULT_KAPPA, PERMUTE, dual_to_document
+from .simulator import schedule_to_document
 from .trace_io import TraceError, filter_by_min_flows, parse_trace, to_instance
 
 USAGE_ERROR = 2
@@ -110,17 +101,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _order(subject, algorithm: str, kappa: float):
-    if algorithm == "fdls":
-        return permute_flow_level(subject, kappa)
-    if algorithm == "cdls":
-        return permute_coflow_level(subject, kappa)
-    return permute_jobs(subject, kappa)
-
-
 def _cmd_order(args) -> int:
     subject = _load(args.instance, args.alg == "jobs")
-    perm, dual = _order(subject, args.alg, args.kappa)
+    perm, dual = PERMUTE[args.alg](subject, args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
                "order": list(perm.order)}
     _write(args.output, json.dumps(payload, indent=2) + "\n")
@@ -130,23 +113,13 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    if args.alg == "jobs":
-        jobset = _load(args.instance, True)
-        perm, _ = permute_jobs(jobset, args.kappa)
-        sched = simulate_jobs(jobset, perm)
-        payload = {"algorithm": "jobs", "kappa": args.kappa,
-                   "order": list(perm.order),
-                   "schedule": json.loads(schedule_to_document(sched))}
-    else:
-        instance = _load(args.instance, False)
-        perm, _ = _order(instance, args.alg, args.kappa)
-        assignment = assign_flows_fdls(instance, perm) if args.alg == "fdls" \
-            else assign_coflows_cdls(instance, perm)
-        sched = simulate(instance, assignment, perm)
-        payload = {"algorithm": args.alg, "kappa": args.kappa,
-                   "order": list(perm.order),
-                   "assignment": assignment_to_payload(assignment),
-                   "schedule": json.loads(schedule_to_document(sched))}
+    subject = _load(args.instance, args.alg == "jobs")
+    perm, _, assignment, sched = run_algorithm(subject, args.alg, args.kappa)
+    payload = {"algorithm": args.alg, "kappa": args.kappa,
+               "order": list(perm.order)}
+    if assignment is not None:
+        payload["assignment"] = assignment_to_payload(assignment)
+    payload["schedule"] = json.loads(schedule_to_document(sched))
     _write(args.output, json.dumps(payload, indent=2) + "\n")
     return 0
 

@@ -16,20 +16,23 @@ from .model import (
     is_conforming,
     longest_path_chi,
 )
-from .assignment import assign_coflows_cdls, assign_flows_fdls
+from .assignment import ASSIGN, CoreAssignment
 from .primal_dual import (
     DEFAULT_KAPPA,
+    PERMUTE,
+    DualSolution,
+    Permutation,
     check_dual_feasibility,
     dual_objective,
-    permute_coflow_level,
-    permute_flow_level,
-    permute_jobs,
 )
 from .simulator import Schedule, simulate, simulate_jobs, verify_schedule
 
 CSV_HEADER = "instance,seed,algorithm,n,m,N,chi,R,twc,dual,ratio,bound,conforming,ms"
 
-ALGORITHMS = ("fdls", "cdls", "jobs")
+ALGORITHMS = tuple(PERMUTE)
+
+# The approximation guarantee each algorithm's schedule is held to.
+BOUND_KIND = {"fdls": "flow", "cdls": "coflow", "jobs": "job"}
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,27 @@ def theorem_bound(kind: str, chi: int, m: int, R: float = 1.0,
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
+def run_algorithm(subject: Instance | JobSet, algorithm: str,
+                  kappa: float = DEFAULT_KAPPA
+                  ) -> tuple[Permutation, DualSolution,
+                             CoreAssignment | None, Schedule]:
+    """Order, assign and transmit: the one place that maps an algorithm
+    name to its stages. Returns (permutation, dual, assignment, schedule);
+    the jobs algorithm assigns inside `simulate_jobs` and returns no
+    assignment."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    jobs = algorithm == "jobs"
+    if jobs != isinstance(subject, JobSet):
+        raise ValueError(f"algorithm {algorithm!r} requires "
+                         + ("a job set" if jobs else "an instance"))
+    perm, dual = PERMUTE[algorithm](subject, kappa)
+    if jobs:
+        return perm, dual, None, simulate_jobs(subject, perm)
+    assignment = ASSIGN[algorithm](subject, perm)
+    return perm, dual, assignment, simulate(subject, assignment, perm)
+
+
 def evaluate(subject: Instance | JobSet, algorithm: str,
              kappa: float = DEFAULT_KAPPA, instance_id: str = "instance",
              seed: int = 0, timing: bool = False) -> RunRecord:
@@ -129,43 +153,21 @@ def evaluate(subject: Instance | JobSet, algorithm: str,
     schedule or dual is an internal error, not a data point.
     """
     started = time.perf_counter()
-    if algorithm == "jobs":
-        if not isinstance(subject, JobSet):
-            raise ValueError("algorithm 'jobs' requires a job set")
-        perm, dual = permute_jobs(subject, kappa)
-        schedule = simulate_jobs(subject, perm)
-        base = Instance(subject.config, subject.coflows, subject.intra_job_dag)
-        audit = verify_schedule(schedule, base)
-        if not audit.ok:
-            raise RuntimeError("internal error: infeasible job schedule: "
-                               + "; ".join(audit.violations[:3]))
-        conforming = is_conforming(base)
-        chi = longest_path_chi(subject.intra_job_dag)
-        with_release = any(c.release > 0 for c in subject.coflows)
-        bound = theorem_bound("job", max(chi, 1), subject.config.num_cores,
-                              weight_ratio_R(subject), with_release, conforming)
-    elif algorithm in ("fdls", "cdls"):
-        if not isinstance(subject, Instance):
-            raise ValueError(f"algorithm {algorithm!r} requires an instance")
-        if algorithm == "fdls":
-            perm, dual = permute_flow_level(subject, kappa)
-            assignment = assign_flows_fdls(subject, perm)
-        else:
-            perm, dual = permute_coflow_level(subject, kappa)
-            assignment = assign_coflows_cdls(subject, perm)
-        schedule = simulate(subject, assignment, perm)
-        audit = verify_schedule(schedule, subject, assignment)
-        if not audit.ok:
-            raise RuntimeError("internal error: infeasible schedule: "
-                               + "; ".join(audit.violations[:3]))
-        conforming = is_conforming(subject)
-        chi = longest_path_chi(subject.dag)
-        with_release = any(c.release > 0 for c in subject.coflows)
-        bound = theorem_bound("flow" if algorithm == "fdls" else "coflow",
-                              max(chi, 1), subject.config.num_cores,
-                              weight_ratio_R(subject), with_release, conforming)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _, dual, assignment, schedule = run_algorithm(subject, algorithm, kappa)
+    # A job set's schedule is audited against its coflows and intra-job DAG.
+    dag = subject.intra_job_dag if isinstance(subject, JobSet) else subject.dag
+    base = Instance(subject.config, subject.coflows, dag)
+    audit = verify_schedule(schedule, base, assignment)
+    if not audit.ok:
+        raise RuntimeError("internal error: infeasible schedule: "
+                           + "; ".join(audit.violations[:3]))
+    m = subject.config.num_cores
+    conforming = is_conforming(base)
+    chi = max(longest_path_chi(dag), 1)
+    R = weight_ratio_R(subject)
+    with_release = any(c.release > 0 for c in subject.coflows)
+    bound = theorem_bound(BOUND_KIND[algorithm], chi, m, R, with_release,
+                          conforming)
 
     feas = check_dual_feasibility(dual, subject)
     if not feas.feasible:
@@ -175,10 +177,8 @@ def evaluate(subject: Instance | JobSet, algorithm: str,
     lower = dual_objective(dual, subject)
     ratio = approximation_ratio(twc, lower)
     ms = (time.perf_counter() - started) * 1000.0 if timing else 0.0
-    n = len(subject.coflows)
-    return RunRecord(instance_id, seed, algorithm, n,
-                     subject.config.num_cores, subject.config.num_ports,
-                     max(chi, 1), weight_ratio_R(subject), twc, lower, ratio,
+    return RunRecord(instance_id, seed, algorithm, len(subject.coflows), m,
+                     subject.config.num_ports, chi, R, twc, lower, ratio,
                      bound, conforming, ms)
 
 

@@ -125,13 +125,6 @@ class JobSet:
     def coflow_by_id(self) -> dict[int, Coflow]:
         return {c.id: c for c in self.coflows}
 
-    def job_of_coflow(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
-        for job in self.jobs:
-            for k in job.coflows:
-                owner[k] = job.id
-        return owner
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -191,73 +191,57 @@ def _run_engine(ent: _Entities, m: int, kappa: float, kind: str,
     return Permutation(tuple(sigma)), dual
 
 
-def _coflow_arrays(instance: Instance):
-    coflows = sorted(instance.coflows, key=lambda c: c.id)
-    n = len(coflows)
-    num_ports = instance.config.num_ports
-    load_in = np.zeros((n, num_ports))
-    load_out = np.zeros((n, num_ports))
-    for i, c in enumerate(coflows):
-        li, lo = coflow_port_loads(c, instance.config)
-        load_in[i] = li
-        load_out[i] = lo
-    return coflows, load_in, load_out
-
-
-def _checked(instance: Instance, kappa: float) -> None:
+def _checked(subject: Instance | JobSet, kappa: float) -> None:
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    report = validate_instance(instance)
+    report = validate_jobset(subject) if isinstance(subject, JobSet) \
+        else validate_instance(subject)
     if not report.ok:
         raise InvalidInstanceError(report.violations)
+
+
+def _permute_coflows(instance: Instance, kappa: float,
+                     kind: str) -> tuple[Permutation, DualSolution]:
+    _checked(instance, kappa)
+    coflows = sorted(instance.coflows, key=lambda c: c.id)
+    load_in = np.zeros((len(coflows), instance.config.num_ports))
+    load_out = np.zeros_like(load_in)
+    for i, c in enumerate(coflows):
+        load_in[i], load_out[i] = coflow_port_loads(c, instance.config)
+    ent = _Entities([c.id for c in coflows], [c.release for c in coflows],
+                    [c.weight for c in coflows], load_in, load_out,
+                    instance.dag.successors())
+
+    def snapshot(unsched, side, port, loads):
+        # Flow level freezes only the coflows with flows at the port, whose
+        # flows there form the frozen flow set; coflow level freezes the
+        # whole unscheduled set, loaded or not.
+        if kind == FLOW_LEVEL:
+            unsched = unsched & (loads > 0)
+        return tuple(ent.ids[i] for i in np.flatnonzero(unsched))
+
+    return _run_engine(ent, instance.config.num_cores, kappa, kind, snapshot)
 
 
 def permute_flow_level(instance: Instance,
                        kappa: float = DEFAULT_KAPPA
                        ) -> tuple[Permutation, DualSolution]:
     """Order coflows for flow-level scheduling; returns (order, feasible dual)."""
-    _checked(instance, kappa)
-    coflows, load_in, load_out = _coflow_arrays(instance)
-    ent = _Entities([c.id for c in coflows], [c.release for c in coflows],
-                    [c.weight for c in coflows], load_in, load_out,
-                    instance.dag.successors())
-
-    def snapshot(unsched, side, port, loads):
-        # Only coflows with flows at the port belong to the frozen flow set.
-        return tuple(ent.ids[i] for i in np.flatnonzero(unsched & (loads > 0)))
-
-    return _run_engine(ent, instance.config.num_cores, kappa, FLOW_LEVEL,
-                       snapshot)
+    return _permute_coflows(instance, kappa, FLOW_LEVEL)
 
 
 def permute_coflow_level(instance: Instance,
                          kappa: float = DEFAULT_KAPPA
                          ) -> tuple[Permutation, DualSolution]:
     """Order coflows for coflow-level scheduling; returns (order, dual)."""
-    _checked(instance, kappa)
-    coflows, load_in, load_out = _coflow_arrays(instance)
-    ent = _Entities([c.id for c in coflows], [c.release for c in coflows],
-                    [c.weight for c in coflows], load_in, load_out,
-                    instance.dag.successors())
-
-    def snapshot(unsched, side, port, loads):
-        # The whole unscheduled coflow set is frozen, loaded or not.
-        return tuple(ent.ids[i] for i in np.flatnonzero(unsched))
-
-    return _run_engine(ent, instance.config.num_cores, kappa, COFLOW_LEVEL,
-                       snapshot)
+    return _permute_coflows(instance, kappa, COFLOW_LEVEL)
 
 
 def permute_jobs(jobset: JobSet,
                  kappa: float = DEFAULT_KAPPA
                  ) -> tuple[Permutation, DualSolution]:
     """Order jobs; gamma stays empty since jobs have no mutual precedence."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    report = validate_jobset(jobset)
-    if not report.ok:
-        raise InvalidInstanceError(report.violations)
-
+    _checked(jobset, kappa)
     jobs = sorted(jobset.jobs, key=lambda j: j.id)
     by_id = jobset.coflow_by_id()
     num_ports = jobset.config.num_ports
@@ -287,6 +271,11 @@ def permute_jobs(jobset: JobSet,
 
     return _run_engine(ent, jobset.config.num_cores, kappa, JOB_LEVEL,
                        snapshot)
+
+
+# The ordering stage of each algorithm, by algorithm name.
+PERMUTE = {"fdls": permute_flow_level, "cdls": permute_coflow_level,
+           "jobs": permute_jobs}
 
 
 # ---------------------------------------------------------------------------

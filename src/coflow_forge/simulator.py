@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag, entries,
                     fields, parse_json, topological_order)
-from .assignment import CoreAssignment, assign_coflows_cdls, assign_flows_fdls
+from .assignment import ASSIGN, CoreAssignment
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -268,19 +268,20 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation,
     `assign` picks the core-assignment rule applied to the global coflow
     priority: "fdls" (flow-level) or "cdls" (coflow-level).
     """
+    if assign not in ASSIGN:
+        raise ValueError(f"unknown assignment rule {assign!r}")
     job_ids = sorted(j.id for j in jobset.jobs)
     if sorted(job_perm.order) != job_ids:
         raise ValueError("job permutation does not cover the job set")
     jobs = {j.id: j for j in jobset.jobs}
 
     # Global coflow priority: per-job topological order, jobs in given order.
-    intra_succ = jobset.intra_job_dag.successors()
-    priority: list[int] = []
-    for t in job_perm.order:
-        group = set(jobs[t].coflows)
-        sub = PrecedenceDag.make(group, [(a, b) for a, bs in intra_succ.items()
-                                         if a in group for b in bs if b in group])
-        priority.extend(topological_order(sub))
+    # No edge leaves a job, so the whole DAG's smallest-id Kahn order,
+    # restricted to one job, is that job's own order.
+    position = {k: i for i, t in enumerate(job_perm.order)
+                for k in jobs[t].coflows}
+    priority = sorted(topological_order(jobset.intra_job_dag),
+                      key=position.__getitem__)
 
     # Sequential jobs: every coflow of an earlier job precedes every coflow
     # of the next job (transitively, of all later jobs).
@@ -293,13 +294,7 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation,
                      PrecedenceDag.make((c.id for c in jobset.coflows), edges))
 
     perm = Permutation(tuple(priority))
-    if assign == "fdls":
-        assignment = assign_flows_fdls(gated, perm)
-    elif assign == "cdls":
-        assignment = assign_coflows_cdls(gated, perm)
-    else:
-        raise ValueError(f"unknown assignment rule {assign!r}")
-    sched = simulate(gated, assignment, perm)
+    sched = simulate(gated, ASSIGN[assign](gated, perm), perm)
 
     job_completions = {t: max(sched.coflow_completions[k]
                               for k in jobs[t].coflows)
