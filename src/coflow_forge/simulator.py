@@ -306,10 +306,10 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation,
 def verify_schedule(schedule: Schedule, instance: Instance,
                     assignment: CoreAssignment | None = None
                     ) -> VerificationReport:
-    """Independent feasibility audit: port capacity, releases, precedence,
-    transmitted volume and per-flow completion bounds."""
+    """Independent feasibility audit: port capacity, segments within their
+    flow's completion, releases, precedence, transmitted volume and
+    per-flow completion bounds."""
     v: list[str] = []
-    by_id = instance.coflow_by_id()
     release = {c.id: c.release for c in instance.coflows}
 
     # (a) port-exclusive transmission per core and side
@@ -331,29 +331,39 @@ def verify_schedule(schedule: Schedule, instance: Instance,
 
     known = {(f.source, f.dest, c.id) for c in instance.coflows
              for f in c.flows}
-    preds = instance.dag.predecessors()
     vol: dict[tuple[int, int, int], int] = {}
+    first: dict[int, int] = {}  # coflow -> its earliest segment start
     for seg in schedule.segments:
         key = (seg.source, seg.dest, seg.coflow)
         if key not in known:
             v.append(f"segment for unknown flow {key}")
             continue
         vol[key] = vol.get(key, 0) + (seg.end - seg.start)
-        # (b) release gating
-        if seg.start < release.get(seg.coflow, 0):
-            v.append(f"flow {key} starts at {seg.start} before release "
-                     f"{release[seg.coflow]}")
-        # (c) precedence gating
-        for p in preds.get(seg.coflow, ()):
-            done = schedule.coflow_completions.get(p)
-            if done is None or seg.start < done:
-                v.append(f"flow {key} starts at {seg.start} before "
-                         f"predecessor {p} completes")
+        # (b) no transmission after the flow's recorded completion, which
+        # makes the completions a sound gate for successors below
+        done = schedule.flow_completions.get(key)
+        if done is not None and seg.end > done:
+            v.append(f"flow {key} transmits until {seg.end} after its "
+                     f"completion {done}")
+        if first.get(seg.coflow, seg.start) >= seg.start:
+            first[seg.coflow] = seg.start
         if assignment is not None:
             want = assignment.core_of(seg.source, seg.dest, seg.coflow)
             if seg.core != want:
                 v.append(f"flow {key} transmitted on core {seg.core}, "
                          f"assigned to {want}")
+
+    # (c) release and precedence gating, on each coflow's earliest start
+    preds = instance.dag.predecessors()
+    for k, start in first.items():
+        if start < release[k]:
+            v.append(f"coflow {k} starts at {start} before release "
+                     f"{release[k]}")
+        for p in preds.get(k, ()):
+            done = schedule.coflow_completions.get(p)
+            if done is None or start < done:
+                v.append(f"coflow {k} starts at {start} before "
+                         f"predecessor {p} completes")
 
     for c in instance.coflows:
         for f in c.flows:

@@ -226,6 +226,28 @@ def test_verify_flags_release_violation():
     assert any("before release" in v for v in report.violations)
 
 
+def test_verify_flags_segment_after_completion():
+    # The only segment [5,8) ends after the recorded completion 3.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 3)])])
+    bad = Schedule({(1, 1, 1): 3}, {1: 3}, {}, (Segment(1, 1, 1, 1, 5, 8),))
+    report = verify_schedule(bad, inst)
+    assert report.violations == (
+        "flow (1, 1, 1) transmits until 8 after its completion 3",)
+
+
+def test_verify_flags_successor_overlapping_predecessor():
+    # Coflow 1 records completion 3 but still transmits in [4,6), while its
+    # successor runs in [3,5).
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 3)]),
+                              (2, 0, 1, [(2, 2, 2)])], edges=[(1, 2)])
+    bad = Schedule({(1, 1, 1): 3, (2, 2, 2): 5}, {1: 3, 2: 5}, {},
+                   (Segment(1, 1, 1, 1, 0, 1), Segment(2, 2, 2, 1, 3, 5),
+                    Segment(1, 1, 1, 1, 4, 6)))
+    report = verify_schedule(bad, inst)
+    assert report.violations == (
+        "flow (1, 1, 1) transmits until 6 after its completion 3",)
+
+
 # ---------------------------------------------------------------------------
 # schedule invariants on seeded instances
 # ---------------------------------------------------------------------------
