@@ -84,6 +84,10 @@ def total_weighted_completion(schedule: Schedule,
 
 
 def approximation_ratio(alg_value: float, dual_bound: float) -> float:
+    """Cost over bound. Both are 0 only for an instance without flows whose
+    releases are all 0, which the schedule meets exactly: its ratio is 1."""
+    if alg_value == 0 and dual_bound == 0:
+        return 1.0
     if dual_bound <= 0:
         raise ValueError("degenerate bound: dual objective must be positive")
     return alg_value / dual_bound

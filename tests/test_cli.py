@@ -14,7 +14,7 @@ from coflow_forge import (
 from coflow_forge.cli import main
 from coflow_forge.metrics_report import parse_report
 
-from conftest import jobset_from_instance
+from conftest import jobset_from_instance, mk_instance
 
 TRACE = """3 2
 1 100 2 1 2 2 3:100 2:200
@@ -233,6 +233,21 @@ def test_jobs_pipeline_via_documents(tmp_path):
                  "-o", str(csv_out)]) == 0
     rec, = parse_report(csv_out.read_text()).records
     assert rec.ratio >= 1.0 - 1e-9
+
+
+def test_eval_flowless_instance_has_ratio_one(tmp_path):
+    # No flows and no releases: cost and dual bound are both 0.
+    inst = mk_instance(2, 3, [(1, 0, 4, []), (2, 0, 1, [])], edges=[(1, 2)])
+    docs = {"fdls": instance_to_document(inst),
+            "cdls": instance_to_document(inst),
+            "jobs": jobset_to_document(jobset_from_instance(inst))}
+    for alg, text in docs.items():
+        path = tmp_path / f"{alg}.json"
+        path.write_text(text)
+        out = tmp_path / f"{alg}.csv"
+        assert main(["eval", str(path), "--alg", alg, "-o", str(out)]) == 0
+        rec, = parse_report(out.read_text()).records
+        assert (rec.twc, rec.dual, rec.ratio) == (0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

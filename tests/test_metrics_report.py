@@ -44,6 +44,7 @@ def test_total_weighted_completion_jobs_and_missing():
 def test_approximation_ratio():
     assert approximation_ratio(5, 5) == 1.0
     assert approximation_ratio(10, 4) == 2.5
+    assert approximation_ratio(0, 0) == 1.0
     with pytest.raises(ValueError, match="degenerate"):
         approximation_ratio(1, 0)
 
