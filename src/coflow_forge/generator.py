@@ -42,11 +42,14 @@ class WorkloadConfig:
 
 
 def default_workload_mix(num_ports: int) -> tuple[WorkloadConfig, ...]:
+    # Narrow coflows span 1-4 ports and wide ones 4-N; with fewer than 4
+    # ports the boundary width is the port count.
+    w = min(4, num_ports)
     return (
-        WorkloadConfig(1, 4, 1, 10, 0.41),
-        WorkloadConfig(1, 4, 10, 1000, 0.29),
-        WorkloadConfig(4, num_ports, 1, 10, 0.09),
-        WorkloadConfig(4, num_ports, 10, 1000, 0.21),
+        WorkloadConfig(1, w, 1, 10, 0.41),
+        WorkloadConfig(1, w, 10, 1000, 0.29),
+        WorkloadConfig(w, num_ports, 1, 10, 0.09),
+        WorkloadConfig(w, num_ports, 10, 1000, 0.21),
     )
 
 

@@ -148,6 +148,8 @@ def test_invalid_params_rejected():
 def test_default_mix_uses_port_count():
     mix = default_workload_mix(24)
     assert mix[2].w_max == 24 and mix[3].w_max == 24
+    assert [(c.w_min, c.w_max) for c in default_workload_mix(2)] \
+        == [(1, 2), (1, 2), (2, 2), (2, 2)]
     assert abs(sum(c.probability for c in mix) - 1.0) < 1e-12
 
 
