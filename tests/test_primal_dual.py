@@ -665,6 +665,29 @@ def test_unknown_snapshot_coflow_raises_value_error(kind):
         dual_to_document(bad, subject)
 
 
+@pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL])
+def test_out_of_range_ports_contribute_nothing(kind):
+    # Every coflow loads port N = 3 on both sides and sits on the slots
+    # (N, 1) and (1, N), so an index that wraps port 0 to port N would show.
+    inst = mk_instance(2, 3, [(1, 0, 3, [(1, 3, 2), (3, 3, 4)]),
+                              (2, 0, 5, [(3, 1, 5)]),
+                              (3, 7, 2, [(1, 3, 1), (3, 2, 6)])])
+    alpha = {("in", 0, 2): 0.5, ("out", 0, 1): 0.25, ("in", 4, 1): 0.75,
+             ("out", 4, 3): 1.5}
+    beta = tuple(BetaRecord(side, port, (1, 2, 3), 0.125)
+                 for side in ("in", "out") for port in (0, 4))
+    dual = DualSolution(kind, 0.5, alpha, beta, {})
+    assert dual_objective(dual, inst) == 1.5 * 7
+    assert check_dual_feasibility(dual, inst).lhs == {1: 1.0, 2: 0.5, 3: 1.5}
+    assert dual_objective(dual, inst) == _naive_objective(dual, inst)
+    text = dual_to_document(dual, inst)
+    assert text == _naive_document(dual, inst)
+    assert document_to_dual(text) == (
+        DualSolution(kind, 0.5, alpha, tuple(
+            BetaRecord(r.side, r.port, (), r.value) for r in beta), {})
+        if kind == FLOW_LEVEL else dual)
+
+
 # ---------------------------------------------------------------------------
 # strict dual documents
 # ---------------------------------------------------------------------------
