@@ -24,8 +24,8 @@ import numpy as np
 
 from .model import (
     INTEGER, LIST, NUMBER, SIDE, STRING, TRIPLE, Coflow, DocumentError,
-    Instance, InvalidInstanceError, JobSet, coflow_port_loads, entries,
-    fields, parse_json, typed, validate_instance, validate_jobset)
+    Instance, InvalidInstanceError, JobSet, entries, fields, parse_json,
+    typed, validate_instance, validate_jobset)
 
 FLOW_LEVEL = "flow-level"
 COFLOW_LEVEL = "coflow-level"
@@ -203,14 +203,13 @@ def _checked(subject: Instance | JobSet, kappa: float) -> None:
 def _permute_coflows(instance: Instance, kappa: float,
                      kind: str) -> tuple[Permutation, DualSolution]:
     _checked(instance, kappa)
+    demand = _PortDemand(instance)
     coflows = sorted(instance.coflows, key=lambda c: c.id)
-    load_in = np.zeros((len(coflows), instance.config.num_ports))
-    load_out = np.zeros_like(load_in)
-    for i, c in enumerate(coflows):
-        load_in[i], load_out[i] = coflow_port_loads(c, instance.config)
-    ent = _Entities([c.id for c in coflows], [c.release for c in coflows],
-                    [c.weight for c in coflows], load_in, load_out,
-                    instance.dag.successors())
+    ids = [c.id for c in coflows]
+    idx = demand.rows(ids)
+    ent = _Entities(ids, [c.release for c in coflows],
+                    [c.weight for c in coflows], demand.load["in"][idx],
+                    demand.load["out"][idx], instance.dag.successors())
 
     def snapshot(unsched, side, port, loads):
         # Flow level freezes only the coflows with flows at the port, whose
@@ -242,32 +241,26 @@ def permute_jobs(jobset: JobSet,
                  ) -> tuple[Permutation, DualSolution]:
     """Order jobs; gamma stays empty since jobs have no mutual precedence."""
     _checked(jobset, kappa)
+    demand = _PortDemand(jobset)
     jobs = sorted(jobset.jobs, key=lambda j: j.id)
-    by_id = jobset.coflow_by_id()
-    num_ports = jobset.config.num_ports
-    n = len(jobs)
-    load_in = np.zeros((n, num_ports))
-    load_out = np.zeros((n, num_ports))
-    release = []
-    coflow_in = {}
-    coflow_out = {}
-    for c in jobset.coflows:
-        coflow_in[c.id], coflow_out[c.id] = coflow_port_loads(c, jobset.config)
+    # A job's row is the sum of its coflows' rows.
+    owner = np.zeros(demand.n, dtype=np.intp)
     for i, job in enumerate(jobs):
-        for k in job.coflows:
-            load_in[i] += coflow_in[k]
-            load_out[i] += coflow_out[k]
-        release.append(by_id[job.coflows[0]].release)
-
+        owner[demand.rows(job.coflows)] = i
+    load = {}
+    for side, table in demand.load.items():
+        load[side] = np.zeros((len(jobs), table.shape[1]))
+        np.add.at(load[side], owner, table)
+    release = [jobset.coflows[demand.row[j.coflows[0]]].release for j in jobs]
     ent = _Entities([j.id for j in jobs], release, [j.weight for j in jobs],
-                    load_in, load_out, {})
-    members = {ent.index[j.id]: sorted(j.coflows) for j in jobs}
+                    load["in"], load["out"], {})
+    members = [sorted(j.coflows) for j in jobs]
 
     def snapshot(unsched, side, port, loads):
         # Freeze the coflows (not the jobs) carrying load at the port.
-        per = coflow_in if side == "in" else coflow_out
+        at_port = demand.at(side, port)[0]
         return tuple(k for i in np.flatnonzero(unsched) for k in members[i]
-                     if per[k][port - 1] > 0)
+                     if at_port[demand.row[k]] > 0)
 
     return _run_engine(ent, jobset.config.num_cores, kappa, JOB_LEVEL,
                        snapshot)
@@ -283,24 +276,30 @@ PERMUTE = {"fdls": permute_flow_level, "cdls": permute_coflow_level,
 # ---------------------------------------------------------------------------
 
 class _PortDemand:
-    """Every coflow's demand at a (side, port), computed once per call.
+    """Every coflow's load and sum of squared flow sizes at every (side, port).
 
-    Rows follow the subject's coflow order. Sides other than "in" count as
-    "out". Sums are float64 and exact while they stay below 2**53, as the
-    sizes are integers.
+    `load[side]` and `squares[side]` are n x N float64 tables whose rows
+    follow the subject's coflow order and whose column p - 1 is port p. The
+    subject's flows must lie on ports 1..N, as `validate_instance` checks.
+    Sums are exact while they stay below 2**53, as the sizes are integers.
     """
 
     def __init__(self, subject: Instance | JobSet):
         coflows = subject.coflows
-        self.n = len(coflows)
+        self.n, ports = len(coflows), subject.config.num_ports
         self.row = {c.id: i for i, c in enumerate(coflows)}
         flows = [f for c in coflows for f in c.flows]
-        self._owner = np.repeat(np.arange(len(coflows)),
-                                [len(c.flows) for c in coflows])
-        self._size = np.array([f.size for f in flows], dtype=np.float64)
-        self._port = {"in": np.array([f.source for f in flows]),
-                      "out": np.array([f.dest for f in flows])}
-        self._cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        # A flow's cell in the flattened table is row * N + port - 1.
+        first = np.repeat(np.arange(self.n) * ports,
+                          [len(c.flows) for c in coflows]) - 1
+        size = np.array([f.size for f in flows], dtype=np.float64)
+        self.load, self.squares = {}, {}
+        for side, end in (("in", "source"), ("out", "dest")):
+            cell = first + np.array([getattr(f, end) for f in flows], np.intp)
+            for table, weights in ((self.load, size),
+                                   (self.squares, size * size)):
+                table[side] = np.bincount(cell, weights, self.n * ports
+                                          ).reshape(self.n, ports)
 
     def rows(self, ids: Sequence[int]) -> np.ndarray:
         try:
@@ -311,25 +310,43 @@ class _PortDemand:
                 f"dual references unknown coflow {exc.args[0]}") from None
 
     def at(self, side: str, port: int) -> tuple[np.ndarray, np.ndarray]:
-        """(load, sum of squared flow sizes) of every coflow at the port."""
-        key = ("in" if side == "in" else "out", port)
-        if key not in self._cache:
-            mask = self._port[key[0]] == port
-            owner, size = self._owner[mask], self._size[mask]
-            self._cache[key] = (np.bincount(owner, size, self.n),
-                                np.bincount(owner, size * size, self.n))
-        return self._cache[key]
+        """(load, sum of squared flow sizes) of every coflow at the port: 0
+        outside ports 1..N. Sides other than "in" count as "out"."""
+        side = "in" if side == "in" else "out"
+        if not 1 <= port <= self.load[side].shape[1]:
+            return np.zeros(self.n), np.zeros(self.n)
+        return self.load[side][:, port - 1], self.squares[side][:, port - 1]
+
+
+def _entity_rows(dual: DualSolution, subject: Instance | JobSet,
+                 demand: _PortDemand) -> dict[int, list[int]]:
+    """The coflow rows of each constraint entity: a coflow's own row, or the
+    rows of a job's coflows in the job's order. Raises ValueError for a dual
+    of unknown kind, or one that names an entity or coflow not in `subject`."""
+    if dual.kind == JOB_LEVEL:
+        if not isinstance(subject, JobSet):
+            raise ValueError("job-level dual requires a JobSet")
+        if dual.gamma:
+            raise ValueError("job-level dual must not carry gamma variables")
+        entities = {j.id: demand.rows(j.coflows).tolist() for j in subject.jobs}
+        what = "job"
+    elif dual.kind in (FLOW_LEVEL, COFLOW_LEVEL):
+        demand.rows([k for edge in dual.gamma for k in edge])
+        entities = {k: [i] for k, i in demand.row.items()}
+        what = "coflow"
+    else:
+        raise ValueError(f"unknown dual kind {dual.kind!r}")
+    for _, _, e in dual.alpha:
+        if e not in entities:
+            raise ValueError(f"dual references unknown {what} {e}")
+    return entities
 
 
 def _slot_demand(coflow: Coflow, side: str, port: int) -> int:
     # The alpha variable of the flow-level dual sits on slot (port, 1) or
     # (1, port); its objective coefficient is that slot's demand.
-    for f in coflow.flows:
-        if side == "in" and f.source == port and f.dest == 1:
-            return f.size
-        if side == "out" and f.source == 1 and f.dest == port:
-            return f.size
-    return 0
+    slot = (port, 1) if side == "in" else (1, port)
+    return sum(f.size for f in coflow.flows if (f.source, f.dest) == slot)
 
 
 def dual_objective(dual: DualSolution,
@@ -344,33 +361,18 @@ def dual_objective(dual: DualSolution,
     """
     m = subject.config.num_cores
     demand = _PortDemand(subject)
+    entities = _entity_rows(dual, subject, demand)
 
-    def coflow(k: int) -> Coflow:
-        return subject.coflows[demand.rows((k,))[0]]
-
+    # An alpha pays the release of its entity's first coflow plus the slot
+    # demand at flow level, the port load at coflow level, or 0 at job level.
     total = 0.0
-    if dual.kind == JOB_LEVEL:
-        if not isinstance(subject, JobSet):
-            raise ValueError("job-level dual requires a JobSet")
-        if dual.gamma:
-            raise ValueError("job-level dual must not carry gamma variables")
-        jobs = {j.id: j for j in subject.jobs}
-        for (side, port, t), value in dual.alpha.items():
-            if t not in jobs:
-                raise ValueError(f"dual references unknown job {t}")
-            total += value * coflow(jobs[t].coflows[0]).release
-    elif dual.kind in (FLOW_LEVEL, COFLOW_LEVEL):
-        # Unknown references are an error even at zero coefficient.
-        demand.rows([k for _, k in dual.gamma])
-        for (side, port, k), value in dual.alpha.items():
-            c = coflow(k)
-            if dual.kind == FLOW_LEVEL:
-                size = _slot_demand(c, side, port)
-            else:
-                size = float(demand.at(side, port)[0][demand.row[k]])
-            total += value * (c.release + size)
-    else:
-        raise ValueError(f"unknown dual kind {dual.kind!r}")
+    for (side, port, e), value in dual.alpha.items():
+        row = entities[e][0]
+        c = subject.coflows[row]
+        term = (_slot_demand(c, side, port) if dual.kind == FLOW_LEVEL
+                else float(demand.at(side, port)[0][row])
+                if dual.kind == COFLOW_LEVEL else 0)
+        total += value * (c.release + term)
 
     # Flow level sums the squares of the flow sizes; coflow and job level
     # treat each coflow's port load as one item.
@@ -385,34 +387,25 @@ def dual_objective(dual: DualSolution,
 
 def constraint_lhs(dual: DualSolution,
                    subject: Instance | JobSet) -> dict[int, float]:
-    """Left-hand side of every entity's dual constraint."""
+    """Left-hand side of every entity's dual constraint: the sum over its
+    coflow rows, plus its alpha."""
     demand = _PortDemand(subject)
+    entities = _entity_rows(dual, subject, demand)
     beta_lhs = np.zeros(demand.n)
     for rec in dual.beta:
         idx = demand.rows(rec.coflows)
         # add.at adds a repeated id once per occurrence, in record order.
         np.add.at(beta_lhs, idx,
                   rec.value * demand.at(rec.side, rec.port)[0][idx])
-    coflow_lhs = dict(zip(demand.row, beta_lhs.tolist()))
+    row_lhs = beta_lhs.tolist()
     for (a, b), value in dual.gamma.items():
-        demand.rows((a, b))  # raises ValueError on an unknown id
-        coflow_lhs[b] += value
-        coflow_lhs[a] -= value
+        row_lhs[demand.row[b]] += value
+        row_lhs[demand.row[a]] -= value
 
-    if dual.kind == JOB_LEVEL:
-        assert isinstance(subject, JobSet)
-        lhs = {j.id: sum(coflow_lhs[k] for k in j.coflows)
-               for j in subject.jobs}
-        for (_, _, t), value in dual.alpha.items():
-            if t not in lhs:
-                raise ValueError(f"dual references unknown job {t}")
-            lhs[t] += value
-        return lhs
-
-    for (_, _, k), value in dual.alpha.items():
-        demand.rows((k,))
-        coflow_lhs[k] += value
-    return coflow_lhs
+    lhs = {e: sum(row_lhs[i] for i in rows) for e, rows in entities.items()}
+    for (_, _, e), value in dual.alpha.items():
+        lhs[e] += value
+    return lhs
 
 
 def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
@@ -424,11 +417,8 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
     lhs = constraint_lhs(dual, subject)
     feasible = min([*dual.alpha.values(), *(r.value for r in dual.beta),
                     *dual.gamma.values()], default=0.0) >= 0
-    if dual.kind == JOB_LEVEL:
-        assert isinstance(subject, JobSet)
-        weights = {j.id: float(j.weight) for j in subject.jobs}
-    else:
-        weights = {c.id: float(c.weight) for c in subject.coflows}
+    entities = subject.jobs if dual.kind == JOB_LEVEL else subject.coflows
+    weights = {e.id: float(e.weight) for e in entities}
 
     worst = 0.0
     tight: list[int] = []

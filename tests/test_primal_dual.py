@@ -11,6 +11,7 @@ from coflow_forge import (
     BetaRecord,
     DocumentError,
     DualSolution,
+    Instance,
     InvalidInstanceError,
     Job,
     JobSet,
@@ -663,6 +664,25 @@ def test_unknown_snapshot_coflow_raises_value_error(kind):
         check_dual_feasibility(bad, subject)
     with pytest.raises(ValueError, match="unknown coflow 99"):
         dual_to_document(bad, subject)
+
+
+@pytest.mark.parametrize("evaluate", [dual_objective, check_dual_feasibility])
+def test_duals_that_cannot_belong_to_the_subject_raise(evaluate):
+    dual, js = _hand_built(JOB_LEVEL, 0)
+    inst = Instance(js.config, js.coflows, js.intra_job_dag)
+    for bad, subject, match in (
+            (DualSolution(JOB_LEVEL, 0.5, dual.alpha, dual.beta,
+                          {(1, 2): 0.5}), js, "must not carry gamma"),
+            (dual, inst, "requires a JobSet"),
+            (DualSolution(JOB_LEVEL, 0.5, {("in", 1, 9): 1.0}, (), {}), js,
+             "unknown job 9"),
+            (DualSolution("bogus", 0.5, {}, (), {}), inst, "unknown dual kind"),
+            (DualSolution(FLOW_LEVEL, 0.5, {("in", 1, 99): 1.0}, (), {}), inst,
+             "unknown coflow 99"),
+            (DualSolution(COFLOW_LEVEL, 0.5, {}, (), {(1, 99): 1.0}), inst,
+             "unknown coflow 99")):
+        with pytest.raises(ValueError, match=match):
+            evaluate(bad, subject)
 
 
 @pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL])
