@@ -51,8 +51,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def _read(path: str) -> str:
@@ -172,6 +175,10 @@ def _cmd_bench(args) -> int:
             raise DataError(f"bench supports fdls/cdls, not {alg!r}")
     if (args.vary is None) != (args.values is None):
         raise DataError("--vary and --values must be given together")
+    if args.trace and args.vary in ("n", "p"):
+        raise DataError(f"--vary {args.vary} does not apply to --trace")
+    if not args.trace and args.vary == "threshold":
+        raise DataError("--vary threshold needs --trace")
     seeds = _seed_range(args.seeds)
     values = args.values.split(",") if args.values else [None]
     trace = parse_trace(_read(args.trace)) if args.trace else None

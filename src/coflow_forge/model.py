@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
+# The largest core count and port count an instance may have. Ordering,
+# assignment and simulation hold arrays of cores x ports and coflows x ports.
+MAX_CORES_AND_PORTS = 4096
+
+
 class CycleError(ValueError):
     """Raised when an operation requires an acyclic DAG but finds a cycle."""
 
@@ -155,10 +160,11 @@ def validate_instance(instance: Instance) -> ValidationReport:
     """Check every type invariant; violations are data, not exceptions."""
     v: list[str] = []
     cfg = instance.config
-    if not (isinstance(cfg.num_cores, int) and cfg.num_cores >= 1):
-        v.append(f"num_cores must be a positive integer, got {cfg.num_cores!r}")
-    if not (isinstance(cfg.num_ports, int) and cfg.num_ports >= 1):
-        v.append(f"num_ports must be a positive integer, got {cfg.num_ports!r}")
+    for name, value in (("num_cores", cfg.num_cores),
+                        ("num_ports", cfg.num_ports)):
+        if not (isinstance(value, int) and 1 <= value <= MAX_CORES_AND_PORTS):
+            v.append(f"{name} must be an integer in 1..{MAX_CORES_AND_PORTS}, "
+                     f"got {value!r}")
 
     seen_ids: set[int] = set()
     volume = 0

@@ -144,6 +144,8 @@ MALFORMED = {
     "job flow size past int64": (("coflows", 0, "flows", 0, "size"), 10**23,
                                  True),
     "release past int64": (("coflows", 0, "release"), 2**63, False),
+    "huge core count": (("cores",), 10**15, False),
+    "huge port count": (("ports",), 10**15, False),
 }
 
 
@@ -201,6 +203,35 @@ def test_bench_threshold_sweep_over_trace(tmp_path):
 def test_bench_vary_requires_values(tmp_path, capsys):
     assert main(["bench", "--seeds", "0:1", "--vary", "n"]) == 1
     assert "--values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vary, trace", [
+    ("threshold", False), ("n", True), ("p", True)])
+def test_bench_rejects_an_axis_that_does_not_apply(tmp_path, capsys, vary,
+                                                   trace):
+    path = tmp_path / "trace.txt"
+    path.write_text(TRACE)
+    out = tmp_path / "out.csv"
+    code = main(["bench", "--seeds", "0:1", "--vary", vary, "--values", "1,50",
+                 "--alg", "fdls", "-o", str(out),
+                 *(["--trace", str(path)] if trace else [])])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.count("\n") == 1 and f"--vary {vary}" in err
+
+
+def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    inst = _generate(tmp_path)
+    for argv in (["generate", "--n", "3", "--cores", "1", "--ports", "2",
+                  "--seed", "0", "-o", str(missing / "x.json")],
+                 ["order", str(inst), "-o", str(tmp_path / "perm.json"),
+                  "--emit-dual", str(missing / "d.json")]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"coflow-forge: error: cannot write {missing}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bench_byte_reproducible(tmp_path):

@@ -1,0 +1,23 @@
+"""numpy is the only runtime dependency of the coflow_forge package."""
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "coflow_forge")
+                 .glob("*.py"))
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    assert SOURCES
+    foreign = {(path.name, name) for path in SOURCES
+               for name in _absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}}
+    assert not foreign
