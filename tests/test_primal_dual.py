@@ -534,6 +534,17 @@ def test_certificates_match_pinned_corpus():
     assert _corpus_certificates() == PINNED
 
 
+def test_sparse_n200_dual_documents_match_pinned_digests():
+    # Long, nested snapshots over many port columns: 200 beta records per
+    # level, 8,217 flow-level and 20,100 coflow-level snapshot ids.
+    inst = generate_instance(GeneratorParams(
+        n=200, num_ports=50, num_cores=5, seed=77, density_mode="sparse"))
+    assert {level: _sha16(dual_to_document(permute(inst)[1], inst))
+            for level, permute in (("flow", permute_flow_level),
+                                   ("coflow", permute_coflow_level))} == {
+        "flow": "138a1d180f0c6eb5", "coflow": "ef4ccf2695f8154b"}
+
+
 # ---------------------------------------------------------------------------
 # hand-built duals against a naive reference
 # ---------------------------------------------------------------------------

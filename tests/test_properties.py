@@ -1,6 +1,7 @@
 """Property tests over the generator's parameter space: for every algorithm
 the dual is feasible, tight and below the schedule's cost, the schedule
-passes the auditor, and every document round-trips byte-exactly."""
+passes the auditor, and every document round-trips byte-exactly; every beta
+snapshot is the unscheduled prefix of the order it was taken for."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from coflow_forge import (
     dual_to_document,
     instance_to_document,
     jobset_to_document,
+    permute_coflow_level,
+    permute_flow_level,
 )
 from coflow_forge.generator import (
     DENSITY_MODES,
@@ -75,3 +78,28 @@ def test_pipeline_properties_over_generator_params(params):
         assert dual_to_document(document_to_dual(dtext), subject) == dtext
         stext = schedule_to_document(schedule)
         assert schedule_to_document(document_to_schedule(stext)) == stext
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARAMS)
+def test_beta_snapshots_are_the_unscheduled_prefixes(params):
+    # Walking the order from the back, every position whose coflow no alpha
+    # placed was filled by the next beta record, taken while order[:pos + 1]
+    # was unscheduled; at flow level only the coflows loading the record's
+    # port are frozen.
+    inst = generate_instance(params)
+    by_id = inst.coflow_by_id()
+    for permute in (permute_flow_level, permute_coflow_level):
+        perm, dual = permute(inst)
+        placed_by_alpha = {k for _, _, k in dual.alpha}
+        prefixes = [sorted(perm.order[:pos + 1])
+                    for pos in reversed(range(len(perm.order)))
+                    if perm.order[pos] not in placed_by_alpha]
+        assert len(prefixes) == len(dual.beta)
+        for rec, prefix in zip(dual.beta, prefixes):
+            if permute is permute_flow_level:
+                prefix = [k for k in prefix if any(
+                    (f.source if rec.side == "in" else f.dest) == rec.port
+                    for f in by_id[k].flows)]
+            assert list(rec.coflows) == prefix
+            assert all(type(k) is int for k in rec.coflows)
