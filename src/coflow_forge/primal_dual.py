@@ -173,13 +173,14 @@ def _run_engine(ent: _Entities, m: int, kappa: float, kind: str,
             beta.append(BetaRecord(side, port + 1,
                                    snapshot_ids(unsched, side, port + 1, loads),
                                    f1))
-            resid[unsched] -= f1 * loads[unsched]
+            # Scheduled residuals go stale: nothing reads them again.
+            resid -= f1 * loads
             chosen = t1
 
         sigma[pos - 1] = ent.ids[chosen]
         unsched[chosen] = False
-        port_in = port_in - ent.load_in[chosen]
-        port_out = port_out - ent.load_out[chosen]
+        port_in -= ent.load_in[chosen]
+        port_out -= ent.load_out[chosen]
         if unsched.any():
             worst = float(resid[unsched].min())
             if worst < -1e-6 * scale:
@@ -210,6 +211,8 @@ def _permute_coflows(instance: Instance, kappa: float,
     ent = _Entities(ids, [c.release for c in coflows],
                     [c.weight for c in coflows], demand.load["in"][idx],
                     demand.load["out"][idx], instance.dag.successors())
+    # The same int objects as ent.ids, gathered by mask in one call.
+    id_array = np.array(ent.ids, dtype=object)
 
     def snapshot(unsched, side, port, loads):
         # Flow level freezes only the coflows with flows at the port, whose
@@ -217,7 +220,7 @@ def _permute_coflows(instance: Instance, kappa: float,
         # whole unscheduled set, loaded or not.
         if kind == FLOW_LEVEL:
             unsched = unsched & (loads > 0)
-        return tuple(ent.ids[i] for i in np.flatnonzero(unsched))
+        return tuple(id_array[unsched].tolist())
 
     return _run_engine(ent, instance.config.num_cores, kappa, kind, snapshot)
 
@@ -450,37 +453,38 @@ _INNER = "\n" + " " * 10
 
 
 def _snapshot_items(dual: DualSolution, subject: Instance | JobSet):
-    """(side, port) -> the rendered snapshot items of every coflow row, with
-    "" where a coflow has none. Coflow- and job-level items are the ids;
-    flow-level items are the triples of the coflow's flows at the port."""
-    n = len(subject.coflows)
+    """(side, port) -> {coflow id: its rendered snapshot items} over every
+    coflow of `subject`, with "" where a coflow has none. Coflow- and
+    job-level items are the ids; flow-level items are the triples of the
+    coflow's flows at the port."""
+    empty = {c.id: "" for c in subject.coflows}
     if dual.kind != FLOW_LEVEL:
-        ids = np.array([str(c.id) for c in subject.coflows], dtype=object)
+        ids = {k: str(k) for k in empty}
         return lambda side, port: ids
     triples: dict[tuple[str, int], dict[int, list[str]]] = {}
-    for i, c in enumerate(subject.coflows):
+    for c in subject.coflows:
         for f in sorted(c.flows, key=lambda f: (f.source, f.dest)):
             text = (f"[{_INNER}{f.source},{_INNER}{f.dest},{_INNER}{c.id}"
                     f"{_ITEM}]")
             for key in (("in", f.source), ("out", f.dest)):
-                triples.setdefault(key, {}).setdefault(i, []).append(text)
-    columns = {}
-    for key, by_row in triples.items():
-        columns[key] = np.full(n, "", dtype=object)
-        for i, texts in by_row.items():
-            columns[key][i] = ("," + _ITEM).join(texts)
-    empty = np.full(n, "", dtype=object)
+                triples.setdefault(key, {}).setdefault(c.id, []).append(text)
+    columns = {key: {**empty, **{k: ("," + _ITEM).join(texts)
+                                 for k, texts in by_id.items()}}
+               for key, by_id in triples.items()}
     return lambda side, port: columns.get((side, port), empty)
 
 
 def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
-    demand = _PortDemand(subject)
     items = _snapshot_items(dual, subject)
 
     def snapshot(rec: BetaRecord) -> str:
-        idx = demand.rows(sorted(rec.coflows))
-        body = ("," + _ITEM).join(
-            filter(None, items(rec.side, rec.port)[idx].tolist()))
+        column = items(rec.side, rec.port)
+        try:
+            body = ("," + _ITEM).join(
+                filter(None, map(column.__getitem__, sorted(rec.coflows))))
+        except KeyError as exc:
+            raise ValueError(
+                f"dual references unknown coflow {exc.args[0]}") from None
         return f"[{_ITEM}{body}\n{' ' * 6}]" if body else "[]"
 
     # json renders everything but the snapshots, which are spliced in at the
