@@ -168,7 +168,20 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+# The bench flags that shape a generated instance, with their defaults. A
+# trace fixes the instance, so none of them may be given with --trace.
+_GENERATOR_FLAGS = {"n": 25, "ports": 10, "deg": 3, "p": 1.0,
+                    "density": "default", "conforming": False}
+
+
 def _cmd_bench(args) -> int:
+    given = [name for name in _GENERATOR_FLAGS
+             if getattr(args, name) is not None]
+    if args.trace and given:
+        raise DataError(", ".join(f"--{name}" for name in given)
+                        + " cannot be used with --trace")
+    gen = {name: _GENERATOR_FLAGS[name] if getattr(args, name) is None
+           else getattr(args, name) for name in _GENERATOR_FLAGS}
     algorithms = args.alg.split(",")
     for alg in algorithms:
         if alg not in ("fdls", "cdls"):
@@ -184,7 +197,7 @@ def _cmd_bench(args) -> int:
     trace = parse_trace(_read(args.trace)) if args.trace else None
 
     def build(value, seed):
-        n, m, p, threshold = args.n, args.cores, args.p, None
+        n, m, p, threshold = gen["n"], args.cores, gen["p"], None
         if args.vary == "n":
             n = int(value)
         elif args.vary == "m":
@@ -199,9 +212,10 @@ def _cmd_bench(args) -> int:
             if threshold:
                 instance = filter_by_min_flows(instance, threshold)
             return instance
-        params = GeneratorParams(n=n, num_ports=args.ports, num_cores=m,
-                                 deg=args.deg, p=p, density_mode=args.density,
-                                 seed=seed, conforming=args.conforming)
+        params = GeneratorParams(n=n, num_ports=gen["ports"], num_cores=m,
+                                 deg=gen["deg"], p=p,
+                                 density_mode=gen["density"], seed=seed,
+                                 conforming=gen["conforming"])
         return generate_instance(params)
 
     records = []
@@ -283,13 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--vary", choices=("n", "m", "p", "threshold"), default=None)
     b.add_argument("--values", default=None,
                    help="comma-separated values for the varied axis")
-    b.add_argument("--n", type=int, default=25)
+    # None marks a generator flag as not given; see _GENERATOR_FLAGS.
+    b.add_argument("--n", type=int, default=None)
     b.add_argument("--cores", type=int, default=5)
-    b.add_argument("--ports", type=int, default=10)
-    b.add_argument("--deg", type=int, default=3)
-    b.add_argument("--p", type=float, default=1.0)
-    b.add_argument("--density", choices=DENSITY_MODES, default="default")
-    b.add_argument("--conforming", action="store_true")
+    b.add_argument("--ports", type=int, default=None)
+    b.add_argument("--deg", type=int, default=None)
+    b.add_argument("--p", type=float, default=None)
+    b.add_argument("--density", choices=DENSITY_MODES, default=None)
+    b.add_argument("--conforming", action="store_true", default=None)
     b.add_argument("--alg", default="fdls,cdls")
     b.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     b.add_argument("--trace", default=None)

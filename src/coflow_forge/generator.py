@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import Coflow, Instance, NetworkConfig, PrecedenceDag, topological_order
+from .model import (Coflow, Instance, NetworkConfig, PrecedenceDag,
+                    config_violations, topological_order)
 
 _STREAM_LEVELS = 0
 _STREAM_WORKLOAD = 1
@@ -76,8 +77,9 @@ class GeneratorParams:
 def _validate(params: GeneratorParams) -> None:
     if params.n < 1:
         raise ValueError("n must be >= 1")
-    if params.num_ports < 1 or params.num_cores < 1:
-        raise ValueError("ports and cores must be >= 1")
+    if problems := config_violations(NetworkConfig(params.num_cores,
+                                                   params.num_ports)):
+        raise ValueError("; ".join(problems))
     if params.deg < 0:
         raise ValueError("deg must be >= 0")
     if not params.p > 0:

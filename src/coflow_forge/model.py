@@ -156,15 +156,20 @@ def _check_cyclic(dag: PrecedenceDag) -> bool:
     return False
 
 
+def config_violations(config: NetworkConfig) -> list[str]:
+    """One message per core or port count outside 1..MAX_CORES_AND_PORTS."""
+    return [f"{name} must be an integer in 1..{MAX_CORES_AND_PORTS}, "
+            f"got {value!r}"
+            for name, value in (("num_cores", config.num_cores),
+                                ("num_ports", config.num_ports))
+            if not (isinstance(value, int)
+                    and 1 <= value <= MAX_CORES_AND_PORTS)]
+
+
 def validate_instance(instance: Instance) -> ValidationReport:
     """Check every type invariant; violations are data, not exceptions."""
-    v: list[str] = []
     cfg = instance.config
-    for name, value in (("num_cores", cfg.num_cores),
-                        ("num_ports", cfg.num_ports)):
-        if not (isinstance(value, int) and 1 <= value <= MAX_CORES_AND_PORTS):
-            v.append(f"{name} must be an integer in 1..{MAX_CORES_AND_PORTS}, "
-                     f"got {value!r}")
+    v = config_violations(cfg)
 
     seen_ids: set[int] = set()
     volume = 0

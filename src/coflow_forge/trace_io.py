@@ -17,7 +17,8 @@ from typing import Sequence
 
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import Coflow, Instance, NetworkConfig, PrecedenceDag
+from .model import (Coflow, Instance, NetworkConfig, PrecedenceDag,
+                    config_violations)
 
 
 class TraceError(ValueError):
@@ -113,6 +114,9 @@ def to_instance(port_count: int, coflows: Sequence[TraceCoflow],
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     if release_mode not in ("zero", "arrival"):
         raise ValueError(f"unknown release mode {release_mode!r}")
+    config = NetworkConfig(num_cores, port_count)
+    if problems := config_violations(config):
+        raise ValueError("; ".join(problems))
 
     out: list[Coflow] = []
     for c in coflows:
@@ -136,7 +140,6 @@ def to_instance(port_count: int, coflows: Sequence[TraceCoflow],
         release = c.arrival if release_mode == "arrival" else 0
         out.append(Coflow.make(c.id, release, weight,
                                [(i, j, s) for (i, j), s in sorted(demand.items())]))
-    config = NetworkConfig(num_cores, port_count)
     return Instance(config, tuple(out),
                     PrecedenceDag.make(c.id for c in out))
 

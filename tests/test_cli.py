@@ -220,6 +220,52 @@ def test_bench_rejects_an_axis_that_does_not_apply(tmp_path, capsys, vary,
     assert err.count("\n") == 1 and f"--vary {vary}" in err
 
 
+@pytest.mark.parametrize("flag", [
+    ["--n", "99"], ["--ports", "7"], ["--deg", "0"], ["--p", "2"],
+    ["--density", "sparse"], ["--conforming"]])
+def test_bench_rejects_generator_flags_with_a_trace(tmp_path, capsys, flag):
+    path = tmp_path / "trace.txt"
+    path.write_text(TRACE)
+    out = tmp_path / "out.csv"
+    code = main(["bench", "--seeds", "0:1", "--trace", str(path),
+                 "--alg", "fdls", "-o", str(out), *flag])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.count("\n") == 1 and f"{flag[0]} cannot be used" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "ingest", "bench-trace"])
+def test_core_count_past_the_limit_exits_1_with_one_line(tmp_path, capsys,
+                                                          command):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(TRACE)
+    out = tmp_path / "out.json"
+    argv = {"generate": ["generate", "--n", "3", "--ports", "2", "--seed",
+                         "0"],
+            "ingest": ["ingest", str(trace)],
+            "bench-trace": ["bench", "--seeds", "0:1", "--trace", str(trace)],
+            }[command]
+    assert main([*argv, "--cores", "5000", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert not out.exists()
+    assert err == ("coflow-forge: error: num_cores must be an integer in "
+                   "1..4096, got 5000\n")
+
+
+def test_port_count_past_the_limit_exits_1_with_one_line(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("5000 1\n1 0 1 1 1 5000:10\n")
+    out = tmp_path / "out.json"
+    for argv in (["generate", "--n", "3", "--cores", "1", "--ports", "5000",
+                  "--seed", "0"], ["ingest", str(trace)]):
+        capsys.readouterr()
+        assert main([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "coflow-forge: error: num_ports must be an integer in 1..4096, "
+            "got 5000\n")
+        assert not out.exists()
+
+
 def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
     missing = tmp_path / "missing"
     inst = _generate(tmp_path)
