@@ -180,8 +180,7 @@ def _cmd_bench(args) -> int:
     if args.trace and given:
         raise DataError(", ".join(f"--{name}" for name in given)
                         + " cannot be used with --trace")
-    gen = {name: _GENERATOR_FLAGS[name] if getattr(args, name) is None
-           else getattr(args, name) for name in _GENERATOR_FLAGS}
+    gen = {**_GENERATOR_FLAGS, **{name: getattr(args, name) for name in given}}
     algorithms = args.alg.split(",")
     for alg in algorithms:
         if alg not in ("fdls", "cdls"):
