@@ -22,28 +22,36 @@ def mk_instance(cores, ports, coflows, edges=()):
 
 
 def jobset_from_instance(instance, group_size=3):
-    """Deterministic partition of coflows into jobs of `group_size` by id.
+    """Deterministic partition of coflows into jobs of `group_size` by id."""
+    ids = sorted(c.id for c in instance.coflows)
+    rank = {k: i for i, k in enumerate(ids)}
+    return jobset_grouped(instance, lambda k: rank[k] // group_size + 1)
 
-    Release times are harmonized to the group maximum and cross-group edges
+
+def jobset_grouped(instance, job_of):
+    """The job set whose job `job_of(k)` holds coflow k: jobs in id order,
+    each listing its coflows in ascending id order.
+
+    Release times are harmonized to the job maximum and edges between jobs
     are dropped, so the result is always a valid job set.
     """
     ids = sorted(c.id for c in instance.coflows)
     by_id = instance.coflow_by_id()
-    groups = [ids[i:i + group_size] for i in range(0, len(ids), group_size)]
-    owner = {}
+    groups = {}
+    for k in ids:
+        groups.setdefault(job_of(k), []).append(k)
     jobs = []
     coflows = []
-    for gi, group in enumerate(groups, start=1):
+    for job_id, group in sorted(groups.items()):
         release = max(by_id[k].release for k in group)
         weight = sum(by_id[k].weight for k in group)
-        jobs.append(Job(gi, weight, tuple(group)))
+        jobs.append(Job(job_id, weight, tuple(group)))
         for k in group:
-            owner[k] = gi
             c = by_id[k]
             coflows.append(Coflow.make(k, release, c.weight,
                                        [(f.source, f.dest, f.size)
                                         for f in c.flows]))
-    edges = [(a, b) for a, b in instance.dag.edges if owner[a] == owner[b]]
+    edges = [(a, b) for a, b in instance.dag.edges if job_of(a) == job_of(b)]
     return JobSet(instance.config, tuple(jobs), tuple(coflows),
                   PrecedenceDag.make(ids, edges))
 

@@ -28,7 +28,7 @@ from coflow_forge import (
 )
 from coflow_forge.generator import GeneratorParams, generate_instance
 
-from conftest import jobset_from_instance, mk_instance
+from conftest import jobset_from_instance, jobset_grouped, mk_instance
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +543,16 @@ def test_sparse_n200_dual_documents_match_pinned_digests():
             for level, permute in (("flow", permute_flow_level),
                                    ("coflow", permute_coflow_level))} == {
         "flow": "138a1d180f0c6eb5", "coflow": "ef4ccf2695f8154b"}
+
+
+def test_sparse_n200_interleaved_job_dual_document_matches_pinned_digest():
+    # Coflow k in job k % 7, so every job's coflows interleave the others'
+    # ids: 7 beta records freezing 325 coflow ids.
+    inst = generate_instance(GeneratorParams(
+        n=200, num_ports=50, num_cores=5, seed=77, density_mode="sparse"))
+    js = jobset_grouped(inst, lambda k: k % 7)
+    assert _sha16(dual_to_document(permute_jobs(js)[1], js)) == \
+        "fc37ca0b1615a5a7"
 
 
 # ---------------------------------------------------------------------------
