@@ -1,6 +1,8 @@
 """Primal-dual ordering of coflows and jobs, plus the dual lower bound.
 
-The three permutation builders share one right-to-left loop. Each iteration
+The three permutation builders share one entity map (`_Entities`: each
+coflow, or each job's coflows), which the certificate reads too, and one
+right-to-left loop. Each iteration
 fills the last open position: either the alpha rule fires (the most recently
 released entity is pushed to the back because its release dominates the
 remaining bottleneck load) or the beta rule raises the dual variable of the
@@ -46,8 +48,10 @@ class Permutation:
 class BetaRecord:
     """One raise of a port's dual variable.
 
-    `coflows` freezes the unscheduled set at that moment; for flow-level
-    duals the underlying subset is the flows of those coflows at the port.
+    `coflows` freezes, in ascending id order, the coflows that were
+    unscheduled at that moment (at the job level, those of the unscheduled
+    jobs); flow and job level keep only those with load at the port, and at
+    flow level the frozen set is their flows there.
     """
 
     side: str  # "in" | "out"
@@ -93,29 +97,16 @@ def _f_sums(total: float, squares: float, m: int) -> float:
 # shared right-to-left engine
 # ---------------------------------------------------------------------------
 
-class _Entities:
-    """Dense arrays for the entities being permuted (coflows or jobs)."""
-
-    def __init__(self, ids: Sequence[int], release: Sequence[int],
-                 weight: Sequence[float], load_in: np.ndarray,
-                 load_out: np.ndarray,
-                 successors: Mapping[int, Sequence[int]]):
-        self.ids = list(ids)
-        self.index = {e: i for i, e in enumerate(ids)}
-        self.release = np.asarray(release, dtype=np.int64)
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.load_in = np.asarray(load_in, dtype=np.float64)
-        self.load_out = np.asarray(load_out, dtype=np.float64)
-        self.successors = {self.index[a]: sorted(self.index[b] for b in bs)
-                           for a, bs in successors.items()}
-
-
-def _run_engine(ent: _Entities, m: int, kappa: float, kind: str,
+def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
+                successors: Mapping[int, Sequence[int]], m: int,
+                kappa: float, kind: str,
                 snapshot_ids) -> tuple[Permutation, DualSolution]:
     n = len(ent.ids)
-    port_in = ent.load_in.sum(axis=0)
-    port_out = ent.load_out.sum(axis=0)
-    resid = ent.weight.astype(np.float64).copy()
+    port_in = load["in"].sum(axis=0)
+    port_out = load["out"].sum(axis=0)
+    successors = {ent.index[a]: sorted(ent.index[b] for b in bs)
+                  for a, bs in successors.items()}
+    resid = ent.weight.copy()
     unsched = np.ones(n, dtype=bool)
 
     alpha: dict[tuple[str, int, int], float] = {}
@@ -125,17 +116,15 @@ def _run_engine(ent: _Entities, m: int, kappa: float, kind: str,
     scale = max(1.0, float(ent.weight.max())) if n else 1.0
 
     for pos in range(n, 0, -1):
-        mu1 = int(np.argmax(port_in))
-        mu2 = int(np.argmax(port_out))
+        mu1, mu2 = int(np.argmax(port_in)), int(np.argmax(port_out))
         # Strict ">" so the output side wins ties, matching the branch test.
         if port_in[mu1] > port_out[mu2]:
             side, port = "in", mu1
-            loads = ent.load_in[:, mu1]
             bottleneck = port_in[mu1]
         else:
             side, port = "out", mu2
-            loads = ent.load_out[:, mu2]
             bottleneck = port_out[mu2]
+        loads = load[side][:, port]
 
         krel = int(np.argmax(np.where(unsched, ent.release, -1)))
         cand_mask = unsched & (loads > 0)
@@ -151,10 +140,9 @@ def _run_engine(ent: _Entities, m: int, kappa: float, kind: str,
             cand = int(np.argmin(ratios))
             f1 = float(ratios[cand])
 
-            t1 = cand
-            t0 = -1
+            t0, t1 = -1, cand
             while True:
-                nxt = next((s for s in ent.successors.get(t1, ())
+                nxt = next((s for s in successors.get(t1, ())
                             if unsched[s]), None)
                 if nxt is None:
                     break
@@ -170,17 +158,16 @@ def _run_engine(ent: _Entities, m: int, kappa: float, kind: str,
                     resid[t0] += g
                     resid[t1] -= g
 
-            beta.append(BetaRecord(side, port + 1,
-                                   snapshot_ids(unsched, side, port + 1, loads),
-                                   f1))
+            frozen = snapshot_ids(unsched, side, port + 1, loads)
+            beta.append(BetaRecord(side, port + 1, frozen, f1))
             # Scheduled residuals go stale: nothing reads them again.
             resid -= f1 * loads
             chosen = t1
 
         sigma[pos - 1] = ent.ids[chosen]
         unsched[chosen] = False
-        port_in -= ent.load_in[chosen]
-        port_out -= ent.load_out[chosen]
+        port_in -= load["in"][chosen]
+        port_out -= load["out"][chosen]
         if unsched.any():
             worst = float(resid[unsched].min())
             if worst < -1e-6 * scale:
@@ -192,81 +179,62 @@ def _run_engine(ent: _Entities, m: int, kappa: float, kind: str,
     return Permutation(tuple(sigma)), dual
 
 
-def _checked(subject: Instance | JobSet, kappa: float) -> None:
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+def _permute(subject: Instance | JobSet, kappa: float,
+             kind: str) -> tuple[Permutation, DualSolution]:
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     report = validate_jobset(subject) if isinstance(subject, JobSet) \
         else validate_instance(subject)
     if not report.ok:
         raise InvalidInstanceError(report.violations)
-
-
-def _permute_coflows(instance: Instance, kappa: float,
-                     kind: str) -> tuple[Permutation, DualSolution]:
-    _checked(instance, kappa)
-    demand = _PortDemand(instance)
-    coflows = sorted(instance.coflows, key=lambda c: c.id)
-    ids = [c.id for c in coflows]
-    idx = demand.rows(ids)
-    ent = _Entities(ids, [c.release for c in coflows],
-                    [c.weight for c in coflows], demand.load["in"][idx],
-                    demand.load["out"][idx], instance.dag.successors())
-    # The same int objects as ent.ids, gathered by mask in one call.
-    id_array = np.array(ent.ids, dtype=object)
+    demand = _PortDemand(subject)
+    ent = _Entities(subject, kind, demand)
+    # owner[r] is the entity of coflow row r, whose load sums its rows.
+    owner = np.empty(demand.n, dtype=np.intp)
+    owner[[r for rows in ent.rows for r in rows]] = np.repeat(
+        np.arange(len(ent.ids)), [len(rows) for rows in ent.rows])
+    load = {}
+    for side, table in demand.load.items():
+        load[side] = np.zeros((len(ent.ids), table.shape[1]))
+        np.add.at(load[side], owner, table)
+    # The coflows in ascending id order: their rows, entities and ids.
+    ids = sorted(demand.row)
+    rows = demand.rows(ids)
+    owner = owner[rows]
+    id_array = np.array(ids, dtype=object)
 
     def snapshot(unsched, side, port, loads):
-        # Flow level freezes only the coflows with flows at the port, whose
-        # flows there form the frozen flow set; coflow level freezes the
-        # whole unscheduled set, loaded or not.
-        if kind == FLOW_LEVEL:
+        # One masked gather; coflow-level entities are these coflows.
+        if kind == JOB_LEVEL:
+            unsched, loads = unsched[owner], demand.at(side, port)[0][rows]
+        if kind != COFLOW_LEVEL:
             unsched = unsched & (loads > 0)
         return tuple(id_array[unsched].tolist())
 
-    return _run_engine(ent, instance.config.num_cores, kappa, kind, snapshot)
+    successors = {} if kind == JOB_LEVEL else subject.dag.successors()
+    return _run_engine(ent, load, successors, subject.config.num_cores,
+                       kappa, kind, snapshot)
 
 
 def permute_flow_level(instance: Instance,
                        kappa: float = DEFAULT_KAPPA
                        ) -> tuple[Permutation, DualSolution]:
     """Order coflows for flow-level scheduling; returns (order, feasible dual)."""
-    return _permute_coflows(instance, kappa, FLOW_LEVEL)
+    return _permute(instance, kappa, FLOW_LEVEL)
 
 
 def permute_coflow_level(instance: Instance,
                          kappa: float = DEFAULT_KAPPA
                          ) -> tuple[Permutation, DualSolution]:
     """Order coflows for coflow-level scheduling; returns (order, dual)."""
-    return _permute_coflows(instance, kappa, COFLOW_LEVEL)
+    return _permute(instance, kappa, COFLOW_LEVEL)
 
 
 def permute_jobs(jobset: JobSet,
                  kappa: float = DEFAULT_KAPPA
                  ) -> tuple[Permutation, DualSolution]:
     """Order jobs; gamma stays empty since jobs have no mutual precedence."""
-    _checked(jobset, kappa)
-    demand = _PortDemand(jobset)
-    jobs = sorted(jobset.jobs, key=lambda j: j.id)
-    # A job's row is the sum of its coflows' rows.
-    owner = np.zeros(demand.n, dtype=np.intp)
-    for i, job in enumerate(jobs):
-        owner[demand.rows(job.coflows)] = i
-    load = {}
-    for side, table in demand.load.items():
-        load[side] = np.zeros((len(jobs), table.shape[1]))
-        np.add.at(load[side], owner, table)
-    release = [jobset.coflows[demand.row[j.coflows[0]]].release for j in jobs]
-    ent = _Entities([j.id for j in jobs], release, [j.weight for j in jobs],
-                    load["in"], load["out"], {})
-    members = [sorted(j.coflows) for j in jobs]
-
-    def snapshot(unsched, side, port, loads):
-        # Freeze the coflows (not the jobs) carrying load at the port.
-        at_port = demand.at(side, port)[0]
-        return tuple(k for i in np.flatnonzero(unsched) for k in members[i]
-                     if at_port[demand.row[k]] > 0)
-
-    return _run_engine(ent, jobset.config.num_cores, kappa, JOB_LEVEL,
-                       snapshot)
+    return _permute(jobset, kappa, JOB_LEVEL)
 
 
 # The ordering stage of each algorithm, by algorithm name.
@@ -275,7 +243,7 @@ PERMUTE = {"fdls": permute_flow_level, "cdls": permute_coflow_level,
 
 
 # ---------------------------------------------------------------------------
-# dual objective and feasibility
+# entities and port demand, dual objective and feasibility
 # ---------------------------------------------------------------------------
 
 class _PortDemand:
@@ -321,28 +289,33 @@ class _PortDemand:
         return self.load[side][:, port - 1], self.squares[side][:, port - 1]
 
 
-def _entity_rows(dual: DualSolution, subject: Instance | JobSet,
-                 demand: _PortDemand) -> dict[int, list[int]]:
-    """The coflow rows of each constraint entity: a coflow's own row, or the
-    rows of a job's coflows in the job's order. Raises ValueError for a dual
-    of unknown kind, or one that names an entity or coflow not in `subject`."""
-    if dual.kind == JOB_LEVEL:
-        if not isinstance(subject, JobSet):
-            raise ValueError("job-level dual requires a JobSet")
-        if dual.gamma:
-            raise ValueError("job-level dual must not carry gamma variables")
-        entities = {j.id: demand.rows(j.coflows).tolist() for j in subject.jobs}
-        what = "job"
-    elif dual.kind in (FLOW_LEVEL, COFLOW_LEVEL):
-        demand.rows([k for edge in dual.gamma for k in edge])
-        entities = {k: [i] for k, i in demand.row.items()}
-        what = "coflow"
-    else:
-        raise ValueError(f"unknown dual kind {dual.kind!r}")
-    for _, _, e in dual.alpha:
-        if e not in entities:
-            raise ValueError(f"dual references unknown {what} {e}")
-    return entities
+class _Entities:
+    """The entities of one dual level: each coflow at the flow and coflow
+    levels, each job at the job level.
+
+    `ids` ascend; `weight`, `release` (that of the entity's first coflow) and
+    `rows` (its coflows' rows in `demand`, a job's in the job's own order)
+    follow them. Raises ValueError for an unknown kind, for a job level
+    without a JobSet and for a job naming a coflow not in `subject`.
+    """
+
+    def __init__(self, subject: Instance | JobSet, kind: str,
+                 demand: _PortDemand):
+        if kind == JOB_LEVEL:
+            if not isinstance(subject, JobSet):
+                raise ValueError("job-level dual requires a JobSet")
+            found = sorted(subject.jobs, key=lambda j: j.id)
+            self.rows = [demand.rows(j.coflows).tolist() for j in found]
+        elif kind in (FLOW_LEVEL, COFLOW_LEVEL):
+            found = sorted(subject.coflows, key=lambda c: c.id)
+            self.rows = [[demand.row[c.id]] for c in found]
+        else:
+            raise ValueError(f"unknown dual kind {kind!r}")
+        self.ids = [e.id for e in found]
+        self.index = {e: i for i, e in enumerate(self.ids)}
+        self.weight = np.array([e.weight for e in found], dtype=np.float64)
+        self.release = np.array([subject.coflows[r[0]].release
+                                 for r in self.rows], dtype=np.int64)
 
 
 def _slot_demand(coflow: Coflow, side: str, port: int) -> int:
@@ -350,6 +323,23 @@ def _slot_demand(coflow: Coflow, side: str, port: int) -> int:
     # (1, port); its objective coefficient is that slot's demand.
     slot = (port, 1) if side == "in" else (1, port)
     return sum(f.size for f in coflow.flows if (f.source, f.dest) == slot)
+
+
+def _entities_of(dual: DualSolution, subject: Instance | JobSet
+                 ) -> tuple[_PortDemand, _Entities]:
+    """The port demand of `subject` and the entities of the dual's level.
+    Raises ValueError for a dual of unknown kind, or one that names an entity
+    or coflow not in `subject`."""
+    demand = _PortDemand(subject)
+    ent = _Entities(subject, dual.kind, demand)
+    if dual.kind == JOB_LEVEL and dual.gamma:
+        raise ValueError("job-level dual must not carry gamma variables")
+    demand.rows([k for edge in dual.gamma for k in edge])
+    what = "job" if dual.kind == JOB_LEVEL else "coflow"
+    for _, _, e in dual.alpha:
+        if e not in ent.index:
+            raise ValueError(f"dual references unknown {what} {e}")
+    return demand, ent
 
 
 def dual_objective(dual: DualSolution,
@@ -363,14 +353,13 @@ def dual_objective(dual: DualSolution,
     adds non-negative terms).
     """
     m = subject.config.num_cores
-    demand = _PortDemand(subject)
-    entities = _entity_rows(dual, subject, demand)
+    demand, ent = _entities_of(dual, subject)
 
     # An alpha pays the release of its entity's first coflow plus the slot
     # demand at flow level, the port load at coflow level, or 0 at job level.
     total = 0.0
     for (side, port, e), value in dual.alpha.items():
-        row = entities[e][0]
+        row = ent.rows[ent.index[e]][0]
         c = subject.coflows[row]
         term = (_slot_demand(c, side, port) if dual.kind == FLOW_LEVEL
                 else float(demand.at(side, port)[0][row])
@@ -390,10 +379,18 @@ def dual_objective(dual: DualSolution,
 
 def constraint_lhs(dual: DualSolution,
                    subject: Instance | JobSet) -> dict[int, float]:
-    """Left-hand side of every entity's dual constraint: the sum over its
-    coflow rows, plus its alpha."""
-    demand = _PortDemand(subject)
-    entities = _entity_rows(dual, subject, demand)
+    """Left-hand side of every entity's dual constraint."""
+    return check_dual_feasibility(dual, subject).lhs
+
+
+def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
+                           rel_tol: float = 1e-6) -> FeasibilityReport:
+    """Evaluate every dual constraint: feasible iff every dual value is
+    non-negative and every LHS <= w (1 + rel_tol). An entity's LHS is the
+    sum over its coflow rows, plus its alpha."""
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
+    demand, ent = _entities_of(dual, subject)
     beta_lhs = np.zeros(demand.n)
     for rec in dual.beta:
         idx = demand.rows(rec.coflows)
@@ -405,27 +402,15 @@ def constraint_lhs(dual: DualSolution,
         row_lhs[demand.row[b]] += value
         row_lhs[demand.row[a]] -= value
 
-    lhs = {e: sum(row_lhs[i] for i in rows) for e, rows in entities.items()}
+    lhs = {e: sum(row_lhs[i] for i in r) for e, r in zip(ent.ids, ent.rows)}
     for (_, _, e), value in dual.alpha.items():
         lhs[e] += value
-    return lhs
-
-
-def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
-                           rel_tol: float = 1e-6) -> FeasibilityReport:
-    """Evaluate every dual constraint: feasible iff every dual value is
-    non-negative and every LHS <= w (1 + rel_tol)."""
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    lhs = constraint_lhs(dual, subject)
     feasible = min([*dual.alpha.values(), *(r.value for r in dual.beta),
                     *dual.gamma.values()], default=0.0) >= 0
-    entities = subject.jobs if dual.kind == JOB_LEVEL else subject.coflows
-    weights = {e.id: float(e.weight) for e in entities}
 
     worst = 0.0
     tight: list[int] = []
-    for eid, w in sorted(weights.items()):
+    for eid, w in zip(ent.ids, ent.weight.tolist()):
         excess = (lhs[eid] - w) / w
         worst = max(worst, excess)
         if excess > rel_tol:
@@ -440,11 +425,11 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
 # ---------------------------------------------------------------------------
 # {"kind": ..., "kappa": ..., "alpha": [{"side","port","id","value"}],
 #  "beta": [{"side","port","snapshot","value"}], "gamma": [{"pred","succ",
-#  "value"}]}. Flow-level beta snapshots list [src, dst, coflow] triples,
-#  each a flow at the record's port (src for side "in", dst for "out");
-#  coflow- and job-level snapshots list coflow ids. The reader keeps only
-#  the coflow id of a triple; whether the triple names a flow of the
-#  instance can be checked only with the instance in hand, so it is not.
+#  "value"}]}. Beta snapshots list coflow ids in ascending order at every
+#  level; at flow level each id becomes the [src, dst, coflow] triples of
+#  its flows at the record's port (src for side "in", dst for "out"). The
+#  reader keeps only the coflow id of a triple; whether the triple names a
+#  flow of the instance can be checked only with the instance in hand.
 
 # Snapshot items sit at depth 8 of the indent=2 rendering, their inner
 # values (flow-level triples) at depth 10.

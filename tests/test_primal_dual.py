@@ -393,6 +393,19 @@ def test_dual_document_round_trip_coflow_and_job(two_coflow_instance):
     assert document_to_dual(jtext) == jdual
 
 
+def test_job_level_duals_round_trip_equal():
+    # Job 0 holds the even coflow ids, job 1 the odd ones; coflows 3 and 5
+    # do not load the first bottleneck, output port 1. A snapshot lists its
+    # coflows in ascending order, as the document does.
+    inst = mk_instance(1, 2, [(k, 0, 1, [(2, 2, 1) if k in (3, 5)
+                                         else (1, 1, 1)])
+                              for k in range(1, 9)])
+    js = jobset_grouped(inst, lambda k: k % 2)
+    _, dual = permute_jobs(js)
+    assert dual.beta[0] == BetaRecord("out", 1, (1, 2, 4, 6, 7, 8), 1.0)
+    assert document_to_dual(dual_to_document(dual, js)) == dual
+
+
 def test_dual_document_flow_snapshots_are_triples(two_coflow_instance):
     import json
     _, dual = permute_flow_level(two_coflow_instance)

@@ -18,6 +18,7 @@ from coflow_forge import (
     jobset_to_document,
     permute_coflow_level,
     permute_flow_level,
+    permute_jobs,
 )
 from coflow_forge.generator import (
     DENSITY_MODES,
@@ -35,7 +36,7 @@ from coflow_forge.simulator import (
     verify_schedule,
 )
 
-from conftest import jobset_from_instance
+from conftest import jobset_from_instance, jobset_grouped
 
 PARAMS = st.builds(
     GeneratorParams,
@@ -83,21 +84,28 @@ def test_pipeline_properties_over_generator_params(params):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(PARAMS)
 def test_beta_snapshots_are_the_unscheduled_prefixes(params):
-    # Walking the order from the back, every position whose coflow no alpha
+    # Walking the order from the back, every position whose entity no alpha
     # placed was filled by the next beta record, taken while order[:pos + 1]
-    # was unscheduled; at flow level only the coflows loading the record's
-    # port are frozen.
+    # was unscheduled; a record freezes, in ascending id order, the coflows
+    # of those entities, at flow and job level only those loading the
+    # record's port. Coflow k goes to job k % 3, so jobs interleave ids.
     inst = generate_instance(params)
+    jobset = jobset_grouped(inst, lambda k: k % 3)
+    members = {j.id: j.coflows for j in jobset.jobs}
     by_id = inst.coflow_by_id()
-    for permute in (permute_flow_level, permute_coflow_level):
-        perm, dual = permute(inst)
-        placed_by_alpha = {k for _, _, k in dual.alpha}
-        prefixes = [sorted(perm.order[:pos + 1])
+    for permute, subject, coflows_of in (
+            (permute_flow_level, inst, lambda e: (e,)),
+            (permute_coflow_level, inst, lambda e: (e,)),
+            (permute_jobs, jobset, members.__getitem__)):
+        perm, dual = permute(subject)
+        placed_by_alpha = {e for _, _, e in dual.alpha}
+        prefixes = [sorted(k for e in perm.order[:pos + 1]
+                           for k in coflows_of(e))
                     for pos in reversed(range(len(perm.order)))
                     if perm.order[pos] not in placed_by_alpha]
         assert len(prefixes) == len(dual.beta)
         for rec, prefix in zip(dual.beta, prefixes):
-            if permute is permute_flow_level:
+            if permute is not permute_coflow_level:
                 prefix = [k for k in prefix if any(
                     (f.source if rec.side == "in" else f.dest) == rec.port
                     for f in by_id[k].flows)]
