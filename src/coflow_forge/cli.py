@@ -72,7 +72,10 @@ def _load(path: str, jobs: bool, text: str | None = None) -> Instance | JobSet:
     text = _read(path) if text is None else text
     if jobs:
         return document_to_jobset(text)
-    instance = document_to_instance(text)
+    return _validated(document_to_instance(text), path)
+
+
+def _validated(instance: Instance, path: str) -> Instance:
     report = validate_instance(instance)
     if not report.ok:
         raise DataError(f"{path}: " + "; ".join(report.violations))
@@ -164,7 +167,8 @@ def _cmd_ingest(args) -> int:
         raise DataError(str(exc)) from exc
     if args.min_flows:
         instance = filter_by_min_flows(instance, args.min_flows)
-    _write(args.output, instance_to_document(instance))
+    # A trace may repeat a coflow id or, as arrivals, give negative releases.
+    _write(args.output, instance_to_document(_validated(instance, args.trace)))
     return 0
 
 

@@ -108,6 +108,38 @@ def test_ingest_malformed_trace_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records, message", [
+    ("1 -5 1 1 1 2:100\n2 0 1 2 1 3:10\n",
+     "coflow 1: release must be a non-negative integer, got -5"),
+    ("1 0 1 1 1 2:100\n1 0 1 2 1 3:10\n", "duplicate coflow id 1")])
+def test_ingest_rejects_what_eval_would_reject(tmp_path, capsys, records,
+                                               message):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("3 2\n" + records)
+    out = tmp_path / "out.json"
+    assert main(["ingest", str(trace), "--release-mode", "arrival",
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"coflow-forge: error: {trace}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["inf", "-inf", "nan", "0", "-1"])
+def test_non_finite_or_non_positive_kappa_exits_1_with_one_line(
+        tmp_path, capsys, kappa):
+    inst = _generate(tmp_path)
+    dual = tmp_path / "dual.json"
+    for argv in (["order", str(inst), "--emit-dual", str(dual)],
+                 ["schedule", str(inst)], ["eval", str(inst)]):
+        capsys.readouterr()
+        assert main([*argv, f"--kappa={kappa}", "-o", str(tmp_path / "out")
+                     ]) == 1
+        assert capsys.readouterr().err == (
+            "coflow-forge: error: kappa must be positive and finite, got "
+            f"{float(kappa)}\n")
+        assert not dual.exists()
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["order", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
