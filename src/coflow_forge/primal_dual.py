@@ -189,18 +189,18 @@ def _permute(subject: Instance | JobSet, kappa: float,
         raise InvalidInstanceError(report.violations)
     demand = _PortDemand(subject)
     ent = _Entities(subject, kind, demand)
-    # owner[r] is the entity of coflow row r, whose load sums its rows.
-    owner = np.empty(demand.n, dtype=np.intp)
-    owner[[r for rows in ent.rows for r in rows]] = np.repeat(
+    # entity[r] is the entity of coflow row r, whose load sums its rows.
+    entity = np.empty(demand.n, dtype=np.intp)
+    entity[[r for rows in ent.rows for r in rows]] = np.repeat(
         np.arange(len(ent.ids)), [len(rows) for rows in ent.rows])
     load = {}
     for side, table in demand.load.items():
         load[side] = np.zeros((len(ent.ids), table.shape[1]))
-        np.add.at(load[side], owner, table)
+        np.add.at(load[side], entity, table)
     # The coflows in ascending id order: their rows, entities and ids.
     ids = sorted(demand.row)
     rows = demand.rows(ids)
-    owner = owner[rows]
+    owner = entity[rows]
     id_array = np.array(ids, dtype=object)
 
     def snapshot(unsched, side, port, loads):
