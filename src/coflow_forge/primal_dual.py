@@ -2,14 +2,13 @@
 
 The three permutation builders share one entity map (`_Entities`: each
 coflow, or each job's coflows), which the certificate reads too, and one
-right-to-left loop. Each iteration
-fills the last open position: either the alpha rule fires (the most recently
-released entity is pushed to the back because its release dominates the
-remaining bottleneck load) or the beta rule raises the dual variable of the
-bottleneck port until some entity's constraint becomes tight. An entity picked
-by the beta rule that still has unscheduled successors is traded, via a gamma
-variable on the final chain edge, for a successor-free descendant so the
-emitted order can respect precedence.
+right-to-left loop. Each iteration fills the last open position: either the
+alpha rule fires (the most recently released entity is pushed to the back
+because its release dominates the remaining bottleneck load) or the beta rule
+raises the dual variable of the bottleneck port until some entity's constraint
+becomes tight. An entity picked by the beta rule that still has unscheduled
+successors is traded, via a gamma variable on the final chain edge, for a
+successor-free descendant so the emitted order can respect precedence.
 
 All dual variables stay non-negative, every constraint stays feasible and the
 constraint of each placed entity is tight at the moment of placement, which
