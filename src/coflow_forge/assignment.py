@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (INTEGER, LIST, MATRIX, STRING, DocumentError, Instance,
-                    coflow_port_loads, entries, fields)
+from .model import Instance, coflow_port_loads
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -26,9 +25,7 @@ class CoreAssignment:
     load_out: np.ndarray
 
     def core_of(self, src: int, dst: int, coflow: int) -> int:
-        if self.kind == FLOW_LEVEL:
-            return self.flow_to_core[(src, dst, coflow)]
-        return self.coflow_to_core[coflow]
+        return self.flow_to_core[(src, dst, coflow)]
 
 
 def _check_perm(instance: Instance, perm: Permutation) -> None:
@@ -106,22 +103,3 @@ def assignment_to_payload(assignment: CoreAssignment) -> dict:
         payload["coflows"] = [{"id": k, "core": h}
                               for k, h in sorted(assignment.coflow_to_core.items())]
     return payload
-
-
-def payload_to_assignment(payload: dict) -> CoreAssignment:
-    expected = dict(kind=STRING, flows=LIST, load_in=MATRIX, load_out=MATRIX)
-    if type(payload) is dict and payload.get("kind") == COFLOW_LEVEL:
-        expected["coflows"] = LIST
-    kind, flows, load_in, load_out, *coflows = fields(payload, "assignment",
-                                                      **expected)
-    if kind not in (FLOW_LEVEL, COFLOW_LEVEL):
-        raise DocumentError(f"unknown assignment kind {kind!r}")
-    flow_to_core = {(src, dst, k): core for src, dst, k, core in entries(
-        flows, "assignment flow", src=INTEGER, dst=INTEGER, coflow=INTEGER,
-        core=INTEGER)}
-    coflow_to_core = dict(entries(coflows[0] if coflows else [],
-                                  "assignment coflow", id=INTEGER,
-                                  core=INTEGER))
-    return CoreAssignment(kind, flow_to_core, coflow_to_core,
-                          np.asarray(load_in, dtype=np.int64),
-                          np.asarray(load_out, dtype=np.int64))

@@ -318,19 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def execute(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, DocumentError, InvalidInstanceError, TraceError,
             ValueError) as exc:
         print(f"coflow-forge: error: {exc}", file=sys.stderr)
         return DATA_ERROR
-
-
-def main(argv=None) -> int:
-    return execute(argv)
 
 
 if __name__ == "__main__":

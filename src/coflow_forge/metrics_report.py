@@ -57,9 +57,6 @@ class RunRecord:
 class EvaluationReport:
     records: list[RunRecord]
 
-    def merged(self, other: "EvaluationReport") -> "EvaluationReport":
-        return EvaluationReport(self.records + other.records)
-
     def sorted_records(self) -> list[RunRecord]:
         return sorted(self.records,
                       key=lambda r: (r.instance_id, r.algorithm, r.seed))

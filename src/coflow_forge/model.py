@@ -68,9 +68,6 @@ class Coflow:
         fl = tuple(Flow(s, d, cid, z) for s, d, z in sorted(flows))
         return Coflow(cid, release, weight, fl)
 
-    def total_size(self) -> int:
-        return sum(f.size for f in self.flows)
-
 
 @dataclass(frozen=True)
 class PrecedenceDag:
@@ -340,7 +337,6 @@ LIST = "a list"
 INTEGERS = "a list of integers"
 PAIR = "a [pred, succ] integer pair"
 TRIPLE = "a [src, dst, coflow] integer triple"
-MATRIX = "a list of equal-length lists of 64-bit integers"
 SIDE = '"in" or "out"'
 
 
@@ -359,9 +355,6 @@ _EXPECTED = {
     INTEGERS: _integers,
     PAIR: lambda v: _integers(v, 2),
     TRIPLE: lambda v: _integers(v, 3),
-    MATRIX: lambda v: (type(v) is list and all(_integers(r) for r in v)
-                       and len({len(r) for r in v}) <= 1
-                       and all(-2**63 <= x < 2**63 for r in v for x in r)),
     SIDE: lambda v: v in ("in", "out"),
 }
 

@@ -376,12 +376,6 @@ def dual_objective(dual: DualSolution,
     return total
 
 
-def constraint_lhs(dual: DualSolution,
-                   subject: Instance | JobSet) -> dict[int, float]:
-    """Left-hand side of every entity's dual constraint."""
-    return check_dual_feasibility(dual, subject).lhs
-
-
 def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
                            rel_tol: float = 1e-6) -> FeasibilityReport:
     """Evaluate every dual constraint: feasible iff every dual value is

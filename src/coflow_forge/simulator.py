@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag, entries,
                     fields, parse_json, topological_order)
-from .assignment import ASSIGN, CoreAssignment
+from .assignment import CoreAssignment, assign_flows_fdls
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -77,15 +77,15 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     core: list[int] = []
     for k in ids:
         for f in sorted(by_id[k].flows, key=lambda f: (-f.size, f.source, f.dest)):
-            if (f.source, f.dest, f.coflow) not in assignment.flow_to_core and \
-                    f.coflow not in assignment.coflow_to_core:
-                raise ValueError(f"flow ({f.source},{f.dest},{f.coflow}) "
+            h = assignment.flow_to_core.get((f.source, f.dest, k))
+            if h is None:
+                raise ValueError(f"flow ({f.source},{f.dest},{k}) "
                                  "has no core assignment")
             src.append(f.source)
             dst.append(f.dest)
             owner.append(k)
             size.append(f.size)
-            core.append(assignment.core_of(f.source, f.dest, f.coflow))
+            core.append(h)
     remaining = list(size)
     nflows = len(src)
     m = instance.config.num_cores
@@ -261,15 +261,9 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                           for start, h, s, d, k, end in segments))
 
 
-def simulate_jobs(jobset: JobSet, job_perm: Permutation,
-                  assign: str = "fdls") -> Schedule:
-    """Transmit jobs sequentially; inside a job, coflows follow topological order.
-
-    `assign` picks the core-assignment rule applied to the global coflow
-    priority: "fdls" (flow-level) or "cdls" (coflow-level).
-    """
-    if assign not in ASSIGN:
-        raise ValueError(f"unknown assignment rule {assign!r}")
+def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
+    """Transmit jobs sequentially; inside a job, coflows follow topological
+    order. Flows are assigned to cores by FDLS on that global priority."""
     job_ids = sorted(j.id for j in jobset.jobs)
     if sorted(job_perm.order) != job_ids:
         raise ValueError("job permutation does not cover the job set")
@@ -294,7 +288,7 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation,
                      PrecedenceDag.make((c.id for c in jobset.coflows), edges))
 
     perm = Permutation(tuple(priority))
-    sched = simulate(gated, ASSIGN[assign](gated, perm), perm)
+    sched = simulate(gated, assign_flows_fdls(gated, perm), perm)
 
     job_completions = {t: max(sched.coflow_completions[k]
                               for k in jobs[t].coflows)

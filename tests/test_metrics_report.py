@@ -120,11 +120,10 @@ def test_csv_round_trip_precision():
     assert back == rec
 
 
-def test_report_merge_and_sort():
-    a = EvaluationReport([_record(instance_id="b")])
-    b = EvaluationReport([_record(instance_id="a")])
-    merged = a.merged(b)
-    assert [r.instance_id for r in merged.sorted_records()] == ["a", "b"]
+def test_report_sorted_records():
+    report = EvaluationReport([_record(instance_id="b"),
+                               _record(instance_id="a")])
+    assert [r.instance_id for r in report.sorted_records()] == ["a", "b"]
 
 
 @pytest.mark.parametrize("alg", ["fdls", "cdls"])

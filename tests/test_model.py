@@ -24,14 +24,8 @@ from coflow_forge import (
     validate_instance,
     validate_jobset,
 )
-from coflow_forge.assignment import (
-    assign_coflows_cdls,
-    assign_flows_fdls,
-    assignment_to_payload,
-    payload_to_assignment,
-)
 from coflow_forge.generator import GeneratorParams, generate_instance
-from coflow_forge.primal_dual import document_to_dual, permute_flow_level
+from coflow_forge.primal_dual import document_to_dual
 from coflow_forge.simulator import document_to_schedule
 
 from conftest import jobset_from_instance, mk_instance
@@ -189,7 +183,7 @@ def test_port_loads_conservation(seed):
                                              seed=seed))
     for c in inst.coflows:
         load_in, load_out = coflow_port_loads(c, inst.config)
-        assert sum(load_in) == sum(load_out) == c.total_size()
+        assert sum(load_in) == sum(load_out) == sum(f.size for f in c.flows)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +287,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _golden_documents() -> list:
-    """The golden documents, parsed, and the FDLS and CDLS assignment
-    payloads of the golden instance."""
-    docs = [json.loads((GOLDEN / name).read_text())
+    """The golden documents, parsed."""
+    return [json.loads((GOLDEN / name).read_text())
             for name in ("instance.json", "jobset.json", "dual_flow.json",
                          "dual_coflow.json", "dual_job.json",
                          "schedule.json")]
-    inst = document_to_instance((GOLDEN / "instance.json").read_text())
-    perm, _ = permute_flow_level(inst)
-    return docs + [assignment_to_payload(assign(inst, perm))
-                   for assign in (assign_flows_fdls, assign_coflows_cdls)]
 
 
 def _paths(node, path=()):
@@ -323,8 +312,7 @@ JSON_VALUES = st.one_of(
     st.lists(st.integers(), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 READERS = (document_to_instance, document_to_jobset, document_to_dual,
-           document_to_schedule,
-           lambda text: payload_to_assignment(json.loads(text)))
+           document_to_schedule)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

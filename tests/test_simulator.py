@@ -367,11 +367,9 @@ def test_work_conservation_replay_jobs(seed):
     gated = Instance(js.config, js.coflows,
                      PrecedenceDag.make(priority, edges))
     perm = Permutation(tuple(priority))
-    for rule, assigner, flow_level in (("fdls", assign_flows_fdls, True),
-                                       ("cdls", assign_coflows_cdls, False)):
-        sched = simulate_jobs(js, Permutation(job_order), rule)
-        _replay_admissions(gated, sched, assigner(gated, perm), perm,
-                           flow_level)
+    sched = simulate_jobs(js, Permutation(job_order))
+    _replay_admissions(gated, sched, assign_flows_fdls(gated, perm), perm,
+                       True)
 
 
 def test_restriction_removing_last_priority_coflow():
@@ -452,8 +450,7 @@ def _corpus_schedules():
             simulate(inst, assign_coflows_cdls(inst, cperm), cperm))
         js = jobset_from_instance(inst)
         jperm, _ = permute_jobs(js)
-        for rule in ("fdls", "cdls"):
-            out[f"{name}-jobs-{rule}"] = _sha16(simulate_jobs(js, jperm, rule))
+        out[f"{name}-jobs-fdls"] = _sha16(simulate_jobs(js, jperm))
     return out
 
 
@@ -461,67 +458,51 @@ PINNED_SCHEDULES = {
     "default-r0-d0-fdls": "b4b1eb169b2873e4",
     "default-r0-d0-cdls": "c9531a7c7f9494fb",
     "default-r0-d0-jobs-fdls": "5b2da027bb84d1af",
-    "default-r0-d0-jobs-cdls": "055ab8f6980e09cd",
     "default-r0-d3-fdls": "481a25a118a3bb26",
     "default-r0-d3-cdls": "3f7cb5b096844ef3",
     "default-r0-d3-jobs-fdls": "7e84a6b0249f2c6e",
-    "default-r0-d3-jobs-cdls": "7f367d2677236cd1",
     "default-r25-d0-fdls": "83749a7425a40148",
     "default-r25-d0-cdls": "921c2d265ea92219",
     "default-r25-d0-jobs-fdls": "6ba16614678a4330",
-    "default-r25-d0-jobs-cdls": "0b83c538af955c18",
     "default-r25-d3-fdls": "9101ced349312594",
     "default-r25-d3-cdls": "13e9e345ebb84c0d",
     "default-r25-d3-jobs-fdls": "288aeda56c80ce56",
-    "default-r25-d3-jobs-cdls": "40cdbe8789195eb5",
     "dense-r0-d0-fdls": "88f5548f35f0a881",
     "dense-r0-d0-cdls": "a0f1732da7d4b6cf",
     "dense-r0-d0-jobs-fdls": "627c05961932b67b",
-    "dense-r0-d0-jobs-cdls": "a867cd835fa2a1b0",
     "dense-r0-d3-fdls": "1b0c2e1727cb3011",
     "dense-r0-d3-cdls": "3b3e7a0d4bfac27e",
     "dense-r0-d3-jobs-fdls": "de90c227fe9fe654",
-    "dense-r0-d3-jobs-cdls": "79b7eaba08256e4f",
     "dense-r25-d0-fdls": "eb9ff50aaa74b7cf",
     "dense-r25-d0-cdls": "cb625d80000706d6",
     "dense-r25-d0-jobs-fdls": "d1b2fc1a078de636",
-    "dense-r25-d0-jobs-cdls": "334937e241f4dd2b",
     "dense-r25-d3-fdls": "2b795feef1282441",
     "dense-r25-d3-cdls": "61fe8c201a23f105",
     "dense-r25-d3-jobs-fdls": "746faf5295b50442",
-    "dense-r25-d3-jobs-cdls": "3b5279ed9e5b1ce4",
     "sparse-r0-d0-fdls": "3f6a19b1eef0f872",
     "sparse-r0-d0-cdls": "f1ebe05ff5c68cd3",
     "sparse-r0-d0-jobs-fdls": "fb0da515d8c8918b",
-    "sparse-r0-d0-jobs-cdls": "e34c007557f1519a",
     "sparse-r0-d3-fdls": "071b06c3c200cb92",
     "sparse-r0-d3-cdls": "b58f3afcf9c6c155",
     "sparse-r0-d3-jobs-fdls": "d1bcb2c5c22f7a04",
-    "sparse-r0-d3-jobs-cdls": "e525a0adf7f2a805",
     "sparse-r25-d0-fdls": "8065b1aa560a79a5",
     "sparse-r25-d0-cdls": "52740827cea4cb17",
     "sparse-r25-d0-jobs-fdls": "6286d34ac9feed79",
-    "sparse-r25-d0-jobs-cdls": "bb724f93a0980efb",
     "sparse-r25-d3-fdls": "bd3a270139c51990",
     "sparse-r25-d3-cdls": "a42e9f7b52d47adb",
     "sparse-r25-d3-jobs-fdls": "22e29bb390a73cd3",
-    "sparse-r25-d3-jobs-cdls": "d17e65c782a6edff",
     "combined-r0-d0-fdls": "65ac390e0e240e12",
     "combined-r0-d0-cdls": "e50d78c7b82023ae",
     "combined-r0-d0-jobs-fdls": "cf09de5213bd3f80",
-    "combined-r0-d0-jobs-cdls": "920a1a1d4e63bf56",
     "combined-r0-d3-fdls": "5c44c13ebafd3f7e",
     "combined-r0-d3-cdls": "8dd0132b198d26ad",
     "combined-r0-d3-jobs-fdls": "bdfce73b54d45bb5",
-    "combined-r0-d3-jobs-cdls": "1a326cd1cbc43234",
     "combined-r25-d0-fdls": "f0b75125ba83093d",
     "combined-r25-d0-cdls": "65d3192645e55caa",
     "combined-r25-d0-jobs-fdls": "98838b5ae920103d",
-    "combined-r25-d0-jobs-cdls": "98f3eebb4c72a080",
     "combined-r25-d3-fdls": "2c9bf8de6a67750f",
     "combined-r25-d3-cdls": "f92b35a0180897a3",
     "combined-r25-d3-jobs-fdls": "ebbc0d9e22d4af6c",
-    "combined-r25-d3-jobs-cdls": "1b429490481e0ee7",
 }
 
 
