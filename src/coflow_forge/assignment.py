@@ -5,6 +5,9 @@ coflow by non-increasing size, to the core where its two ports are least
 loaded. Coflow-level assignment keeps a coflow together on the core that
 minimizes its worst port-pair congestion. Ties go to the lowest core id so
 results are reproducible.
+
+Loads are kept in uint64: `validate_instance` holds every port's total load
+below 2**63, so a score, at most two such loads summed, is exact.
 """
 from __future__ import annotations
 
@@ -39,8 +42,8 @@ def assign_flows_fdls(instance: Instance, perm: Permutation) -> CoreAssignment:
     _check_perm(instance, perm)
     m = instance.config.num_cores
     num_ports = instance.config.num_ports
-    load_in = np.zeros((num_ports, m), dtype=np.int64)
-    load_out = np.zeros((num_ports, m), dtype=np.int64)
+    load_in = np.zeros((num_ports, m), dtype=np.uint64)
+    load_out = np.zeros((num_ports, m), dtype=np.uint64)
     flow_to_core: dict[tuple[int, int, int], int] = {}
     by_id = instance.coflow_by_id()
 
@@ -60,16 +63,16 @@ def assign_coflows_cdls(instance: Instance, perm: Permutation) -> CoreAssignment
     _check_perm(instance, perm)
     m = instance.config.num_cores
     num_ports = instance.config.num_ports
-    load_in = np.zeros((num_ports, m), dtype=np.int64)
-    load_out = np.zeros((num_ports, m), dtype=np.int64)
+    load_in = np.zeros((num_ports, m), dtype=np.uint64)
+    load_out = np.zeros((num_ports, m), dtype=np.uint64)
     coflow_to_core: dict[int, int] = {}
     flow_to_core: dict[tuple[int, int, int], int] = {}
     by_id = instance.coflow_by_id()
 
     for k in perm.order:
         li, lo = coflow_port_loads(by_id[k], instance.config)
-        li = np.asarray(li)[:, None]
-        lo = np.asarray(lo)[:, None]
+        li = np.asarray(li, dtype=np.uint64)[:, None]
+        lo = np.asarray(lo, dtype=np.uint64)[:, None]
         # max over (i, j) of in(i, h) + out(j, h) separates into two maxima.
         scores = (load_in + li).max(axis=0) + (load_out + lo).max(axis=0)
         h = int(np.argmin(scores))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coflow_forge import Permutation
+from coflow_forge import Permutation, validate_instance
 from coflow_forge.assignment import (
     assign_coflows_cdls,
     assign_flows_fdls,
@@ -72,6 +72,29 @@ def test_cdls_congestion_argmin():
     # 10 + 10, so it takes core 2.
     inst = mk_instance(2, 5, [(1, 0, 1, [(1, 5, 4)]),
                               (2, 0, 1, [(1, 2, 10)])])
+    asg = assign_coflows_cdls(inst, Permutation((1, 2)))
+    assert asg.coflow_to_core == {1: 1, 2: 2}
+
+
+def test_fdls_scores_do_not_wrap_past_int64():
+    # Core 1 carries 2**62 + 1 on in-port 1 and on out-port 1, so the
+    # (1 -> 1) flow scores 2**63 + 2 there, past int64, and 0 on core 2.
+    big = 2**62 + 1
+    inst = mk_instance(2, 2, [(1, 0, 1, [(1, 2, big)]),
+                              (2, 0, 1, [(2, 1, big)]),
+                              (3, 0, 1, [(1, 1, 1)])])
+    assert validate_instance(inst).ok
+    asg = assign_flows_fdls(inst, Permutation((1, 2, 3)))
+    assert asg.flow_to_core == {(1, 2, 1): 1, (2, 1, 2): 1, (1, 1, 3): 2}
+
+
+def test_cdls_scores_do_not_wrap_past_int64():
+    # The second coflow would score 2 * (2**63 - 2) on core 1, past int64,
+    # against 2**63 - 2 on core 2.
+    big = 2**62 - 1
+    inst = mk_instance(2, 1, [(1, 0, 1, [(1, 1, big)]),
+                              (2, 0, 1, [(1, 1, big)])])
+    assert validate_instance(inst).ok
     asg = assign_coflows_cdls(inst, Permutation((1, 2)))
     assert asg.coflow_to_core == {1: 1, 2: 2}
 
