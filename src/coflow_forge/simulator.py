@@ -300,13 +300,14 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
 def verify_schedule(schedule: Schedule, instance: Instance,
                     assignment: CoreAssignment | None = None
                     ) -> VerificationReport:
-    """Independent feasibility audit: port capacity, segments within their
-    flow's completion, releases, precedence, transmitted volume and
-    per-flow completion bounds."""
+    """Independent feasibility audit: segments on the network's cores, port
+    capacity, segments within their flow's completion, releases,
+    precedence, transmitted volume and per-flow completion bounds."""
     v: list[str] = []
     release = {c.id: c.release for c in instance.coflows}
+    m = instance.config.num_cores
 
-    # (a) port-exclusive transmission per core and side
+    # (a) cores within 1..m; port-exclusive transmission per core and side
     usage: dict[tuple[int, str, int], list[tuple[int, int]]] = {}
     for seg in schedule.segments:
         if seg.end <= seg.start:
@@ -315,6 +316,8 @@ def verify_schedule(schedule: Schedule, instance: Instance,
             (seg.start, seg.end))
         usage.setdefault((seg.core, "out", seg.dest), []).append(
             (seg.start, seg.end))
+    for core in sorted({key[0] for key in usage}.difference(range(1, m + 1))):
+        v.append(f"segments on core {core}, outside cores 1..{m}")
     for (core, side, port), ivals in sorted(usage.items()):
         ivals.sort()
         for (s1, e1), (s2, e2) in zip(ivals, ivals[1:]):

@@ -1,8 +1,9 @@
 """Property tests over the generator's parameter space: for every algorithm
 the dual is feasible, tight and below the schedule's cost, the schedule
 passes the auditor, and every document round-trips byte-exactly; every beta
-snapshot is the unscheduled prefix of the order it was taken for."""
-from hypothesis import example, given, settings
+snapshot is the unscheduled prefix of the order it was taken for; the
+auditor flags every schedule mutation that breaks feasibility."""
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coflow_forge import (
@@ -31,6 +32,7 @@ from coflow_forge.metrics_report import (
     total_weighted_completion,
 )
 from coflow_forge.simulator import (
+    Schedule,
     document_to_schedule,
     schedule_to_document,
     verify_schedule,
@@ -111,3 +113,43 @@ def test_beta_snapshots_are_the_unscheduled_prefixes(params):
                     for f in by_id[k].flows)]
             assert list(rec.coflows) == prefix
             assert all(type(k) is int for k in rec.coflows)
+
+
+def _mutations(schedule: Schedule, i: int, num_cores: int):
+    """Each way of breaking `schedule` at its i-th segment, by name."""
+    seg = schedule.segments[i]
+    key = (seg.source, seg.dest, seg.coflow)
+    last_end = max(g.end for g in schedule.segments
+                   if (g.source, g.dest, g.coflow) == key)
+
+    def with_segment(new):
+        kept = schedule.segments[:i] + new + schedule.segments[i + 1:]
+        return Schedule(schedule.flow_completions, schedule.coflow_completions,
+                        schedule.job_completions, kept)
+
+    yield "drop", with_segment(())
+    yield "shorten", with_segment((seg._replace(end=seg.end - 1),))
+    yield "core 0", with_segment((seg._replace(core=0),))
+    yield "core m+1", with_segment((seg._replace(core=num_cores + 1),))
+    yield "early completion", Schedule(
+        {**schedule.flow_completions, key: last_end - 1},
+        schedule.coflow_completions, schedule.job_completions,
+        schedule.segments)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARAMS, st.sampled_from(ALGORITHMS), st.data())
+def test_auditor_flags_every_infeasible_mutation(params, alg, data):
+    # A dropped or shortened segment leaves its flow short of its size, a
+    # segment on core 0 or m + 1 runs on no core of the network, and a
+    # completion before the flow's last segment end has the flow transmit
+    # after it completes. The audit gets no assignment, as for jobs.
+    inst = generate_instance(params)
+    subject = jobset_from_instance(inst) if alg == "jobs" else inst
+    schedule = run_algorithm(subject, alg)[3]
+    assume(schedule.segments)
+    dag = subject.intra_job_dag if alg == "jobs" else inst.dag
+    base = Instance(inst.config, subject.coflows, dag)
+    i = data.draw(st.integers(0, len(schedule.segments) - 1), label="segment")
+    for name, mutated in _mutations(schedule, i, inst.config.num_cores):
+        assert not verify_schedule(mutated, base).ok, name

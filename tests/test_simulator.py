@@ -202,6 +202,15 @@ def test_verify_flags_port_overlap():
     assert any("overlapping" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("core", [0, -1, 3, 99])
+def test_verify_flags_core_outside_network(core):
+    # Without an assignment, a segment moved off cores 1..2 is still caught.
+    inst = mk_instance(2, 1, [(1, 0, 1, [(1, 1, 2)])])
+    bad = Schedule({(1, 1, 1): 2}, {1: 2}, {}, (Segment(1, 1, 1, core, 0, 2),))
+    assert verify_schedule(bad, inst).violations == (
+        f"segments on core {core}, outside cores 1..2",)
+
+
 def test_verify_flags_precedence_violation():
     inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]),
                               (2, 0, 1, [(1, 1, 1)])],
