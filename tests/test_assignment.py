@@ -105,12 +105,11 @@ def test_cdls_keeps_coflow_together():
                                                  num_cores=3, seed=seed))
         perm = Permutation(tuple(sorted(c.id for c in inst.coflows)))
         asg = assign_coflows_cdls(inst, perm)
+        # CoreAssignment.core_of reads flow_to_core alone, at either level.
         for c in inst.coflows:
-            cores = {asg.flow_to_core[(f.source, f.dest, c.id)]
-                     for f in c.flows}
-            assert len(cores) <= 1
-            if c.flows:
-                assert cores == {asg.coflow_to_core[c.id]}
+            for f in c.flows:
+                assert asg.flow_to_core[(f.source, f.dest, c.id)] \
+                    == asg.coflow_to_core[c.id]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -128,6 +127,8 @@ def test_load_conservation(assigner, seed):
             total_out[f.dest - 1] += f.size
     assert (asg.load_in.sum(axis=1) == total_in).all()
     assert (asg.load_out.sum(axis=1) == total_out).all()
+    assert set(asg.flow_to_core) == {(f.source, f.dest, c.id)
+                                     for c in inst.coflows for f in c.flows}
 
 
 def test_balance_equal_flows_one_pair():
