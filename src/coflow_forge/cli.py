@@ -196,7 +196,11 @@ def _cmd_bench(args) -> int:
     if not args.trace and args.vary == "threshold":
         raise DataError("--vary threshold needs --trace")
     seeds = _seed_range(args.seeds)
-    values = args.values.split(",") if args.values else [None]
+    if not seeds:
+        raise DataError(f"--seeds {args.seeds} selects no seed")
+    values = args.values.split(",") if args.vary else [None]
+    if "" in values:
+        raise DataError(f"--values {args.values!r} has an empty value")
     trace = parse_trace(_read(args.trace)) if args.trace else None
 
     def build(value, seed):

@@ -237,6 +237,21 @@ def test_bench_vary_requires_values(tmp_path, capsys):
     assert "--values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "0:1", "--vary", "m", "--values", ""], "--values '' has"),
+    (["--seeds", "0:1", "--vary", "m", "--values", "2,"], "--values '2,' has"),
+    (["--seeds", "5:2"], "--seeds 5:2 selects no seed")],
+    ids=["empty-values", "trailing-comma", "empty-seed-range"])
+def test_bench_with_nothing_to_run_exits_1_with_one_line(tmp_path, capsys,
+                                                         flags, message):
+    out = tmp_path / "out.csv"
+    code = main(["bench", *flags, "--alg", "fdls", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.count("\n") == 1 and err.startswith("coflow-forge: error: ")
+    assert message in err
+
+
 @pytest.mark.parametrize("vary, trace", [
     ("threshold", False), ("n", True), ("p", True)])
 def test_bench_rejects_an_axis_that_does_not_apply(tmp_path, capsys, vary,
