@@ -135,15 +135,32 @@ def _mutations(schedule: Schedule, i: int, num_cores: int):
         {**schedule.flow_completions, key: last_end - 1},
         schedule.coflow_completions, schedule.job_completions,
         schedule.segments)
+    # A copy of the segment over another flow's interval on a shared port
+    # and the same core.
+    other = next((g for g in schedule.segments
+                  if (g.source, g.dest, g.coflow) != key
+                  and (g.source == seg.source or g.dest == seg.dest)), None)
+    if other is not None:
+        yield "overlap", with_segment(
+            (seg, seg._replace(core=other.core, start=other.start,
+                               end=other.end)))
+
+
+# The part of a violation that each mutation must produce.
+FLAGGED_BY = {"drop": "transmitted", "shorten": "transmitted",
+              "core 0": "outside cores", "core m+1": "outside cores",
+              "early completion": "after its completion",
+              "overlap": "overlapping transmissions"}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(PARAMS, st.sampled_from(ALGORITHMS), st.data())
 def test_auditor_flags_every_infeasible_mutation(params, alg, data):
     # A dropped or shortened segment leaves its flow short of its size, a
-    # segment on core 0 or m + 1 runs on no core of the network, and a
+    # segment on core 0 or m + 1 runs on no core of the network, a
     # completion before the flow's last segment end has the flow transmit
-    # after it completes. The audit gets no assignment, as for jobs.
+    # after it completes, and a copy laid over another flow's segment shares
+    # a port with it. The audit gets no assignment, as for jobs.
     inst = generate_instance(params)
     subject = jobset_from_instance(inst) if alg == "jobs" else inst
     schedule = run_algorithm(subject, alg)[3]
@@ -152,4 +169,5 @@ def test_auditor_flags_every_infeasible_mutation(params, alg, data):
     base = Instance(inst.config, subject.coflows, dag)
     i = data.draw(st.integers(0, len(schedule.segments) - 1), label="segment")
     for name, mutated in _mutations(schedule, i, inst.config.num_cores):
-        assert not verify_schedule(mutated, base).ok, name
+        violations = verify_schedule(mutated, base).violations
+        assert any(FLAGGED_BY[name] in v for v in violations), name

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -517,3 +518,132 @@ PINNED_SCHEDULES = {
 
 def test_schedules_match_pinned_corpus():
     assert _corpus_schedules() == PINNED_SCHEDULES
+
+
+# ---------------------------------------------------------------------------
+# pinned audits: verify_schedule reports the same violations, in order
+# ---------------------------------------------------------------------------
+
+def _audit_mutations(schedule, inst, i):
+    """Named ways of breaking `schedule` at its i-th segment."""
+    segs = schedule.segments
+    seg = segs[i]
+    key = (seg.source, seg.dest, seg.coflow)
+    m = inst.config.num_cores
+    by_id = inst.coflow_by_id()
+    preds = inst.dag.predecessors()[seg.coflow]
+
+    def spliced(new):
+        return Schedule(schedule.flow_completions, schedule.coflow_completions,
+                        schedule.job_completions, segs[:i] + new + segs[i + 1:])
+
+    yield "drop", spliced(())
+    yield "shorten", spliced((seg._replace(end=seg.end - 1),))
+    yield "lengthen", spliced((seg._replace(end=seg.end + 1),))
+    yield "core 0", spliced((seg._replace(core=0),))
+    yield "core m+1", spliced((seg._replace(core=m + 1),))
+    yield "other core", spliced((seg._replace(core=seg.core % m + 1),))
+    yield "before release", spliced(
+        (seg._replace(start=by_id[seg.coflow].release - 1),))
+    if preds:
+        done = max(schedule.coflow_completions[p] for p in preds)
+        yield "before predecessor", spliced((seg._replace(start=done - 1),))
+    yield "unknown coflow", spliced(
+        (seg._replace(coflow=max(by_id) + 1),))
+    last_end = max(g.end for g in segs if (g.source, g.dest, g.coflow) == key)
+    yield "early completion", Schedule(
+        {**schedule.flow_completions, key: last_end - 1},
+        schedule.coflow_completions, schedule.job_completions, segs)
+    # A copy of the segment over another flow's interval on a shared port.
+    other = next((g for g in segs if (g.source, g.dest, g.coflow) != key
+                  and (g.source == seg.source or g.dest == seg.dest)), None)
+    if other is not None:
+        yield "overlap", spliced(
+            (seg, seg._replace(core=other.core, start=other.start,
+                               end=other.end)))
+
+
+def _audit_corpus():
+    out = {}
+    for mode, horizon, deg in CORPUS:
+        inst = _corpus_instance(mode, horizon, deg)
+        js = jobset_from_instance(inst)
+        jbase = Instance(js.config, js.coflows, js.intra_job_dag)
+        fperm, _ = permute_flow_level(inst)
+        fasg = assign_flows_fdls(inst, fperm)
+        cperm, _ = permute_coflow_level(inst)
+        casg = assign_coflows_cdls(inst, cperm)
+        jperm, _ = permute_jobs(js)
+        runs = {"fdls": (simulate(inst, fasg, fperm), inst, fasg),
+                "cdls": (simulate(inst, casg, cperm), inst, casg),
+                "jobs": (simulate_jobs(js, jperm), jbase, None)}
+        for alg, (sched, base, asg) in runs.items():
+            rng = random.Random(f"{mode}-{horizon}-{deg}-{alg}")
+            picks = sorted(rng.sample(range(len(sched.segments)),
+                                      min(3, len(sched.segments))))
+            cases = [("unmutated", sched)] + [
+                (f"{name} @{i}", mutated) for i in picks
+                for name, mutated in _audit_mutations(sched, base, i)]
+            audits = [(name, with_asg, verify_schedule(
+                mutated, base, asg if with_asg else None).violations)
+                      for name, mutated in cases
+                      for with_asg in ((False, True) if asg else (False,))]
+            out[f"{mode}-r{horizon}-d{deg}-{alg}"] = hashlib.sha256(
+                json.dumps(audits).encode()).hexdigest()[:16]
+    return out
+
+
+PINNED_AUDITS = {
+    "default-r0-d0-fdls": "da294c275f1324fe",
+    "default-r0-d0-cdls": "d14270191d814fdf",
+    "default-r0-d0-jobs": "59ef9d007da83814",
+    "default-r0-d3-fdls": "018de99318141a4c",
+    "default-r0-d3-cdls": "a2726dcc7b1c299d",
+    "default-r0-d3-jobs": "4f87eeb9fb2f19da",
+    "default-r25-d0-fdls": "e37663406e2acb77",
+    "default-r25-d0-cdls": "0a2be2fc2553326c",
+    "default-r25-d0-jobs": "9964e47e8ae3b49a",
+    "default-r25-d3-fdls": "2dcdc9a57134115a",
+    "default-r25-d3-cdls": "245de12c1912056a",
+    "default-r25-d3-jobs": "283b193c822bfd3f",
+    "dense-r0-d0-fdls": "37f7b31733871c78",
+    "dense-r0-d0-cdls": "3f575c9cf87d4f32",
+    "dense-r0-d0-jobs": "89ebae63cb8b92b4",
+    "dense-r0-d3-fdls": "cfe31086b09c39dd",
+    "dense-r0-d3-cdls": "fcd294a2c7e8109c",
+    "dense-r0-d3-jobs": "cdc31e65d7637963",
+    "dense-r25-d0-fdls": "bbf23f6b4bf80bde",
+    "dense-r25-d0-cdls": "3af254588de20c99",
+    "dense-r25-d0-jobs": "fe41db1c25acd398",
+    "dense-r25-d3-fdls": "db45017968908025",
+    "dense-r25-d3-cdls": "d89a9e072aa50b14",
+    "dense-r25-d3-jobs": "c5cb89c2141c60cc",
+    "sparse-r0-d0-fdls": "2ab6f2dfae4fd094",
+    "sparse-r0-d0-cdls": "2f7f79bb6bb6b631",
+    "sparse-r0-d0-jobs": "480caed2ff87c3ad",
+    "sparse-r0-d3-fdls": "41dfad779cf9dac2",
+    "sparse-r0-d3-cdls": "23b0e3e28545e3f1",
+    "sparse-r0-d3-jobs": "7447ab26cbd30113",
+    "sparse-r25-d0-fdls": "1ad6508b642109b5",
+    "sparse-r25-d0-cdls": "4bf9c891b38ace1b",
+    "sparse-r25-d0-jobs": "c7af8ef382a2ef6d",
+    "sparse-r25-d3-fdls": "3209c06a9b80a683",
+    "sparse-r25-d3-cdls": "a9fc7fe8293e3cc2",
+    "sparse-r25-d3-jobs": "440749417e5d4656",
+    "combined-r0-d0-fdls": "0d0d34df38d0a3ef",
+    "combined-r0-d0-cdls": "d53f942956e19bda",
+    "combined-r0-d0-jobs": "85dff67829259a66",
+    "combined-r0-d3-fdls": "df8f6f5d8c91896a",
+    "combined-r0-d3-cdls": "93d46b5ffd25fded",
+    "combined-r0-d3-jobs": "371f443ccf9f991a",
+    "combined-r25-d0-fdls": "85c7948bc42ff59b",
+    "combined-r25-d0-cdls": "7719eac3c558e0fe",
+    "combined-r25-d0-jobs": "eb32c02cf0d0a08b",
+    "combined-r25-d3-fdls": "80f33d905c4b6c9d",
+    "combined-r25-d3-cdls": "6d2d3d830bf68778",
+    "combined-r25-d3-jobs": "3213f25a6e95d094",
+}
+
+
+def test_audits_match_pinned_violation_corpus():
+    assert _audit_corpus() == PINNED_AUDITS
