@@ -169,11 +169,13 @@ def validate_instance(instance: Instance) -> ValidationReport:
     v = config_violations(cfg)
 
     seen_ids: set[int] = set()
-    volume = 0
+    volume = latest = 0
     for c in instance.coflows:
         if c.id in seen_ids:
             v.append(f"duplicate coflow id {c.id}")
         seen_ids.add(c.id)
+        if not (isinstance(c.id, int) and -2**63 <= c.id < 2**63):
+            v.append(f"coflow {c.id}: id exceeds the 64-bit range")
         if not c.weight > 0:
             v.append(f"coflow {c.id}: non-positive weight {c.weight!r}")
         if not (isinstance(c.release, int) and c.release >= 0):
@@ -182,6 +184,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
         elif c.release >= 2**63:
             v.append(f"coflow {c.id}: release {c.release} exceeds the 64-bit "
                      f"limit {2**63 - 1}")
+        else:
+            latest = max(latest, c.release)
         pairs: set[tuple[int, int]] = set()
         for f in c.flows:
             if f.coflow != c.id:
@@ -201,19 +205,11 @@ def validate_instance(instance: Instance) -> ValidationReport:
                          f"({f.source},{f.dest})")
             pairs.add((f.source, f.dest))
 
-    if volume >= 2**63:
-        # Port loads are summed in int64 arrays downstream; no port load can
-        # pass the limit unless the total volume does.
-        load: dict[tuple[str, int], int] = {}
-        for c in instance.coflows:
-            for f in c.flows:
-                if isinstance(f.size, int) and f.size > 0:
-                    for key in (("in", f.source), ("out", f.dest)):
-                        load[key] = load.get(key, 0) + f.size
-        for (side, port), total in sorted(load.items()):
-            if total >= 2**63:
-                v.append(f"{side}-port {port}: total load {total} exceeds "
-                         f"the 64-bit limit {2**63 - 1}")
+    if latest + volume >= 2**63:
+        # No simulated time passes the latest release plus the total
+        # volume, so this bounds every segment time, and every port load.
+        v.append(f"latest release {latest} plus total volume {volume} "
+                 f"exceeds the 64-bit limit {2**63 - 1}")
     if instance.dag.nodes != seen_ids:
         v.append("dag nodes differ from coflow ids")
     for a, b in sorted(instance.dag.edges):

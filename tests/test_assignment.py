@@ -78,14 +78,14 @@ def test_cdls_congestion_argmin():
 
 def test_fdls_scores_do_not_wrap_past_int64():
     # Core 1 carries 2**62 + 1 on in-port 1 and on out-port 1, so the
-    # (1 -> 1) flow scores 2**63 + 2 there, past int64, and 0 on core 2.
+    # second (1 -> 1) flow scores 2**63 + 2 there, past int64, and 0 on
+    # core 2.
     big = 2**62 + 1
-    inst = mk_instance(2, 2, [(1, 0, 1, [(1, 2, big)]),
-                              (2, 0, 1, [(2, 1, big)]),
-                              (3, 0, 1, [(1, 1, 1)])])
+    inst = mk_instance(2, 1, [(1, 0, 1, [(1, 1, big)]),
+                              (2, 0, 1, [(1, 1, 1)])])
     assert validate_instance(inst).ok
-    asg = assign_flows_fdls(inst, Permutation((1, 2, 3)))
-    assert asg.flow_to_core == {(1, 2, 1): 1, (2, 1, 2): 1, (1, 1, 3): 2}
+    asg = assign_flows_fdls(inst, Permutation((1, 2)))
+    assert asg.flow_to_core == {(1, 1, 1): 1, (1, 1, 2): 2}
 
 
 def test_cdls_scores_do_not_wrap_past_int64():
@@ -105,7 +105,6 @@ def test_cdls_keeps_coflow_together():
                                                  num_cores=3, seed=seed))
         perm = Permutation(tuple(sorted(c.id for c in inst.coflows)))
         asg = assign_coflows_cdls(inst, perm)
-        # CoreAssignment.core_of reads flow_to_core alone, at either level.
         for c in inst.coflows:
             for f in c.flows:
                 assert asg.flow_to_core[(f.source, f.dest, c.id)] \

@@ -204,6 +204,24 @@ def test_malformed_document_exits_1_with_one_line(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "order"])
+@pytest.mark.parametrize("coflow, needle", [
+    ((1, 2**63 - 5, 1.0, [(1, 1, 10)]), "plus total volume 10 exceeds"),
+    ((2**63, 0, 1.0, [(1, 1, 10)]), "id exceeds the 64-bit range")])
+def test_numbers_past_int64_exit_1_with_one_line(tmp_path, capsys, command,
+                                                 coflow, needle):
+    # Schedules are audited as int64 columns, so no id may pass 64 bits and
+    # the latest release plus the total volume, which bounds every
+    # simulated time, must stay below 2**63.
+    path = tmp_path / "past.json"
+    path.write_text(instance_to_document(mk_instance(1, 1, [coflow])))
+    capsys.readouterr()
+    assert main([command, str(path), "--alg", "fdls",
+                 "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err
+
+
 def test_bench_sweep(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--seeds", "0:3", "--vary", "n", "--values",

@@ -70,19 +70,35 @@ def test_validate_flags_everything_else():
         assert needle in text, needle
 
 
-def test_validate_flags_port_load_past_int64():
+def test_validate_flags_times_past_int64():
+    # No simulated time passes the latest release plus the total volume, so
+    # that sum must stay below 2**63; it also bounds every port's load.
     limit = 2**63 - 1
     at_limit = mk_instance(1, 2, [(1, 0, 1, [(1, 1, limit - 5)]),
                                   (2, 0, 1, [(1, 2, 5)])])
     assert validate_instance(at_limit).ok
-    spread = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2**62), (2, 2, 2**62)])])
-    assert validate_instance(spread).ok
-    over = mk_instance(1, 2, [(1, 0, 1, [(1, 1, limit - 4)]),
-                              (2, 0, 1, [(1, 2, 5)])])
-    assert validate_instance(over).violations == (
-        f"in-port 1: total load {2**63} exceeds the 64-bit limit {limit}",)
+    assert validate_instance(
+        mk_instance(1, 1, [(1, limit - 10, 1, [(1, 1, 10)])])).ok
+    late = mk_instance(1, 1, [(1, 2**63 - 5, 1.0, [(1, 1, 10)])])
+    assert validate_instance(late).violations == (
+        f"latest release {2**63 - 5} plus total volume 10 exceeds the "
+        f"64-bit limit {limit}",)
+    spread = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2**62)]),
+                                (2, 3, 1, [(2, 2, 2**62)])])
+    assert validate_instance(spread).violations == (
+        f"latest release 3 plus total volume {2**63} exceeds the 64-bit "
+        f"limit {limit}",)
     huge = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 10**23)])])
-    assert len(validate_instance(huge).violations) == 2
+    assert validate_instance(huge).violations == (
+        f"latest release 0 plus total volume {10**23} exceeds the 64-bit "
+        f"limit {limit}",)
+
+
+def test_validate_flags_id_past_int64():
+    assert validate_instance(mk_instance(1, 1, [(-2**63, 0, 1, [])])).ok
+    report = validate_instance(mk_instance(1, 1, [(2**63, 0, 1, [])]))
+    assert report.violations == (f"coflow {2**63}: id exceeds the 64-bit "
+                                 "range",)
 
 
 def test_validate_flags_release_past_int64():
