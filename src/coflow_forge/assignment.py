@@ -6,12 +6,14 @@ loaded. Coflow-level assignment keeps a coflow together on the core that
 minimizes its worst port-pair congestion. Ties go to the lowest core id so
 results are reproducible.
 
-Loads are kept in uint64: `validate_instance` holds every port's total load
-below 2**63, so a score, at most two such loads summed, is exact.
+FDLS sums loads as Python ints and CDLS in uint64: `validate_instance` holds
+the total volume, and so every port's load, below 2**63, so a CDLS score, at
+most two such loads summed, is exact, and either level's loads fit uint64.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -27,9 +29,6 @@ class CoreAssignment:
     load_in: np.ndarray  # ports x cores accumulated sizes
     load_out: np.ndarray
 
-    def core_of(self, src: int, dst: int, coflow: int) -> int:
-        return self.flow_to_core[(src, dst, coflow)]
-
 
 def _check_perm(instance: Instance, perm: Permutation) -> None:
     ids = sorted(c.id for c in instance.coflows)
@@ -42,20 +41,23 @@ def assign_flows_fdls(instance: Instance, perm: Permutation) -> CoreAssignment:
     _check_perm(instance, perm)
     m = instance.config.num_cores
     num_ports = instance.config.num_ports
-    load_in = np.zeros((num_ports, m), dtype=np.uint64)
-    load_out = np.zeros((num_ports, m), dtype=np.uint64)
+    load_in = [[0] * m for _ in range(num_ports)]
+    load_out = [[0] * m for _ in range(num_ports)]
     flow_to_core: dict[tuple[int, int, int], int] = {}
     by_id = instance.coflow_by_id()
 
     for k in perm.order:
         flows = sorted(by_id[k].flows, key=lambda f: (-f.size, f.source, f.dest))
         for f in flows:
-            scores = load_in[f.source - 1] + load_out[f.dest - 1]
-            h = int(np.argmin(scores))
+            row_in, row_out = load_in[f.source - 1], load_out[f.dest - 1]
+            scores = list(map(add, row_in, row_out))
+            h = scores.index(min(scores))
             flow_to_core[(f.source, f.dest, k)] = h + 1
-            load_in[f.source - 1, h] += f.size
-            load_out[f.dest - 1, h] += f.size
-    return CoreAssignment(FLOW_LEVEL, flow_to_core, {}, load_in, load_out)
+            row_in[h] += f.size
+            row_out[h] += f.size
+    return CoreAssignment(FLOW_LEVEL, flow_to_core, {},
+                          np.array(load_in, dtype=np.uint64),
+                          np.array(load_out, dtype=np.uint64))
 
 
 def assign_coflows_cdls(instance: Instance, perm: Permutation) -> CoreAssignment:

@@ -17,9 +17,14 @@ which is recomputed only when one of those lists changed.
 from __future__ import annotations
 
 import json
+import struct
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag, entries,
                     fields, parse_json, topological_order)
@@ -70,6 +75,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     release = {k: by_id[k].release for k in ids}
 
     # Dense flow tables. fid indexes every flow of the instance.
+    m = instance.config.num_cores
     src: list[int] = []
     dst: list[int] = []
     owner: list[int] = []
@@ -81,6 +87,10 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             if h is None:
                 raise ValueError(f"flow ({f.source},{f.dest},{k}) "
                                  "has no core assignment")
+            if not 1 <= h <= m:
+                raise ValueError(f"flow ({f.source},{f.dest},{k}) is "
+                                 f"assigned to core {h}, outside cores "
+                                 f"1..{m}")
             src.append(f.source)
             dst.append(f.dest)
             owner.append(k)
@@ -88,7 +98,6 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             core.append(h)
     remaining = list(size)
     nflows = len(src)
-    m = instance.config.num_cores
 
     # rank_key[fid] orders a coflow's flows by (-remaining, src, dst) as one
     # integer; it rises by `stride` per unit sent.
@@ -257,8 +266,8 @@ def simulate(instance: Instance, assignment: CoreAssignment,
 
     segments.sort()
     return Schedule(flow_completions, coflow_completions, {},
-                    tuple(Segment(s, d, k, h, start, end)
-                          for start, h, s, d, k, end in segments))
+                    tuple(map(tuple.__new__, repeat(Segment),
+                              map(itemgetter(2, 3, 4, 1, 0, 5), segments))))
 
 
 def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
@@ -297,94 +306,180 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
                     job_completions, sched.segments)
 
 
+def _segment_columns(segments, v: list[str]) -> tuple[list, list]:
+    """The segments whose six fields are integers that fit in 64 bits, and
+    their source, dest, core, start and end as int64 columns; each other
+    segment is reported in `v` and left out. The fields are packed a block
+    at a time, so that no copy of them all is made at once."""
+    def columns(kept) -> list[np.ndarray]:
+        out = [np.empty(len(kept), dtype=np.int64) for _ in range(5)]
+        for i in range(0, len(kept), 1024):
+            block = kept[i:i + 1024]
+            fields = np.frombuffer(
+                struct.pack(f"{6 * len(block)}q", *chain.from_iterable(block)),
+                np.int64).reshape(-1, 6)
+            for column, j in zip(out, (0, 1, 3, 4, 5)):
+                column[i:i + len(block)] = fields[:, j]
+        return out
+
+    try:
+        return segments, columns(segments)
+    except (struct.error, TypeError):
+        pass
+    kept = []
+    for seg in segments:
+        try:
+            struct.pack("6q", *seg)
+        except (struct.error, TypeError):
+            v.append(f"segment {seg} has a field that is not a 64-bit "
+                     "integer")
+        else:
+            kept.append(seg)
+    return kept, columns(kept)
+
+
+def _first_overlaps(side: str, port: np.ndarray, core: np.ndarray,
+                    start: np.ndarray, end: np.ndarray) -> list[tuple]:
+    """(core, side, port, s1, e1, s2, e2) for each (core, port) whose
+    segments, sorted by (start, end), hold a neighbour that starts before
+    the one before it ends: the first such pair [s1, e1), [s2, e2)."""
+    order = np.lexsort((end, start, port, core))
+    # Neighbours that overlap in time, kept where they share core and port.
+    pairs = np.flatnonzero(start[order[1:]] < end[order[:-1]])
+    a, b = order[pairs], order[pairs + 1]
+    same = (core[a] == core[b]) & (port[a] == port[b])
+    a, b = a[same], b[same]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (core[a[1:]] != core[a[:-1]]) | (port[a[1:]] != port[a[:-1]])
+    a, b = a[first], b[first]
+    return list(zip(core[a].tolist(), repeat(side), port[a].tolist(),
+                    start[a].tolist(), end[a].tolist(), start[b].tolist(),
+                    end[b].tolist()))
+
+
 def verify_schedule(schedule: Schedule, instance: Instance,
                     assignment: CoreAssignment | None = None
                     ) -> VerificationReport:
     """Independent feasibility audit: segments on the network's cores, port
     capacity, segments within their flow's completion, releases,
-    precedence, transmitted volume and per-flow completion bounds."""
+    precedence, transmitted volume and per-flow completion bounds.
+
+    The segments are audited as int64 columns; a segment with a field that
+    is not an integer in 64 bits is reported and audited no further."""
     v: list[str] = []
     release = {c.id: c.release for c in instance.coflows}
     m = instance.config.num_cores
+    segments, (source, dest, core, start, end) = _segment_columns(
+        schedule.segments, v)
 
     # (a) cores within 1..m; port-exclusive transmission per core and side
-    usage: dict[tuple[int, str, int], list[tuple[int, int]]] = {}
-    for seg in schedule.segments:
-        if seg.end <= seg.start:
-            v.append(f"segment {seg} has non-positive duration")
-        usage.setdefault((seg.core, "in", seg.source), []).append(
-            (seg.start, seg.end))
-        usage.setdefault((seg.core, "out", seg.dest), []).append(
-            (seg.start, seg.end))
-    for core in sorted({key[0] for key in usage}.difference(range(1, m + 1))):
-        v.append(f"segments on core {core}, outside cores 1..{m}")
-    for (core, side, port), ivals in sorted(usage.items()):
-        ivals.sort()
-        for (s1, e1), (s2, e2) in zip(ivals, ivals[1:]):
-            if s2 < e1:
-                v.append(f"core {core} {side}-port {port}: overlapping "
-                         f"transmissions [{s1},{e1}) and [{s2},{e2})")
-                break
+    v.extend(f"segment {segments[i]} has non-positive duration"
+             for i in np.flatnonzero(end <= start).tolist())
+    v.extend(f"segments on core {h}, outside cores 1..{m}"
+             for h in sorted(set(core[(core < 1) | (core > m)].tolist())))
+    overlaps = (_first_overlaps("in", source, core, start, end)
+                + _first_overlaps("out", dest, core, start, end))
+    del source, dest  # not needed below; freeing them lowers peak memory
+    v.extend(f"core {h} {side}-port {p}: overlapping transmissions "
+             f"[{s1},{e1}) and [{s2},{e2})"
+             for h, side, p, s1, e1, s2, e2 in sorted(overlaps))
 
-    known = {(f.source, f.dest, c.id) for c in instance.coflows
-             for f in c.flows}
-    vol: dict[tuple[int, int, int], int] = {}
-    first: dict[int, int] = {}  # coflow -> its earliest segment start
-    for seg in schedule.segments:
+    # Each segment's flow in the instance; unknown flows map to `nflows`.
+    index: dict[tuple[int, int, int], int] = {}
+    for c in instance.coflows:
+        for f in c.flows:
+            index.setdefault((f.source, f.dest, c.id), len(index))
+    nflows = len(index)
+    flow = np.fromiter(map(index.get, map(itemgetter(0, 1, 2), segments),
+                           repeat(nflows)), np.int64, len(segments))
+
+    # (b) no transmission after the flow's recorded completion, which
+    # makes the completions a sound gate for successors below
+    completions = schedule.flow_completions
+    done = list(map(completions.get, index))
+    last = np.full(nflows + 1, np.iinfo(np.int64).min)
+    np.maximum.at(last, flow, end)
+    late = np.zeros(nflows + 1, dtype=bool)
+    late[:nflows] = [d is not None and t > d
+                     for t, d in zip(last.tolist(), done)]
+    flagged = (flow == nflows) | late[flow]
+    if assignment is not None:
+        want = np.fromiter(map(assignment.flow_to_core.get, index,
+                               repeat(0)), np.int64, nflows)
+        wrong = core != np.append(want, 0)[flow]
+        flagged |= wrong
+    for i in np.flatnonzero(flagged).tolist():
+        seg = segments[i]
         key = (seg.source, seg.dest, seg.coflow)
-        if key not in known:
+        j = index.get(key)
+        if j is None:
             v.append(f"segment for unknown flow {key}")
             continue
-        vol[key] = vol.get(key, 0) + (seg.end - seg.start)
-        # (b) no transmission after the flow's recorded completion, which
-        # makes the completions a sound gate for successors below
-        done = schedule.flow_completions.get(key)
-        if done is not None and seg.end > done:
+        if done[j] is not None and seg.end > done[j]:
             v.append(f"flow {key} transmits until {seg.end} after its "
-                     f"completion {done}")
-        if first.get(seg.coflow, seg.start) >= seg.start:
-            first[seg.coflow] = seg.start
-        if assignment is not None:
-            want = assignment.core_of(seg.source, seg.dest, seg.coflow)
-            if seg.core != want:
-                v.append(f"flow {key} transmitted on core {seg.core}, "
-                         f"assigned to {want}")
+                     f"completion {done[j]}")
+        if assignment is not None and wrong[i]:
+            v.append(f"flow {key} transmitted on core {seg.core}, "
+                     f"assigned to {assignment.flow_to_core.get(key)}")
 
-    # (c) release and precedence gating, on each coflow's earliest start
+    # (c) release and precedence gating, on each coflow's earliest start,
+    # coflows in the order of their first segment
+    coflow_rank = {c.id: r for r, c in enumerate(instance.coflows)}
+    ranks = np.fromiter(map(coflow_rank.__getitem__,
+                            map(itemgetter(2), index)), np.int64, nflows)
+    rank = np.append(ranks, len(instance.coflows))[flow]
+    earliest = np.full(len(instance.coflows) + 1, np.iinfo(np.int64).max)
+    np.minimum.at(earliest, rank, start)
+    first_row = np.full(len(instance.coflows) + 1, len(segments))
+    np.minimum.at(first_row, rank, np.arange(len(segments)))
     preds = instance.dag.predecessors()
-    for k, start in first.items():
-        if start < release[k]:
-            v.append(f"coflow {k} starts at {start} before release "
+    for r in np.argsort(first_row[:-1], kind="stable").tolist():
+        if first_row[r] == len(segments):
+            break
+        k = instance.coflows[r].id
+        start_k = int(earliest[r])
+        if start_k < release[k]:
+            v.append(f"coflow {k} starts at {start_k} before release "
                      f"{release[k]}")
         for p in preds.get(k, ()):
-            done = schedule.coflow_completions.get(p)
-            if done is None or start < done:
-                v.append(f"coflow {k} starts at {start} before "
+            done_p = schedule.coflow_completions.get(p)
+            if done_p is None or start_k < done_p:
+                v.append(f"coflow {k} starts at {start_k} before "
                          f"predecessor {p} completes")
 
+    # Volumes as high and low 32-bit halves of each duration, summed
+    # exactly in int64 and joined as Python ints.
+    high = np.zeros(nflows + 1, dtype=np.int64)
+    np.add.at(high, flow, end >> 32)
+    np.subtract.at(high, flow, start >> 32)
+    low = np.zeros(nflows + 1, dtype=np.int64)
+    np.add.at(low, flow, end & 0xFFFFFFFF)
+    np.subtract.at(low, flow, start & 0xFFFFFFFF)
+    volume = [(a << 32) + b for a, b in zip(high.tolist(), low.tolist())]
     for c in instance.coflows:
         for f in c.flows:
             key = (f.source, f.dest, c.id)
             # (d) volume conservation
-            if vol.get(key, 0) != f.size:
-                v.append(f"flow {key} transmitted {vol.get(key, 0)} of "
-                         f"{f.size} units")
-            done = schedule.flow_completions.get(key)
-            if done is None:
+            sent = volume[index[key]]
+            if sent != f.size:
+                v.append(f"flow {key} transmitted {sent} of {f.size} units")
+            done_f = completions.get(key)
+            if done_f is None:
                 v.append(f"flow {key} has no completion time")
                 continue
             # (e) completion no earlier than release plus size
-            if done < c.release + f.size:
-                v.append(f"flow {key} completes at {done} < release + size "
-                         f"= {c.release + f.size}")
+            if done_f < c.release + f.size:
+                v.append(f"flow {key} completes at {done_f} < release + "
+                         f"size = {c.release + f.size}")
         ck = schedule.coflow_completions.get(c.id)
         if ck is None:
             v.append(f"coflow {c.id} has no completion time")
         elif c.flows:
-            last = max(schedule.flow_completions.get(
-                (f.source, f.dest, c.id), 0) for f in c.flows)
-            if ck != last:
-                v.append(f"coflow {c.id} completion {ck} != last flow {last}")
+            last_f = max(completions.get((f.source, f.dest, c.id), 0)
+                         for f in c.flows)
+            if ck != last_f:
+                v.append(f"coflow {c.id} completion {ck} != last flow "
+                         f"{last_f}")
     return VerificationReport(tuple(v))
 
 
