@@ -184,8 +184,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
         elif c.release >= 2**63:
             v.append(f"coflow {c.id}: release {c.release} exceeds the 64-bit "
                      f"limit {2**63 - 1}")
-        else:
-            latest = max(latest, c.release)
+        elif c.release > latest:
+            latest = c.release
         pairs: set[tuple[int, int]] = set()
         for f in c.flows:
             if f.coflow != c.id:
