@@ -459,11 +459,12 @@ def verify_schedule(schedule: Schedule, instance: Instance,
     for c in instance.coflows:
         for f in c.flows:
             key = (f.source, f.dest, c.id)
+            j = index[key]
             # (d) volume conservation
-            sent = volume[index[key]]
-            if sent != f.size:
-                v.append(f"flow {key} transmitted {sent} of {f.size} units")
-            done_f = completions.get(key)
+            if volume[j] != f.size:
+                v.append(f"flow {key} transmitted {volume[j]} of {f.size} "
+                         "units")
+            done_f = done[j]
             if done_f is None:
                 v.append(f"flow {key} has no completion time")
                 continue
