@@ -87,10 +87,6 @@ def assign_coflows_cdls(instance: Instance, perm: Permutation) -> CoreAssignment
                           load_in, load_out)
 
 
-# The core-assignment stage of each coflow-level algorithm, by name.
-ASSIGN = {"fdls": assign_flows_fdls, "cdls": assign_coflows_cdls}
-
-
 # ---------------------------------------------------------------------------
 # assignment document (embedded in the CLI schedule output)
 # ---------------------------------------------------------------------------

@@ -30,16 +30,16 @@ from .generator import (
 )
 from .metrics_report import (
     ALGORITHMS,
+    PIPELINE,
     EvaluationReport,
     emit_report,
     evaluate,
     run_algorithm,
 )
-from .primal_dual import DEFAULT_KAPPA, PERMUTE, dual_to_document
+from .primal_dual import DEFAULT_KAPPA, dual_to_document
 from .simulator import schedule_to_document
 from .trace_io import TraceError, filter_by_min_flows, parse_trace, to_instance
 
-USAGE_ERROR = 2
 DATA_ERROR = 1
 
 
@@ -108,8 +108,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    subject = _load(args.instance, args.alg == "jobs")
-    perm, dual = PERMUTE[args.alg](subject, args.kappa)
+    subject = _load(args.instance, PIPELINE[args.alg][2])
+    perm, dual = PIPELINE[args.alg][0](subject, args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
                "order": list(perm.order)}
     _write(args.output, json.dumps(payload, indent=2) + "\n")
@@ -119,7 +119,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    subject = _load(args.instance, args.alg == "jobs")
+    subject = _load(args.instance, PIPELINE[args.alg][2])
     perm, _, assignment, sched = run_algorithm(subject, args.alg, args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
                "order": list(perm.order)}
@@ -136,7 +136,7 @@ def _evaluate_one(path: str, algorithms: list[str], kappa: float,
     subjects: dict[bool, Instance | JobSet] = {}
     records = []
     for alg in algorithms:
-        jobs = alg == "jobs"
+        jobs = PIPELINE[alg][2]
         if jobs not in subjects:
             subjects[jobs] = _load(path, jobs, text)
         records.append(evaluate(subjects[jobs], alg, kappa,
@@ -187,7 +187,7 @@ def _cmd_bench(args) -> int:
     gen = {**_GENERATOR_FLAGS, **{name: getattr(args, name) for name in given}}
     algorithms = args.alg.split(",")
     for alg in algorithms:
-        if alg not in ("fdls", "cdls"):
+        if alg not in PIPELINE or PIPELINE[alg][2]:
             raise DataError(f"bench supports fdls/cdls, not {alg!r}")
     if (args.vary is None) != (args.values is None):
         raise DataError("--vary and --values must be given together")

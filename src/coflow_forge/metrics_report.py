@@ -16,23 +16,29 @@ from .model import (
     is_conforming,
     longest_path_chi,
 )
-from .assignment import ASSIGN, CoreAssignment
+from .assignment import CoreAssignment, assign_coflows_cdls, assign_flows_fdls
 from .primal_dual import (
     DEFAULT_KAPPA,
-    PERMUTE,
     DualSolution,
     Permutation,
     check_dual_feasibility,
     dual_objective,
+    permute_coflow_level,
+    permute_flow_level,
+    permute_jobs,
 )
 from .simulator import Schedule, simulate, simulate_jobs, verify_schedule
 
 CSV_HEADER = "instance,seed,algorithm,n,m,N,chi,R,twc,dual,ratio,bound,conforming,ms"
 
-ALGORITHMS = tuple(PERMUTE)
-
-# The approximation guarantee each algorithm's schedule is held to.
-BOUND_KIND = {"fdls": "flow", "cdls": "coflow", "jobs": "job"}
+# Each algorithm's (ordering, core assignment, takes a job set, bound kind);
+# the jobs algorithm has no assignment stage: `simulate_jobs` assigns.
+PIPELINE = {
+    "fdls": (permute_flow_level, assign_flows_fdls, False, "flow"),
+    "cdls": (permute_coflow_level, assign_coflows_cdls, False, "coflow"),
+    "jobs": (permute_jobs, None, True, "job"),
+}
+ALGORITHMS = tuple(PIPELINE)
 
 
 @dataclass(frozen=True)
@@ -66,17 +72,15 @@ def total_weighted_completion(schedule: Schedule,
                               subject: Instance | JobSet) -> float:
     """Sum of weight times completion over coflows (or jobs for a JobSet)."""
     if isinstance(subject, JobSet):
-        total = 0.0
-        for job in subject.jobs:
-            if job.id not in schedule.job_completions:
-                raise ValueError(f"schedule lacks completion for job {job.id}")
-            total += job.weight * schedule.job_completions[job.id]
-        return total
+        what, entities, done = "job", subject.jobs, schedule.job_completions
+    else:
+        what, entities, done = ("coflow", subject.coflows,
+                                schedule.coflow_completions)
     total = 0.0
-    for c in subject.coflows:
-        if c.id not in schedule.coflow_completions:
-            raise ValueError(f"schedule lacks completion for coflow {c.id}")
-        total += c.weight * schedule.coflow_completions[c.id]
+    for e in entities:
+        if e.id not in done:
+            raise ValueError(f"schedule lacks completion for {what} {e.id}")
+        total += e.weight * done[e.id]
     return total
 
 
@@ -92,8 +96,8 @@ def approximation_ratio(alg_value: float, dual_bound: float) -> float:
 
 def weight_ratio_R(subject: Instance | JobSet) -> float:
     """Ratio of maximum to minimum weight."""
-    weights = [j.weight for j in subject.jobs] if isinstance(subject, JobSet) \
-        else [c.weight for c in subject.coflows]
+    weights = [e.weight for e in (subject.jobs if isinstance(subject, JobSet)
+                                  else subject.coflows)]
     if not weights:
         raise ValueError("empty instance has no weight ratio")
     return max(weights) / min(weights)
@@ -128,20 +132,18 @@ def run_algorithm(subject: Instance | JobSet, algorithm: str,
                   kappa: float = DEFAULT_KAPPA
                   ) -> tuple[Permutation, DualSolution,
                              CoreAssignment | None, Schedule]:
-    """Order, assign and transmit: the one place that maps an algorithm
-    name to its stages. Returns (permutation, dual, assignment, schedule);
-    the jobs algorithm assigns inside `simulate_jobs` and returns no
-    assignment."""
-    if algorithm not in ALGORITHMS:
+    """Order, assign and transmit by the algorithm's `PIPELINE` stages;
+    returns (permutation, dual, assignment or None for jobs, schedule)."""
+    if algorithm not in PIPELINE:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    jobs = algorithm == "jobs"
+    permute, assign, jobs, _ = PIPELINE[algorithm]
     if jobs != isinstance(subject, JobSet):
         raise ValueError(f"algorithm {algorithm!r} requires "
                          + ("a job set" if jobs else "an instance"))
-    perm, dual = PERMUTE[algorithm](subject, kappa)
-    if jobs:
+    perm, dual = permute(subject, kappa)
+    if assign is None:
         return perm, dual, None, simulate_jobs(subject, perm)
-    assignment = ASSIGN[algorithm](subject, perm)
+    assignment = assign(subject, perm)
     return perm, dual, assignment, simulate(subject, assignment, perm)
 
 
@@ -155,8 +157,9 @@ def evaluate(subject: Instance | JobSet, algorithm: str,
     """
     started = time.perf_counter()
     _, dual, assignment, schedule = run_algorithm(subject, algorithm, kappa)
+    _, _, jobs, bound_kind = PIPELINE[algorithm]
     # A job set's schedule is audited against its coflows and intra-job DAG.
-    dag = subject.intra_job_dag if isinstance(subject, JobSet) else subject.dag
+    dag = subject.intra_job_dag if jobs else subject.dag
     base = Instance(subject.config, subject.coflows, dag)
     audit = verify_schedule(schedule, base, assignment)
     if not audit.ok:
@@ -167,8 +170,7 @@ def evaluate(subject: Instance | JobSet, algorithm: str,
     chi = max(longest_path_chi(dag), 1)
     R = weight_ratio_R(subject)
     with_release = any(c.release > 0 for c in subject.coflows)
-    bound = theorem_bound(BOUND_KIND[algorithm], chi, m, R, with_release,
-                          conforming)
+    bound = theorem_bound(bound_kind, chi, m, R, with_release, conforming)
 
     feas = check_dual_feasibility(dual, subject)
     if not feas.feasible:

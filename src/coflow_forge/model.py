@@ -46,11 +46,10 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class Flow:
-    """A (source port, destination port, size) demand inside coflow `coflow`."""
+    """A (source port, destination port, size) demand inside a coflow."""
 
     source: int
     dest: int
-    coflow: int
     size: int
 
 
@@ -65,7 +64,7 @@ class Coflow:
     def make(cid: int, release: int, weight: float,
              flows: Iterable[tuple[int, int, int]]) -> "Coflow":
         """Build a coflow from (src, dst, size) triples, sorted canonically."""
-        fl = tuple(Flow(s, d, cid, z) for s, d, z in sorted(flows))
+        fl = tuple(Flow(s, d, z) for s, d, z in sorted(flows))
         return Coflow(cid, release, weight, fl)
 
 
@@ -82,17 +81,15 @@ class PrecedenceDag:
         return PrecedenceDag(frozenset(nodes), frozenset(edges))
 
     def successors(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            adj.setdefault(a, []).append(b)
-        for lst in adj.values():
-            lst.sort()
-        return adj
+        return self._adjacency(self.edges)
 
     def predecessors(self) -> dict[int, list[int]]:
+        return self._adjacency((b, a) for a, b in self.edges)
+
+    def _adjacency(self, pairs) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            adj.setdefault(b, []).append(a)
+        for a, b in pairs:
+            adj.setdefault(a, []).append(b)
         for lst in adj.values():
             lst.sort()
         return adj
@@ -188,8 +185,6 @@ def validate_instance(instance: Instance) -> ValidationReport:
             latest = c.release
         pairs: set[tuple[int, int]] = set()
         for f in c.flows:
-            if f.coflow != c.id:
-                v.append(f"coflow {c.id}: flow tagged with coflow {f.coflow}")
             if not (isinstance(f.size, int) and f.size > 0):
                 v.append(f"coflow {c.id}: non-positive flow size on "
                          f"({f.source},{f.dest})")

@@ -236,11 +236,6 @@ def permute_jobs(jobset: JobSet,
     return _permute(jobset, kappa, JOB_LEVEL)
 
 
-# The ordering stage of each algorithm, by algorithm name.
-PERMUTE = {"fdls": permute_flow_level, "cdls": permute_coflow_level,
-           "jobs": permute_jobs}
-
-
 # ---------------------------------------------------------------------------
 # entities and port demand, dual objective and feasibility
 # ---------------------------------------------------------------------------

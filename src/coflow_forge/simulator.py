@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag, entries,
-                    fields, parse_json, topological_order)
+from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag,
+                    ValidationReport, entries, fields, parse_json,
+                    topological_order)
 from .assignment import CoreAssignment, assign_flows_fdls
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
@@ -47,15 +48,6 @@ class Schedule:
     coflow_completions: dict[int, int]
     job_completions: dict[int, int]
     segments: tuple[Segment, ...]
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def simulate(instance: Instance, assignment: CoreAssignment,
@@ -359,7 +351,7 @@ def _first_overlaps(side: str, port: np.ndarray, core: np.ndarray,
 
 def verify_schedule(schedule: Schedule, instance: Instance,
                     assignment: CoreAssignment | None = None
-                    ) -> VerificationReport:
+                    ) -> ValidationReport:
     """Independent feasibility audit: segments on the network's cores, port
     capacity, segments within their flow's completion, releases,
     precedence, transmitted volume and per-flow completion bounds.
@@ -481,7 +473,7 @@ def verify_schedule(schedule: Schedule, instance: Instance,
             if ck != last_f:
                 v.append(f"coflow {c.id} completion {ck} != last flow "
                          f"{last_f}")
-    return VerificationReport(tuple(v))
+    return ValidationReport(tuple(v))
 
 
 # ---------------------------------------------------------------------------
