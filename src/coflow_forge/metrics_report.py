@@ -6,9 +6,12 @@ optimum; a ratio below one therefore indicates a bug, never luck.
 """
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass, fields
 from statistics import mean, pstdev
+from typing import get_type_hints
 
 from .model import (
     Instance,
@@ -161,10 +164,18 @@ def evaluate(subject: Instance | JobSet, algorithm: str,
     # A job set's schedule is audited against its coflows and intra-job DAG.
     dag = subject.intra_job_dag if jobs else subject.dag
     base = Instance(subject.config, subject.coflows, dag)
-    audit = verify_schedule(schedule, base, assignment)
-    if not audit.ok:
+    violations = list(verify_schedule(schedule, base, assignment).violations)
+    if jobs and not violations:
+        # The cost reads job completions: each is its last coflow's.
+        for job in subject.jobs:
+            last = max(schedule.coflow_completions[k] for k in job.coflows)
+            done = schedule.job_completions.get(job.id)
+            if done != last:
+                violations.append(f"job {job.id} completion {done} != last "
+                                  f"coflow {last}")
+    if violations:
         raise RuntimeError("internal error: infeasible schedule: "
-                           + "; ".join(audit.violations[:3]))
+                           + "; ".join(violations[:3]))
     m = subject.config.num_cores
     conforming = is_conforming(base)
     chi = max(longest_path_chi(dag), 1)
@@ -197,11 +208,12 @@ def emit_report(report: EvaluationReport, format: str = "csv") -> str:
     """Render the report as CSV rows or a per-algorithm summary."""
     records = report.sorted_records()
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(",".join(_csv_cell(getattr(r, f.name))
-                                  for f in fields(RunRecord)))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows([_csv_cell(getattr(r, f.name))
+                          for f in fields(RunRecord)] for r in records)
+        return out.getvalue()
     if format == "summary":
         by_alg: dict[str, list[float]] = {}
         for r in records:
@@ -218,15 +230,15 @@ def emit_report(report: EvaluationReport, format: str = "csv") -> str:
 
 
 def parse_report(text: str) -> EvaluationReport:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows or rows[0] != CSV_HEADER.split(","):
         raise ValueError("missing or unexpected CSV header")
+    types = list(get_type_hints(RunRecord).values())
     records = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        records.append(RunRecord(
-            cells[0], int(cells[1]), cells[2], int(cells[3]), int(cells[4]),
-            int(cells[5]), int(cells[6]), float(cells[7]), float(cells[8]),
-            float(cells[9]), float(cells[10]), float(cells[11]),
-            cells[12] == "true", float(cells[13])))
+    for i, row in enumerate(rows[1:], 2):
+        if len(row) != len(types):
+            raise ValueError(f"CSV row {i} has {len(row)} cells, not "
+                             f"{len(types)}: {row}")
+        records.append(RunRecord(*(cell == "true" if t is bool else t(cell)
+                                   for t, cell in zip(types, row))))
     return EvaluationReport(records)

@@ -415,7 +415,8 @@ def verify_schedule(schedule: Schedule, instance: Instance,
                      f"assigned to {assignment.flow_to_core.get(key)}")
 
     # (c) release and precedence gating, on each coflow's earliest start,
-    # coflows in the order of their first segment
+    # coflows in the order of their first segment; then, on its completion,
+    # each coflow without flows, which has no segment to gate
     coflow_rank = {c.id: r for r, c in enumerate(instance.coflows)}
     ranks = np.fromiter(map(coflow_rank.__getitem__,
                             map(itemgetter(2), index)), np.int64, nflows)
@@ -424,20 +425,22 @@ def verify_schedule(schedule: Schedule, instance: Instance,
     np.minimum.at(earliest, rank, start)
     first_row = np.full(len(instance.coflows) + 1, len(segments))
     np.minimum.at(first_row, rank, np.arange(len(segments)))
+    gated = [(instance.coflows[r].id, "starts", int(earliest[r]))
+             for r in np.argsort(first_row[:-1], kind="stable").tolist()
+             if first_row[r] < len(segments)]
+    gated += [(c.id, "without flows completes",
+               schedule.coflow_completions[c.id]) for c in instance.coflows
+              if not c.flows and c.id in schedule.coflow_completions]
     preds = instance.dag.predecessors()
-    for r in np.argsort(first_row[:-1], kind="stable").tolist():
-        if first_row[r] == len(segments):
-            break
-        k = instance.coflows[r].id
-        start_k = int(earliest[r])
-        if start_k < release[k]:
-            v.append(f"coflow {k} starts at {start_k} before release "
+    for k, event, at in gated:
+        if at < release[k]:
+            v.append(f"coflow {k} {event} at {at} before release "
                      f"{release[k]}")
         for p in preds.get(k, ()):
             done_p = schedule.coflow_completions.get(p)
-            if done_p is None or start_k < done_p:
-                v.append(f"coflow {k} starts at {start_k} before "
-                         f"predecessor {p} completes")
+            if done_p is None or at < done_p:
+                v.append(f"coflow {k} {event} at {at} before predecessor {p} "
+                         "completes")
 
     # Volumes as high and low 32-bit halves of each duration, summed
     # exactly in int64 and joined as Python ints.

@@ -392,6 +392,31 @@ def test_eval_flowless_instance_has_ratio_one(tmp_path):
         assert (rec.twc, rec.dual, rec.ratio) == (0.0, 0.0, 1.0)
 
 
+def test_eval_report_keeps_a_file_name_with_a_comma(tmp_path):
+    path = _generate(tmp_path, name="a,b.json")
+    out = tmp_path / "report.csv"
+    assert main(["eval", str(path), "--alg", "fdls,cdls", "-o", str(out)]) == 0
+    records = parse_report(out.read_text()).records
+    assert [(r.instance_id, r.algorithm) for r in records] == [
+        ("a,b.json", "cdls"), ("a,b.json", "fdls")]
+
+
+@pytest.mark.parametrize("alg, extra", [("fdls,cdls", {}),
+                                        ("jobs", {"jobs": []})])
+def test_eval_without_coflows_exits_1_with_one_line(tmp_path, capsys, alg,
+                                                     extra):
+    # Schedulable, but an empty subject has no weight ratio R.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"cores": 1, "ports": 1, "coflows": [],
+                                "edges": [], **extra}))
+    assert main(["eval", str(path), "--alg", alg]) == 1
+    assert capsys.readouterr().err == (
+        "coflow-forge: error: empty instance has no weight ratio\n")
+    for one in alg.split(","):
+        assert main(["schedule", str(path), "--alg", one,
+                     "-o", str(tmp_path / "schedule.json")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # pinned CLI outputs: order, schedule and eval files stay byte-exact
 # ---------------------------------------------------------------------------

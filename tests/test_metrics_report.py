@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from coflow_forge import Job, JobSet
+from coflow_forge import Job, JobSet, metrics_report
 from coflow_forge.generator import GeneratorParams, generate_instance
 from coflow_forge.metrics_report import (
     CSV_HEADER,
@@ -120,6 +122,12 @@ def test_csv_round_trip_precision():
     assert back == rec
 
 
+def test_parse_report_names_a_row_with_the_wrong_cell_count():
+    text = emit_report(EvaluationReport([_record(), _record(seed=1)]))
+    with pytest.raises(ValueError, match=r"CSV row 3 has 15 cells, not 14"):
+        parse_report(text.replace("i,1,fdls", "i,1,fdls,x"))
+
+
 def test_report_sorted_records():
     report = EvaluationReport([_record(instance_id="b"),
                                _record(instance_id="a")])
@@ -145,6 +153,23 @@ def test_evaluate_jobs():
     rec = evaluate(js, "jobs", instance_id="j", seed=3)
     assert rec.algorithm == "jobs"
     assert rec.ratio >= 1.0 - 1e-9
+
+
+def test_evaluate_rejects_a_job_completion_that_is_not_its_last_coflows(
+        monkeypatch):
+    inst = generate_instance(GeneratorParams(n=9, num_ports=4, num_cores=2,
+                                             deg=2, seed=3))
+    simulate_jobs = metrics_report.simulate_jobs
+
+    def zeroed(jobset, perm):
+        schedule = simulate_jobs(jobset, perm)
+        return replace(schedule, job_completions=dict.fromkeys(
+            schedule.job_completions, 0))
+
+    monkeypatch.setattr(metrics_report, "simulate_jobs", zeroed)
+    with pytest.raises(RuntimeError, match=r"internal error: infeasible "
+                       r"schedule: job 1 completion 0 != last coflow [1-9]"):
+        evaluate(jobset_from_instance(inst), "jobs")
 
 
 def test_evaluate_rejects_mismatched_subject():

@@ -296,6 +296,26 @@ def test_verify_flags_successor_overlapping_predecessor():
         "flow (1, 1, 1) transmits until 6 after its completion 3",)
 
 
+def test_verify_gates_a_coflow_without_flows_on_its_completion():
+    # Chain 1 -> 2 -> 3 on 2 cores; coflow 2 has no flows. Coflow 2 claims
+    # completion 0 while coflow 1 runs on [0,10), so coflow 3 may start at 0.
+    flows = {1: [(1, 1, 10)], 2: [], 3: [(2, 2, 5)]}
+    segments = (Segment(1, 1, 1, 1, 0, 10), Segment(2, 2, 3, 2, 0, 5))
+    inst = mk_instance(2, 2, [(k, 0, 1, fl) for k, fl in flows.items()],
+                       edges=[(1, 2), (2, 3)])
+    bad = Schedule({(1, 1, 1): 10, (2, 2, 3): 5}, {1: 10, 2: 0, 3: 5}, {},
+                   segments)
+    assert verify_schedule(bad, inst).violations == (
+        "coflow 2 without flows completes at 0 before predecessor 1 "
+        "completes",)
+    # Released at 12, coflow 2 cannot complete at 10.
+    late = mk_instance(2, 2, [(k, 12 if k == 2 else 0, 1, fl)
+                              for k, fl in flows.items()])
+    early = Schedule(bad.flow_completions, {1: 10, 2: 10, 3: 5}, {}, segments)
+    assert verify_schedule(early, late).violations == (
+        "coflow 2 without flows completes at 10 before release 12",)
+
+
 # ---------------------------------------------------------------------------
 # schedule invariants on seeded instances
 # ---------------------------------------------------------------------------
