@@ -283,6 +283,15 @@ def test_verify_flags_segment_after_completion():
         "flow (1, 1, 1) transmits until 8 after its completion 3",)
 
 
+def test_verify_flags_completion_after_last_segment():
+    # The flow's whole volume is sent in [0,2), but it records completion 9.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)])])
+    bad = Schedule({(1, 1, 1): 9}, {1: 9}, {}, (Segment(1, 1, 1, 1, 0, 2),))
+    report = verify_schedule(bad, inst)
+    assert report.violations == (
+        "flow (1, 1, 1) completes at 9 after its last segment ends at 2",)
+
+
 def test_verify_flags_successor_overlapping_predecessor():
     # Coflow 1 records completion 3 but still transmits in [4,6), while its
     # successor runs in [3,5).
