@@ -391,9 +391,9 @@ def verify_schedule(schedule: Schedule, instance: Instance,
     done = list(map(completions.get, index))
     last = np.full(nflows + 1, np.iinfo(np.int64).min)
     np.maximum.at(last, flow, end)
+    last_end = last.tolist()
     late = np.zeros(nflows + 1, dtype=bool)
-    late[:nflows] = [d is not None and t > d
-                     for t, d in zip(last.tolist(), done)]
+    late[:nflows] = [d is not None and t > d for t, d in zip(last_end, done)]
     flagged = (flow == nflows) | late[flow]
     if assignment is not None:
         want = np.fromiter(map(assignment.flow_to_core.get, index,
@@ -463,6 +463,10 @@ def verify_schedule(schedule: Schedule, instance: Instance,
             if done_f is None:
                 v.append(f"flow {key} has no completion time")
                 continue
+            # A flow short of its volume is reported above already.
+            if volume[j] == f.size > 0 and done_f > last_end[j]:
+                v.append(f"flow {key} completes at {done_f} after its last "
+                         f"segment ends at {last_end[j]}")
             # (e) completion no earlier than release plus size
             if done_f < c.release + f.size:
                 v.append(f"flow {key} completes at {done_f} < release + "

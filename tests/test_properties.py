@@ -135,6 +135,10 @@ def _mutations(schedule: Schedule, i: int, num_cores: int):
         {**schedule.flow_completions, key: last_end - 1},
         schedule.coflow_completions, schedule.job_completions,
         schedule.segments)
+    yield "late completion", Schedule(
+        {**schedule.flow_completions, key: last_end + 1},
+        schedule.coflow_completions, schedule.job_completions,
+        schedule.segments)
     # A copy of the segment over another flow's interval on a shared port
     # and the same core.
     other = next((g for g in schedule.segments
@@ -150,6 +154,7 @@ def _mutations(schedule: Schedule, i: int, num_cores: int):
 FLAGGED_BY = {"drop": "transmitted", "shorten": "transmitted",
               "core 0": "outside cores", "core m+1": "outside cores",
               "early completion": "after its completion",
+              "late completion": "after its last segment ends",
               "overlap": "overlapping transmissions"}
 
 
@@ -159,7 +164,8 @@ def test_auditor_flags_every_infeasible_mutation(params, alg, data):
     # A dropped or shortened segment leaves its flow short of its size, a
     # segment on core 0 or m + 1 runs on no core of the network, a
     # completion before the flow's last segment end has the flow transmit
-    # after it completes, and a copy laid over another flow's segment shares
+    # after it completes, one after it has the flow complete with nothing
+    # left to send, and a copy laid over another flow's segment shares
     # a port with it. The audit gets no assignment, as for jobs.
     inst = generate_instance(params)
     subject = jobset_from_instance(inst) if alg == "jobs" else inst
