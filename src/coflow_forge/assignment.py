@@ -17,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .model import Instance, coflow_port_loads
+from .model import Instance, coflow_port_loads, render
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -92,15 +92,19 @@ def assign_coflows_cdls(instance: Instance, perm: Permutation) -> CoreAssignment
 # ---------------------------------------------------------------------------
 
 def assignment_to_payload(assignment: CoreAssignment) -> dict:
+    """The assignment's fields, lists rendered at depth 2, where the CLI
+    schedule output holds them."""
     payload = {
         "kind": assignment.kind,
-        "flows": [{"src": s, "dst": d, "coflow": k, "core": h}
-                  for (s, d, k), h in sorted(assignment.flow_to_core.items(),
-                                             key=lambda it: (it[0][2], it[0]))],
-        "load_in": assignment.load_in.tolist(),
-        "load_out": assignment.load_out.tolist(),
+        "flows": render(2, [(*key, h) for key, h in sorted(
+            assignment.flow_to_core.items(),
+            key=lambda it: (it[0][2], it[0]))], "src dst coflow core"),
+        "load_in": render(2, [render(3, r)
+                              for r in assignment.load_in.tolist()]),
+        "load_out": render(2, [render(3, r)
+                               for r in assignment.load_out.tolist()]),
     }
     if assignment.kind == COFLOW_LEVEL:
-        payload["coflows"] = [{"id": k, "core": h}
-                              for k, h in sorted(assignment.coflow_to_core.items())]
+        payload["coflows"] = render(
+            2, sorted(assignment.coflow_to_core.items()), "id core")
     return payload

@@ -7,7 +7,7 @@ flags produce byte-identical files. Wall-clock timing columns are zero unless
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 
@@ -17,9 +17,11 @@ from .model import (
     Instance,
     InvalidInstanceError,
     JobSet,
+    JsonText,
     document_to_instance,
     document_to_jobset,
     instance_to_document,
+    render,
     validate_instance,
 )
 from .assignment import assignment_to_payload
@@ -111,8 +113,8 @@ def _cmd_order(args) -> int:
     subject = _load(args.instance, PIPELINE[args.alg][2])
     perm, dual = PIPELINE[args.alg][0](subject, args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
-               "order": list(perm.order)}
-    _write(args.output, json.dumps(payload, indent=2) + "\n")
+               "order": render(1, perm.order)}
+    _write(args.output, render(0, payload, end="\n").text)
     if args.emit_dual:
         _write(args.emit_dual, dual_to_document(dual, subject))
     return 0
@@ -122,11 +124,13 @@ def _cmd_schedule(args) -> int:
     subject = _load(args.instance, PIPELINE[args.alg][2])
     perm, _, assignment, sched = run_algorithm(subject, args.alg, args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
-               "order": list(perm.order)}
+               "order": render(1, perm.order)}
     if assignment is not None:
-        payload["assignment"] = assignment_to_payload(assignment)
-    payload["schedule"] = json.loads(schedule_to_document(sched))
-    _write(args.output, json.dumps(payload, indent=2) + "\n")
+        payload["assignment"] = render(1, assignment_to_payload(assignment))
+    # The schedule document, one level deeper.
+    payload["schedule"] = JsonText(
+        "%s", (schedule_to_document(sched)[:-1].replace("\n", "\n  "),))
+    _write(args.output, render(0, payload, end="\n").text)
     return 0
 
 
@@ -242,6 +246,7 @@ def _cmd_bench(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coflow-forge",

@@ -12,6 +12,8 @@ import heapq
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -369,16 +371,6 @@ def typed(value, expected: str, where: str):
 def fields(obj, where: str, **expected: str) -> list:
     """The values of exactly the fields named in `expected` of the object
     `obj`, in that order, each checked to be what its `expected` names."""
-    return _fields(obj, where, expected)
-
-
-def entries(items: list, where: str, **expected: str) -> list[list]:
-    """`fields` of each object in `items`; the i-th is named `where i`."""
-    return [_fields(obj, f"{where} {i}", expected)
-            for i, obj in enumerate(items)]
-
-
-def _fields(obj, where: str, expected: dict) -> list:
     if type(obj) is not dict:
         raise DocumentError(f"{where} must be an object, "
                             f"got {type(obj).__name__}")
@@ -388,11 +380,80 @@ def _fields(obj, where: str, expected: dict) -> list:
                 raise DocumentError(f"missing field '{key}' in {where}")
         raise DocumentError(f"unknown field(s) "
                             f"{sorted(set(obj) - set(expected))} in {where}")
-    values = [obj[key] for key in expected]
-    for value, (key, want) in zip(values, expected.items()):
-        if not _EXPECTED[want](value):
-            typed(value, want, f"{where} {key}")
-    return values
+    return [typed(obj[key], want, f"{where} {key}")
+            for key, want in expected.items()]
+
+
+def entries(items: list, where: str, **expected: str) -> list[Sequence]:
+    """`fields` of each object in `items`; the i-th is named `where i`. A
+    list whose objects all hold just the expected fields, each of its kind,
+    is checked a column at a time; any other runs `fields` on each."""
+    if set(map(type, items)) <= {dict} and all(
+            map(expected.keys().__eq__, map(dict.keys, items))):
+        columns = [[*map(itemgetter(key), items)] for key in expected]
+        if all(set(map(type, column)) <= {int} if want == INTEGER
+               else all(map(_EXPECTED[want], column))
+               for want, column in zip(expected.values(), columns)):
+            return [*zip(*columns)]
+    return [fields(obj, f"{where} {i}", **expected)
+            for i, obj in enumerate(items)]
+
+
+# ---------------------------------------------------------------------------
+# document writing
+# ---------------------------------------------------------------------------
+# Documents are json.dumps(payload, indent=2) + "\n", written from one
+# %-template per kind of entry: json's indent encoder runs in pure Python.
+
+@dataclass(frozen=True)
+class JsonText:
+    """JSON as indent=2 writes it at its place in a document: `template`
+    with its %s slots filled by `values`, each already as %s prints it."""
+
+    template: str
+    values: tuple = ()
+
+    @property
+    def text(self) -> str:
+        return self.template % self.values
+
+
+def _texts(values):
+    """Each of `values` in the form that %s prints as json's text for it:
+    exact ints and finite floats as they are, JsonText as its text, the
+    rest through json."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return [v.text if type(v) is JsonText else v if type(v) is int
+            or type(v) is float and abs(v) <= sys.float_info.max
+            else json.dumps(v) for v in values]
+
+
+def _template(pad: str, keys) -> str:
+    return "{" + ",".join(f'{pad}  "{k}": %s' for k in keys) + pad + "}"
+
+
+def render(depth: int, rows: dict | Sequence, keys: str = "", *,
+           end: str = "") -> JsonText:
+    """What json.dumps(..., indent=2) writes for `rows` at nesting `depth`,
+    then `end`. A dict is an object; other `rows` are a list of objects
+    with the fields `keys` names, one tuple of values per row, or without
+    `keys` of the values themselves."""
+    pad = "\n" + "  " * depth
+    if type(rows) is dict:
+        # An object takes in the templates of the JsonText it holds, so a
+        # document is filled in by one % and each value copied once.
+        held = [v if type(v) is JsonText else JsonText("%s", (*_texts([v]),))
+                for v in rows.values()]
+        slots = tuple(v.template for v in held)
+        return JsonText(_template(pad, rows) % slots + end,
+                        tuple(chain.from_iterable(v.values for v in held)))
+    if not rows:
+        return JsonText("[]" + end)
+    item = _template(pad + "  ", keys.split()) if keys else "%s"
+    values = [*chain.from_iterable(rows)] if keys else rows
+    return JsonText(f"[{pad}  " + f",{pad}  ".join([item] * len(rows))
+                    + f"{pad}]{end}", tuple(_texts(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,29 +507,24 @@ def _instance_payload(config: NetworkConfig, coflows: Sequence[Coflow],
     return {
         "cores": config.num_cores,
         "ports": config.num_ports,
-        "coflows": [
-            {
-                "id": c.id,
-                "release": c.release,
-                "weight": c.weight,
-                "flows": [{"src": f.source, "dst": f.dest, "size": f.size}
-                          for f in sorted(c.flows,
-                                          key=lambda f: (f.source, f.dest))],
-            }
-            for c in coflows
-        ],
-        "edges": [list(e) for e in sorted(dag.edges)],
+        "coflows": render(1, [
+            (c.id, c.release, c.weight, render(3, sorted(
+                [(f.source, f.dest, f.size) for f in c.flows],
+                key=itemgetter(0, 1)), "src dst size"))
+            for c in coflows], "id release weight flows"),
+        "edges": render(1, [render(2, e) for e in sorted(dag.edges)]),
     }
 
 
 def instance_to_document(instance: Instance) -> str:
-    payload = _instance_payload(instance.config, instance.coflows, instance.dag)
-    return json.dumps(payload, indent=2) + "\n"
+    return render(0, _instance_payload(
+        instance.config, instance.coflows, instance.dag), end="\n").text
 
 
 def jobset_to_document(jobset: JobSet) -> str:
     payload = _instance_payload(jobset.config, jobset.coflows,
                                 jobset.intra_job_dag)
-    payload["jobs"] = [{"id": j.id, "weight": j.weight,
-                        "coflows": list(j.coflows)} for j in jobset.jobs]
-    return json.dumps(payload, indent=2) + "\n"
+    payload["jobs"] = render(1, [
+        (j.id, j.weight, render(3, j.coflows)) for j in jobset.jobs],
+        "id weight coflows")
+    return render(0, payload, end="\n").text

@@ -17,7 +17,6 @@ weighted completion time.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from .model import (
     INTEGER, LIST, NUMBER, SIDE, STRING, TRIPLE, Coflow, DocumentError,
-    Instance, InvalidInstanceError, JobSet, entries, fields, parse_json,
-    typed, validate_instance, validate_jobset)
+    Instance, InvalidInstanceError, JobSet, JsonText, entries, fields,
+    parse_json, render, typed, validate_instance, validate_jobset)
 
 FLOW_LEVEL = "flow-level"
 COFLOW_LEVEL = "coflow-level"
@@ -419,8 +418,8 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
 #  reader keeps only the coflow id of a triple; whether the triple names a
 #  flow of the instance can be checked only with the instance in hand.
 
-# Snapshot items sit at depth 8 of the indent=2 rendering, their inner
-# values (flow-level triples) at depth 10.
+# Snapshot items sit at depth 4 of the indent=2 rendering, their inner
+# values (flow-level triples) at depth 5.
 _ITEM = "\n" + " " * 8
 _INNER = "\n" + " " * 10
 
@@ -450,7 +449,7 @@ def _snapshot_items(dual: DualSolution, subject: Instance | JobSet):
 def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
     items = _snapshot_items(dual, subject)
 
-    def snapshot(rec: BetaRecord) -> str:
+    def snapshot(rec: BetaRecord) -> JsonText:
         column = items(rec.side, rec.port)
         try:
             body = ("," + _ITEM).join(
@@ -458,26 +457,19 @@ def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
         except KeyError as exc:
             raise ValueError(
                 f"dual references unknown coflow {exc.args[0]}") from None
-        return f"[{_ITEM}{body}\n{' ' * 6}]" if body else "[]"
+        return JsonText("%s", (f"[{_ITEM}{body}\n{' ' * 6}]" if body
+                               else "[]",))
 
-    # json renders everything but the snapshots, which are spliced in at the
-    # null placeholders: '"snapshot": ' can only occur as that key.
-    payload = {
+    return render(0, {
         "kind": dual.kind,
         "kappa": dual.kappa,
-        "alpha": [{"side": s, "port": p, "id": e, "value": v}
-                  for (s, p, e), v in sorted(dual.alpha.items())],
-        "beta": [{"side": rec.side, "port": rec.port, "snapshot": None,
-                  "value": rec.value} for rec in dual.beta],
-        "gamma": [{"pred": a, "succ": b, "value": v}
-                  for (a, b), v in sorted(dual.gamma.items())],
-    }
-    head, *tails = json.dumps(payload, indent=2).split('"snapshot": null')
-    out = [head]
-    for rec, tail in zip(dual.beta, tails, strict=True):
-        out += ['"snapshot": ', snapshot(rec), tail]
-    out.append("\n")
-    return "".join(out)
+        "alpha": render(1, [(*key, v) for key, v in sorted(
+            dual.alpha.items())], "side port id value"),
+        "beta": render(1, [(rec.side, rec.port, snapshot(rec), rec.value)
+                           for rec in dual.beta], "side port snapshot value"),
+        "gamma": render(1, [(*key, v) for key, v in sorted(
+            dual.gamma.items())], "pred succ value"),
+    }, end="\n").text
 
 
 def document_to_dual(text: str) -> DualSolution:

@@ -16,7 +16,6 @@ which is recomputed only when one of those lists changed.
 """
 from __future__ import annotations
 
-import json
 import struct
 from bisect import insort
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag,
                     ValidationReport, entries, fields, parse_json,
-                    topological_order)
+                    render, topological_order)
 from .assignment import CoreAssignment, assign_flows_fdls
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
@@ -488,19 +487,17 @@ def verify_schedule(schedule: Schedule, instance: Instance,
 # ---------------------------------------------------------------------------
 
 def schedule_to_document(schedule: Schedule) -> str:
-    payload = {
-        "flows": [{"src": s, "dst": d, "coflow": k, "completion": c}
-                  for (s, d, k), c in sorted(schedule.flow_completions.items(),
-                                             key=lambda it: (it[0][2], it[0]))],
-        "coflows": [{"id": k, "completion": c}
-                    for k, c in sorted(schedule.coflow_completions.items())],
-        "jobs": [{"id": t, "completion": c}
-                 for t, c in sorted(schedule.job_completions.items())],
-        "segments": [{"src": g.source, "dst": g.dest, "coflow": g.coflow,
-                      "core": g.core, "start": g.start, "end": g.end}
-                     for g in schedule.segments],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return render(0, {
+        "flows": render(1, [(*key, c) for key, c in sorted(
+            schedule.flow_completions.items(),
+            key=lambda it: (it[0][2], it[0]))], "src dst coflow completion"),
+        "coflows": render(1, sorted(schedule.coflow_completions.items()),
+                          "id completion"),
+        "jobs": render(1, sorted(schedule.job_completions.items()),
+                       "id completion"),
+        "segments": render(1, schedule.segments,
+                           "src dst coflow core start end"),
+    }, end="\n").text
 
 
 def document_to_schedule(text: str) -> Schedule:

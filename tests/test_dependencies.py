@@ -1,4 +1,5 @@
-"""numpy is the only runtime dependency of the coflow_forge package."""
+"""numpy is the only runtime dependency of the coflow_forge package, and no
+writer uses json's indent encoder, which runs in pure Python."""
 import ast
 import sys
 from pathlib import Path
@@ -21,3 +22,13 @@ def test_package_imports_only_the_standard_library_and_numpy():
                for name in _absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}}
     assert not foreign
+
+
+def test_no_writer_uses_the_json_indent_encoder():
+    calls = {(path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "dumps"
+             and any(k.arg == "indent" for k in node.keywords)}
+    assert not calls

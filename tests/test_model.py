@@ -281,6 +281,18 @@ def test_document_missing_field():
         document_to_instance('{"cores": 1, "coflows": [], "edges": []}')
 
 
+def test_document_names_the_first_bad_entry_of_a_list():
+    # The list is checked a column at a time; the message still names the
+    # entry, as the entry-by-entry check does.
+    inst = mk_instance(1, 3, [(1, 0, 1, [(1, 1, 1), (2, 2, 1), (3, 3, 1)])])
+    doc = json.loads(instance_to_document(inst))
+    doc["coflows"][0]["flows"][1]["size"] = 1.0
+    doc["coflows"][0]["flows"][2]["size"] = "x"
+    with pytest.raises(DocumentError, match=r"^coflow 1 flow 1 size must be "
+                                            r"an integer, got 1\.0$"):
+        document_to_instance(json.dumps(doc))
+
+
 def test_jobset_document_round_trip():
     inst = mk_instance(2, 3, [(1, 0, 1, [(1, 1, 2)]),
                               (2, 0, 2, [(2, 2, 1)]),

@@ -1,14 +1,24 @@
 """Property tests over the generator's parameter space: for every algorithm
 the dual is feasible, tight and below the schedule's cost, the schedule
-passes the auditor, and every document round-trips byte-exactly; every beta
-snapshot is the unscheduled prefix of the order it was taken for; the
-auditor flags every schedule mutation that breaks feasibility."""
+passes the auditor, and every document round-trips byte-exactly and is what
+json.dumps(..., indent=2) writes for its payload; every beta snapshot is the
+unscheduled prefix of the order it was taken for; the auditor flags every
+schedule mutation that breaks feasibility."""
+import json
+import math
+
+import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coflow_forge import (
+    Coflow,
+    Flow,
     Instance,
     JobSet,
+    NetworkConfig,
+    PrecedenceDag,
     check_dual_feasibility,
     document_to_dual,
     document_to_instance,
@@ -38,7 +48,7 @@ from coflow_forge.simulator import (
     verify_schedule,
 )
 
-from conftest import jobset_from_instance, jobset_grouped
+from conftest import jobset_from_instance, jobset_grouped, mk_instance
 
 PARAMS = st.builds(
     GeneratorParams,
@@ -81,6 +91,125 @@ def test_pipeline_properties_over_generator_params(params):
         assert dual_to_document(document_to_dual(dtext), subject) == dtext
         stext = schedule_to_document(schedule)
         assert schedule_to_document(document_to_schedule(stext)) == stext
+
+
+# ---------------------------------------------------------------------------
+# every writer against json.dumps(payload, indent=2)
+# ---------------------------------------------------------------------------
+
+def _instance_payload(subject: Instance | JobSet) -> dict:
+    dag = subject.intra_job_dag if isinstance(subject, JobSet) \
+        else subject.dag
+    payload = {
+        "cores": subject.config.num_cores,
+        "ports": subject.config.num_ports,
+        "coflows": [{"id": c.id, "release": c.release, "weight": c.weight,
+                     "flows": [{"src": f.source, "dst": f.dest,
+                                "size": f.size}
+                               for f in sorted(c.flows, key=lambda f: (
+                                   f.source, f.dest))]}
+                    for c in subject.coflows],
+        "edges": [list(e) for e in sorted(dag.edges)],
+    }
+    if isinstance(subject, JobSet):
+        payload["jobs"] = [{"id": j.id, "weight": j.weight,
+                            "coflows": list(j.coflows)} for j in subject.jobs]
+    return payload
+
+
+def _schedule_payload(schedule: Schedule) -> dict:
+    return {
+        "flows": [{"src": s, "dst": d, "coflow": k, "completion": c}
+                  for (s, d, k), c in sorted(schedule.flow_completions.items(),
+                                             key=lambda it: (it[0][2], it[0]))],
+        "coflows": [{"id": k, "completion": c}
+                    for k, c in sorted(schedule.coflow_completions.items())],
+        "jobs": [{"id": t, "completion": c}
+                 for t, c in sorted(schedule.job_completions.items())],
+        "segments": [{"src": g.source, "dst": g.dest, "coflow": g.coflow,
+                      "core": g.core, "start": g.start, "end": g.end}
+                     for g in schedule.segments],
+    }
+
+
+def _dual_payload(dual, subject: Instance | JobSet) -> dict:
+    by_id = subject.coflow_by_id()
+
+    def snapshot(rec):
+        if dual.kind != "flow-level":
+            return sorted(rec.coflows)
+        return [[f.source, f.dest, k] for k in sorted(rec.coflows)
+                for f in sorted(by_id[k].flows, key=lambda f: (f.source,
+                                                               f.dest))
+                if (f.source if rec.side == "in" else f.dest) == rec.port]
+
+    return {
+        "kind": dual.kind,
+        "kappa": dual.kappa,
+        "alpha": [{"side": s, "port": p, "id": e, "value": v}
+                  for (s, p, e), v in sorted(dual.alpha.items())],
+        "beta": [{"side": rec.side, "port": rec.port,
+                  "snapshot": snapshot(rec), "value": rec.value}
+                 for rec in dual.beta],
+        "gamma": [{"pred": a, "succ": b, "value": v}
+                  for (a, b), v in sorted(dual.gamma.items())],
+    }
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARAMS)
+def test_writers_match_json_indent_encoder(params):
+    inst = generate_instance(params)
+    jobset = jobset_from_instance(inst)
+    assert instance_to_document(inst) == _json(_instance_payload(inst))
+    assert jobset_to_document(jobset) == _json(_instance_payload(jobset))
+    for alg in ALGORITHMS:
+        subject = jobset if alg == "jobs" else inst
+        _, dual, _, schedule = run_algorithm(subject, alg)
+        assert schedule_to_document(schedule) == \
+            _json(_schedule_payload(schedule)), alg
+        assert dual_to_document(dual, subject) == \
+            _json(_dual_payload(dual, subject)), alg
+
+
+# Values json writes in its own way, ids and sizes past 64 bits, and empty
+# lists at every level.
+ODD_INSTANCES = {
+    "bool weight": mk_instance(1, 2, [(1, 0, True, [(1, 2, 3)])]),
+    "bool size": mk_instance(1, 2, [(1, 0, 1, [(1, 2, True)])]),
+    "float weight": mk_instance(1, 2, [(1, 0, 2.5, [(1, 2, 3)])]),
+    "inf weight": mk_instance(1, 2, [(1, 0, math.inf, [(1, 2, 3)])]),
+    "nan weight": mk_instance(1, 2, [(1, 0, math.nan, [(1, 2, 3)])]),
+    "size 2**70, id -3": mk_instance(2, 2, [(-3, 0, 1, [(2, 1, 2**70),
+                                                        (1, 1, 1)]),
+                                            (4, 1, 7, [(2, 2, 1)])],
+                                     edges=[(-3, 4)]),
+    "empty": mk_instance(1, 1, []),
+    "coflow without flows, no edges": mk_instance(1, 1, [(1, 0, 1, []),
+                                                         (2, 0, 1, [(1, 1,
+                                                                     1)])]),
+}
+
+
+@pytest.mark.parametrize("name", ODD_INSTANCES)
+def test_writers_match_json_on_odd_values(name):
+    inst = ODD_INSTANCES[name]
+    assert instance_to_document(inst) == _json(_instance_payload(inst))
+    for jobset in (jobset_from_instance(inst),
+                   JobSet(inst.config, (), inst.coflows, inst.dag)):
+        assert jobset_to_document(jobset) == _json(_instance_payload(jobset))
+
+
+def test_writers_raise_json_type_error_on_numpy_scalars():
+    inst = Instance(NetworkConfig(1, 1),
+                    (Coflow(1, 0, np.int64(3), (Flow(1, 1, 1),)),),
+                    PrecedenceDag.make([1]))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        instance_to_document(inst)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
