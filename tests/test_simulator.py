@@ -292,6 +292,17 @@ def test_verify_flags_completion_after_last_segment():
         "flow (1, 1, 1) completes at 9 after its last segment ends at 2",)
 
 
+def test_verify_flags_flow_sent_on_two_cores_at_once():
+    # The size-10 flow is sent on [5,10) on core 1 and [9,14) on core 2:
+    # its volume and completion are right, but it runs at rate 2 in [9,10).
+    inst = mk_instance(2, 1, [(1, 0, 1, [(1, 1, 10)])])
+    bad = Schedule({(1, 1, 1): 14}, {1: 14}, {},
+                   (Segment(1, 1, 1, 1, 5, 10), Segment(1, 1, 1, 2, 9, 14)))
+    assert verify_schedule(bad, inst).violations == (
+        "flow (1, 1, 1) transmits on cores 1 and 2 at once: [5,10) and "
+        "[9,14)",)
+
+
 def test_verify_flags_successor_overlapping_predecessor():
     # Coflow 1 records completion 3 but still transmits in [4,6), while its
     # successor runs in [3,5).
