@@ -352,8 +352,9 @@ def verify_schedule(schedule: Schedule, instance: Instance,
                     assignment: CoreAssignment | None = None
                     ) -> ValidationReport:
     """Independent feasibility audit: segments on the network's cores, port
-    capacity, segments within their flow's completion, releases,
-    precedence, transmitted volume and per-flow completion bounds.
+    capacity, each flow on one core at a time, segments within their flow's
+    completion, releases, precedence, transmitted volume and per-flow
+    completion bounds.
 
     The segments are audited as int64 columns; a segment with a field that
     is not an integer in 64 bits is reported and audited no further."""
@@ -383,6 +384,19 @@ def verify_schedule(schedule: Schedule, instance: Instance,
     nflows = len(index)
     flow = np.fromiter(map(index.get, map(itemgetter(0, 1, 2), segments),
                            repeat(nflows)), np.int64, len(segments))
+
+    # A flow sent on two cores at once. Sorted by start, a flow's segments
+    # overlap only if two neighbours do; the port check takes one core's.
+    order = np.lexsort((start, flow))
+    a, b = order[:-1], order[1:]
+    keep = ((flow[a] == flow[b]) & (flow[a] < nflows) & (core[a] != core[b])
+            & (start[b] < end[a]))
+    twice = {}
+    for i, j in zip(a[keep].tolist(), b[keep].tolist()):
+        twice.setdefault(flow[i], (segments[i], segments[j]))
+    v.extend(f"flow {s[:3]} transmits on cores {s.core} and {t.core} at "
+             f"once: [{s.start},{s.end}) and [{t.start},{t.end})"
+             for s, t in twice.values())
 
     # (b) no transmission after the flow's recorded completion, which
     # makes the completions a sound gate for successors below

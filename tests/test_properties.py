@@ -268,6 +268,9 @@ def _mutations(schedule: Schedule, i: int, num_cores: int):
         {**schedule.flow_completions, key: last_end + 1},
         schedule.coflow_completions, schedule.job_completions,
         schedule.segments)
+    if num_cores >= 2:
+        yield "twice at once", with_segment(
+            (seg, seg._replace(core=seg.core % num_cores + 1)))
     # A copy of the segment over another flow's interval on a shared port
     # and the same core.
     other = next((g for g in schedule.segments
@@ -284,7 +287,8 @@ FLAGGED_BY = {"drop": "transmitted", "shorten": "transmitted",
               "core 0": "outside cores", "core m+1": "outside cores",
               "early completion": "after its completion",
               "late completion": "after its last segment ends",
-              "overlap": "overlapping transmissions"}
+              "overlap": "overlapping transmissions",
+              "twice at once": "at once"}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -294,8 +298,9 @@ def test_auditor_flags_every_infeasible_mutation(params, alg, data):
     # segment on core 0 or m + 1 runs on no core of the network, a
     # completion before the flow's last segment end has the flow transmit
     # after it completes, one after it has the flow complete with nothing
-    # left to send, and a copy laid over another flow's segment shares
-    # a port with it. The audit gets no assignment, as for jobs.
+    # left to send, a copy on another core sends the flow twice at once,
+    # and a copy laid over another flow's segment shares a port with it.
+    # The audit gets no assignment, as for jobs.
     inst = generate_instance(params)
     subject = jobset_from_instance(inst) if alg == "jobs" else inst
     schedule = run_algorithm(subject, alg)[3]

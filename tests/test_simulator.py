@@ -672,53 +672,53 @@ def _audit_corpus():
 
 
 PINNED_AUDITS = {
-    "default-r0-d0-fdls": "da294c275f1324fe",
+    "default-r0-d0-fdls": "1fb0aab76702da99",
     "default-r0-d0-cdls": "d14270191d814fdf",
     "default-r0-d0-jobs": "59ef9d007da83814",
     "default-r0-d3-fdls": "018de99318141a4c",
     "default-r0-d3-cdls": "a2726dcc7b1c299d",
     "default-r0-d3-jobs": "4f87eeb9fb2f19da",
-    "default-r25-d0-fdls": "e37663406e2acb77",
+    "default-r25-d0-fdls": "0793a94ba1cbc58e",
     "default-r25-d0-cdls": "0a2be2fc2553326c",
     "default-r25-d0-jobs": "9964e47e8ae3b49a",
-    "default-r25-d3-fdls": "2dcdc9a57134115a",
+    "default-r25-d3-fdls": "b41b3dfa644e2891",
     "default-r25-d3-cdls": "245de12c1912056a",
     "default-r25-d3-jobs": "283b193c822bfd3f",
-    "dense-r0-d0-fdls": "37f7b31733871c78",
+    "dense-r0-d0-fdls": "0ff4b1203881c544",
     "dense-r0-d0-cdls": "3f575c9cf87d4f32",
-    "dense-r0-d0-jobs": "89ebae63cb8b92b4",
-    "dense-r0-d3-fdls": "cfe31086b09c39dd",
+    "dense-r0-d0-jobs": "f4e957b6c9de954e",
+    "dense-r0-d3-fdls": "882457590ef22e85",
     "dense-r0-d3-cdls": "fcd294a2c7e8109c",
-    "dense-r0-d3-jobs": "cdc31e65d7637963",
+    "dense-r0-d3-jobs": "fd7b28f2c5c67faa",
     "dense-r25-d0-fdls": "bbf23f6b4bf80bde",
     "dense-r25-d0-cdls": "3af254588de20c99",
     "dense-r25-d0-jobs": "fe41db1c25acd398",
     "dense-r25-d3-fdls": "db45017968908025",
     "dense-r25-d3-cdls": "d89a9e072aa50b14",
     "dense-r25-d3-jobs": "c5cb89c2141c60cc",
-    "sparse-r0-d0-fdls": "2ab6f2dfae4fd094",
-    "sparse-r0-d0-cdls": "2f7f79bb6bb6b631",
+    "sparse-r0-d0-fdls": "23b63e8f912e7ba5",
+    "sparse-r0-d0-cdls": "54cd1c52c6ac930a",
     "sparse-r0-d0-jobs": "480caed2ff87c3ad",
-    "sparse-r0-d3-fdls": "41dfad779cf9dac2",
-    "sparse-r0-d3-cdls": "23b0e3e28545e3f1",
+    "sparse-r0-d3-fdls": "e105ae6030d0f509",
+    "sparse-r0-d3-cdls": "8418c50120daace0",
     "sparse-r0-d3-jobs": "7447ab26cbd30113",
     "sparse-r25-d0-fdls": "1ad6508b642109b5",
-    "sparse-r25-d0-cdls": "4bf9c891b38ace1b",
+    "sparse-r25-d0-cdls": "8cddbb59ba3856f2",
     "sparse-r25-d0-jobs": "c7af8ef382a2ef6d",
-    "sparse-r25-d3-fdls": "3209c06a9b80a683",
-    "sparse-r25-d3-cdls": "a9fc7fe8293e3cc2",
-    "sparse-r25-d3-jobs": "440749417e5d4656",
-    "combined-r0-d0-fdls": "0d0d34df38d0a3ef",
+    "sparse-r25-d3-fdls": "5bbd4836cd9c3106",
+    "sparse-r25-d3-cdls": "220174d4e3203a2f",
+    "sparse-r25-d3-jobs": "dd9e1615d780038d",
+    "combined-r0-d0-fdls": "a898b5826f71440c",
     "combined-r0-d0-cdls": "d53f942956e19bda",
     "combined-r0-d0-jobs": "85dff67829259a66",
     "combined-r0-d3-fdls": "df8f6f5d8c91896a",
     "combined-r0-d3-cdls": "93d46b5ffd25fded",
-    "combined-r0-d3-jobs": "371f443ccf9f991a",
+    "combined-r0-d3-jobs": "a930e1b6e8b51142",
     "combined-r25-d0-fdls": "85c7948bc42ff59b",
     "combined-r25-d0-cdls": "7719eac3c558e0fe",
     "combined-r25-d0-jobs": "eb32c02cf0d0a08b",
-    "combined-r25-d3-fdls": "80f33d905c4b6c9d",
-    "combined-r25-d3-cdls": "6d2d3d830bf68778",
+    "combined-r25-d3-fdls": "a13e43ed340a30f2",
+    "combined-r25-d3-cdls": "a3f60d715e9e093f",
     "combined-r25-d3-jobs": "3213f25a6e95d094",
 }
 
