@@ -12,7 +12,6 @@ from .model import (
     NetworkConfig,
     PrecedenceDag,
     ValidationReport,
-    coflow_port_loads,
     document_to_instance,
     document_to_jobset,
     instance_to_document,

@@ -17,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .model import Instance, coflow_port_loads, render
+from .model import Instance, PortDemand, render
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -70,11 +70,11 @@ def assign_coflows_cdls(instance: Instance, perm: Permutation) -> CoreAssignment
     coflow_to_core: dict[int, int] = {}
     flow_to_core: dict[tuple[int, int, int], int] = {}
     by_id = instance.coflow_by_id()
+    demand = PortDemand(instance)
 
     for k in perm.order:
-        li, lo = coflow_port_loads(by_id[k], instance.config)
-        li = np.asarray(li, dtype=np.uint64)[:, None]
-        lo = np.asarray(lo, dtype=np.uint64)[:, None]
+        li, lo = (demand.load[side][demand.row[k], :, None].astype(np.uint64)
+                  for side in ("in", "out"))
         # max over (i, j) of in(i, h) + out(j, h) separates into two maxima.
         scores = (load_in + li).max(axis=0) + (load_out + lo).max(axis=0)
         h = int(np.argmin(scores))

@@ -16,6 +16,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 # The largest core count and port count an instance may have. Ordering,
 # assignment and simulation hold arrays of cores x ports and coflows x ports.
@@ -287,33 +289,55 @@ def longest_path_chi(dag: PrecedenceDag) -> int:
     return max(depth.values())
 
 
-def coflow_port_loads(coflow: Coflow,
-                      config: NetworkConfig) -> tuple[list[int], list[int]]:
-    """Per-port load vectors (index p-1 holds port p's load)."""
-    load_in = [0] * config.num_ports
-    load_out = [0] * config.num_ports
-    for f in coflow.flows:
-        load_in[f.source - 1] += f.size
-        load_out[f.dest - 1] += f.size
-    return load_in, load_out
+class PortDemand:
+    """Every coflow's load and sum of squared flow sizes at every (side, port).
+
+    `load[side]` (int64) and `squares[side]` (float64) are n x N tables whose
+    rows follow the subject's coflow order, as `row` maps coflow ids to
+    them, and whose column p - 1 is port p. The subject's flows must lie on
+    ports 1..N, with the total volume below 2**63 so that every load is
+    exact, as `validate_instance` checks.
+    """
+
+    def __init__(self, subject: Instance | JobSet):
+        coflows = subject.coflows
+        self.n, ports = len(coflows), subject.config.num_ports
+        self.row = {c.id: i for i, c in enumerate(coflows)}
+        flows = [f for c in coflows for f in c.flows]
+        # A flow's cell in the flattened table is row * N + port - 1.
+        first = np.repeat(np.arange(self.n) * ports,
+                          [len(c.flows) for c in coflows]) - 1
+        size = np.array([f.size for f in flows], dtype=np.int64)
+        squares = np.square(size, dtype=np.float64)
+        self.load, self.squares = {}, {}
+        for side, end in (("in", "source"), ("out", "dest")):
+            cell = first + np.array([getattr(f, end) for f in flows], np.intp)
+            load = np.zeros(self.n * ports, dtype=np.int64)
+            np.add.at(load, cell, size)
+            self.load[side] = load.reshape(self.n, ports)
+            self.squares[side] = np.bincount(cell, squares, self.n * ports
+                                             ).reshape(self.n, ports)
+
+    def at(self, side: str, port: int) -> tuple[np.ndarray, np.ndarray]:
+        """(load, sum of squared flow sizes) of every coflow at the port: 0
+        outside ports 1..N. Sides other than "in" count as "out"."""
+        side = "in" if side == "in" else "out"
+        if not 1 <= port <= self.load[side].shape[1]:
+            return np.zeros(self.n, dtype=np.int64), np.zeros(self.n)
+        return self.load[side][:, port - 1], self.squares[side][:, port - 1]
 
 
 def is_conforming(instance: Instance) -> bool:
     """True iff along every edge weights are non-increasing and per-port
     loads non-decreasing (the regime of the constant-factor bounds)."""
     by_id = instance.coflow_by_id()
-    loads = {c.id: coflow_port_loads(c, instance.config)
-             for c in instance.coflows}
-    for a, b in instance.dag.edges:
-        if by_id[a].weight < by_id[b].weight:
-            return False
-        la_in, la_out = loads[a]
-        lb_in, lb_out = loads[b]
-        if any(x > y for x, y in zip(la_in, lb_in)):
-            return False
-        if any(x > y for x, y in zip(la_out, lb_out)):
-            return False
-    return True
+    edges = list(instance.dag.edges)
+    if any(by_id[a].weight < by_id[b].weight for a, b in edges):
+        return False
+    demand = PortDemand(instance)
+    pred, succ = ([demand.row[e[i]] for e in edges] for i in (0, 1))
+    return all((load[pred] <= load[succ]).all()
+               for load in demand.load.values())
 
 
 # ---------------------------------------------------------------------------

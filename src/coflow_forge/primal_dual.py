@@ -24,8 +24,8 @@ import numpy as np
 
 from .model import (
     INTEGER, LIST, NUMBER, SIDE, STRING, TRIPLE, Coflow, DocumentError,
-    Instance, InvalidInstanceError, JobSet, JsonText, entries, fields,
-    parse_json, render, typed, validate_instance, validate_jobset)
+    Instance, InvalidInstanceError, JobSet, JsonText, PortDemand, entries,
+    fields, parse_json, render, typed, validate_instance, validate_jobset)
 
 FLOW_LEVEL = "flow-level"
 COFLOW_LEVEL = "coflow-level"
@@ -185,7 +185,7 @@ def _permute(subject: Instance | JobSet, kappa: float,
         else validate_instance(subject)
     if not report.ok:
         raise InvalidInstanceError(report.violations)
-    demand = _PortDemand(subject)
+    demand = PortDemand(subject)
     ent = _Entities(subject, kind, demand)
     # entity[r] is the entity of coflow row r, whose load sums its rows.
     entity = np.empty(demand.n, dtype=np.intp)
@@ -197,7 +197,7 @@ def _permute(subject: Instance | JobSet, kappa: float,
         np.add.at(load[side], entity, table)
     # The coflows in ascending id order: their rows, entities and ids.
     ids = sorted(demand.row)
-    rows = demand.rows(ids)
+    rows = _rows(demand, ids)
     owner = entity[rows]
     id_array = np.array(ids, dtype=object)
 
@@ -236,50 +236,17 @@ def permute_jobs(jobset: JobSet,
 
 
 # ---------------------------------------------------------------------------
-# entities and port demand, dual objective and feasibility
+# entities, dual objective and feasibility
 # ---------------------------------------------------------------------------
 
-class _PortDemand:
-    """Every coflow's load and sum of squared flow sizes at every (side, port).
-
-    `load[side]` and `squares[side]` are n x N float64 tables whose rows
-    follow the subject's coflow order and whose column p - 1 is port p. The
-    subject's flows must lie on ports 1..N, as `validate_instance` checks.
-    Sums are exact while they stay below 2**53, as the sizes are integers.
-    """
-
-    def __init__(self, subject: Instance | JobSet):
-        coflows = subject.coflows
-        self.n, ports = len(coflows), subject.config.num_ports
-        self.row = {c.id: i for i, c in enumerate(coflows)}
-        flows = [f for c in coflows for f in c.flows]
-        # A flow's cell in the flattened table is row * N + port - 1.
-        first = np.repeat(np.arange(self.n) * ports,
-                          [len(c.flows) for c in coflows]) - 1
-        size = np.array([f.size for f in flows], dtype=np.float64)
-        self.load, self.squares = {}, {}
-        for side, end in (("in", "source"), ("out", "dest")):
-            cell = first + np.array([getattr(f, end) for f in flows], np.intp)
-            for table, weights in ((self.load, size),
-                                   (self.squares, size * size)):
-                table[side] = np.bincount(cell, weights, self.n * ports
-                                          ).reshape(self.n, ports)
-
-    def rows(self, ids: Sequence[int]) -> np.ndarray:
-        try:
-            return np.fromiter(map(self.row.__getitem__, ids), np.intp,
-                               len(ids))
-        except KeyError as exc:
-            raise ValueError(
-                f"dual references unknown coflow {exc.args[0]}") from None
-
-    def at(self, side: str, port: int) -> tuple[np.ndarray, np.ndarray]:
-        """(load, sum of squared flow sizes) of every coflow at the port: 0
-        outside ports 1..N. Sides other than "in" count as "out"."""
-        side = "in" if side == "in" else "out"
-        if not 1 <= port <= self.load[side].shape[1]:
-            return np.zeros(self.n), np.zeros(self.n)
-        return self.load[side][:, port - 1], self.squares[side][:, port - 1]
+def _rows(demand: PortDemand, ids: Sequence[int]) -> np.ndarray:
+    """The rows of the coflows `ids` in `demand`'s tables."""
+    try:
+        return np.fromiter(map(demand.row.__getitem__, ids), np.intp,
+                           len(ids))
+    except KeyError as exc:
+        raise ValueError(
+            f"dual references unknown coflow {exc.args[0]}") from None
 
 
 class _Entities:
@@ -293,12 +260,12 @@ class _Entities:
     """
 
     def __init__(self, subject: Instance | JobSet, kind: str,
-                 demand: _PortDemand):
+                 demand: PortDemand):
         if kind == JOB_LEVEL:
             if not isinstance(subject, JobSet):
                 raise ValueError("job-level dual requires a JobSet")
             found = sorted(subject.jobs, key=lambda j: j.id)
-            self.rows = [demand.rows(j.coflows).tolist() for j in found]
+            self.rows = [_rows(demand, j.coflows).tolist() for j in found]
         elif kind in (FLOW_LEVEL, COFLOW_LEVEL):
             found = sorted(subject.coflows, key=lambda c: c.id)
             self.rows = [[demand.row[c.id]] for c in found]
@@ -319,15 +286,15 @@ def _slot_demand(coflow: Coflow, side: str, port: int) -> int:
 
 
 def _entities_of(dual: DualSolution, subject: Instance | JobSet
-                 ) -> tuple[_PortDemand, _Entities]:
+                 ) -> tuple[PortDemand, _Entities]:
     """The port demand of `subject` and the entities of the dual's level.
     Raises ValueError for a dual of unknown kind, or one that names an entity
     or coflow not in `subject`."""
-    demand = _PortDemand(subject)
+    demand = PortDemand(subject)
     ent = _Entities(subject, dual.kind, demand)
     if dual.kind == JOB_LEVEL and dual.gamma:
         raise ValueError("job-level dual must not carry gamma variables")
-    demand.rows([k for edge in dual.gamma for k in edge])
+    _rows(demand, [k for edge in dual.gamma for k in edge])
     what = "job" if dual.kind == JOB_LEVEL else "coflow"
     for _, _, e in dual.alpha:
         if e not in ent.index:
@@ -362,9 +329,9 @@ def dual_objective(dual: DualSolution,
     # Flow level sums the squares of the flow sizes; coflow and job level
     # treat each coflow's port load as one item.
     for rec in dual.beta:
-        idx = demand.rows(rec.coflows)
+        idx = _rows(demand, rec.coflows)
         load, squares = demand.at(rec.side, rec.port)
-        s = load[idx]
+        s = load[idx].astype(np.float64)  # s * s wraps in int64 past 3e9
         q = squares[idx] if dual.kind == FLOW_LEVEL else s * s
         total += rec.value * _f_sums(float(s.sum()), float(q.sum()), m)
     return total
@@ -380,7 +347,7 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
     demand, ent = _entities_of(dual, subject)
     beta_lhs = np.zeros(demand.n)
     for rec in dual.beta:
-        idx = demand.rows(rec.coflows)
+        idx = _rows(demand, rec.coflows)
         # add.at adds a repeated id once per occurrence, in record order.
         np.add.at(beta_lhs, idx,
                   rec.value * demand.at(rec.side, rec.port)[0][idx])

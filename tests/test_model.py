@@ -13,7 +13,6 @@ from coflow_forge import (
     Instance,
     NetworkConfig,
     PrecedenceDag,
-    coflow_port_loads,
     document_to_instance,
     document_to_jobset,
     instance_to_document,
@@ -166,40 +165,6 @@ def test_chi_full_chain_equals_n():
     dag = PrecedenceDag.make(range(1, n + 1),
                              [(k, k + 1) for k in range(1, n)])
     assert longest_path_chi(dag) == n
-
-
-# ---------------------------------------------------------------------------
-# coflow_port_loads
-# ---------------------------------------------------------------------------
-
-def test_port_loads_basic():
-    cfg = NetworkConfig(1, 3)
-    c = Coflow.make(1, 0, 1, [(1, 1, 2), (1, 2, 3)])
-    load_in, load_out = coflow_port_loads(c, cfg)
-    assert load_in == [5, 0, 0]
-    assert load_out == [2, 3, 0]
-
-
-def test_port_loads_empty_coflow():
-    cfg = NetworkConfig(1, 4)
-    load_in, load_out = coflow_port_loads(Coflow.make(1, 0, 1, []), cfg)
-    assert load_in == [0] * 4 and load_out == [0] * 4
-
-
-def test_port_loads_single_flow():
-    cfg = NetworkConfig(1, 4)
-    load_in, load_out = coflow_port_loads(Coflow.make(1, 0, 1, [(2, 3, 7)]), cfg)
-    assert load_in[1] == 7 and load_out[2] == 7
-    assert sum(load_in) == sum(load_out) == 7
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_port_loads_conservation(seed):
-    inst = generate_instance(GeneratorParams(n=6, num_ports=5, num_cores=2,
-                                             seed=seed))
-    for c in inst.coflows:
-        load_in, load_out = coflow_port_loads(c, inst.config)
-        assert sum(load_in) == sum(load_out) == sum(f.size for f in c.flows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 the dual is feasible, tight and below the schedule's cost, the schedule
 passes the auditor, and every document round-trips byte-exactly and is what
 json.dumps(..., indent=2) writes for its payload; every beta snapshot is the
-unscheduled prefix of the order it was taken for; the auditor flags every
+unscheduled prefix of the order it was taken for; the port-demand table and
+the conformity check agree with per-flow sums; the auditor flags every
 schedule mutation that breaks feasibility."""
 import json
 import math
@@ -26,6 +27,7 @@ from coflow_forge import (
     dual_objective,
     dual_to_document,
     instance_to_document,
+    is_conforming,
     jobset_to_document,
     permute_coflow_level,
     permute_flow_level,
@@ -36,6 +38,7 @@ from coflow_forge.generator import (
     GeneratorParams,
     generate_instance,
 )
+from coflow_forge.model import PortDemand
 from coflow_forge.metrics_report import (
     ALGORITHMS,
     run_algorithm,
@@ -242,6 +245,66 @@ def test_beta_snapshots_are_the_unscheduled_prefixes(params):
                     for f in by_id[k].flows)]
             assert list(rec.coflows) == prefix
             assert all(type(k) is int for k in rec.coflows)
+
+
+# ---------------------------------------------------------------------------
+# the port-demand table against per-flow sums
+# ---------------------------------------------------------------------------
+
+def _check_port_demand(inst: Instance) -> None:
+    # Loads are exact Python-int sums of the flow sizes at each (side, port),
+    # squares the float sums of the squared sizes in flow order, and
+    # is_conforming is a loop over the edges on those loads.
+    demand = PortDemand(inst)
+    ports = inst.config.num_ports
+    loads = {}
+    for c in inst.coflows:
+        for side, end in (("in", "source"), ("out", "dest")):
+            load, squares = [0] * ports, [0.0] * ports
+            for f in c.flows:
+                load[getattr(f, end) - 1] += f.size
+                squares[getattr(f, end) - 1] += float(f.size) * float(f.size)
+            row = demand.row[c.id]
+            assert demand.load[side].dtype == np.int64
+            assert demand.load[side][row].tolist() == load
+            assert demand.squares[side][row].tolist() == squares
+            loads[c.id, side] = load
+    by_id = inst.coflow_by_id()
+    assert is_conforming(inst) == all(
+        not by_id[a].weight < by_id[b].weight
+        and all(x <= y for side in ("in", "out")
+                for x, y in zip(loads[a, side], loads[b, side]))
+        for a, b in inst.dag.edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARAMS)
+def test_port_demand_matches_per_flow_sums(params):
+    _check_port_demand(generate_instance(params))
+
+
+PORT_DEMAND_INSTANCES = {
+    # float64 would round both loads to 2**62 and 2**61.
+    "size 2**62 + 1": mk_instance(1, 2, [(1, 0, 1, [(1, 2, 2**62 + 1)])]),
+    "loads 2**61 + 1 before 2**61": mk_instance(
+        1, 1, [(1, 0, 2, [(1, 1, 2**61 + 1)]), (2, 0, 1, [(1, 1, 2**61)])],
+        edges=[(1, 2)]),
+    "coflow without flows": mk_instance(2, 3, [(1, 0, 1, []),
+                                               (2, 0, 1, [(3, 1, 4)])],
+                                        edges=[(1, 2)]),
+    "no coflows": mk_instance(1, 2, []),
+    # Every edge passes the weight check, so the table is read.
+    "generator conforming": generate_instance(GeneratorParams(
+        n=10, num_ports=4, num_cores=2, deg=3, seed=5, conforming=True)),
+}
+
+
+@pytest.mark.parametrize("name", PORT_DEMAND_INSTANCES)
+def test_port_demand_on_edge_cases(name):
+    inst = PORT_DEMAND_INSTANCES[name]
+    _check_port_demand(inst)
+    if name == "generator conforming":
+        assert inst.dag.edges and is_conforming(inst)
 
 
 def _mutations(schedule: Schedule, i: int, num_cores: int):

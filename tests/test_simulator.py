@@ -12,14 +12,13 @@ from coflow_forge import (
     JobSet,
     Permutation,
     PrecedenceDag,
-    coflow_port_loads,
     permute_coflow_level,
     permute_flow_level,
     permute_jobs,
 )
 from coflow_forge.assignment import assign_coflows_cdls, assign_flows_fdls
 from coflow_forge.generator import GeneratorParams, generate_instance
-from coflow_forge.model import topological_order
+from coflow_forge.model import PortDemand, topological_order
 from coflow_forge.simulator import (
     Schedule,
     Segment,
@@ -351,15 +350,16 @@ def test_fuzz_feasibility_and_bounds(seed):
         asg = assigner(inst, perm)
         sched = simulate(inst, asg, perm)
         assert verify_schedule(sched, inst, asg).ok
+        demand = PortDemand(inst)
         for c in inst.coflows:
             for f in c.flows:
                 assert sched.flow_completions[(f.source, f.dest, c.id)] \
                     >= c.release + f.size
             if c.flows:
                 # weak bound: port parallelism is at most m cores
-                li, lo = coflow_port_loads(c, inst.config)
-                weak = max(math.ceil(max(max(li), max(lo))
-                                     / inst.config.num_cores),
+                busiest = max(int(demand.load[side][demand.row[c.id]].max())
+                              for side in ("in", "out"))
+                weak = max(math.ceil(busiest / inst.config.num_cores),
                            max(f.size for f in c.flows))
                 assert sched.coflow_completions[c.id] >= c.release + weak
         # segments and completions are integral
