@@ -35,6 +35,8 @@ DEFAULT_KAPPA = 0.5
 
 # Tiny residual noise below this scale is rounding, not signal.
 _EPS = 1e-9
+# A dual constraint's LHS may pass its weight by this share; within it, tight.
+_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -337,13 +339,11 @@ def dual_objective(dual: DualSolution,
     return total
 
 
-def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
-                           rel_tol: float = 1e-6) -> FeasibilityReport:
+def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet
+                           ) -> FeasibilityReport:
     """Evaluate every dual constraint: feasible iff every dual value is
-    non-negative and every LHS <= w (1 + rel_tol). An entity's LHS is the
+    non-negative and every LHS <= w (1 + _REL_TOL). An entity's LHS is the
     sum over its coflow rows, plus its alpha."""
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
     demand, ent = _entities_of(dual, subject)
     beta_lhs = np.zeros(demand.n)
     for rec in dual.beta:
@@ -367,9 +367,9 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet,
     for eid, w in zip(ent.ids, ent.weight.tolist()):
         excess = (lhs[eid] - w) / w
         worst = max(worst, excess)
-        if excess > rel_tol:
+        if excess > _REL_TOL:
             feasible = False
-        if abs(lhs[eid] - w) <= rel_tol * w:
+        if abs(lhs[eid] - w) <= _REL_TOL * w:
             tight.append(eid)
     return FeasibilityReport(feasible, worst, tuple(tight), lhs)
 

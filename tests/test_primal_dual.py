@@ -260,12 +260,6 @@ def test_feasibility_empty_dual(two_coflow_instance):
     assert report.feasible and report.tight_set == ()
 
 
-def test_feasibility_rejects_bad_tol(two_coflow_instance):
-    _, dual = permute_flow_level(two_coflow_instance)
-    with pytest.raises(ValueError):
-        check_dual_feasibility(dual, two_coflow_instance, rel_tol=0)
-
-
 # ---------------------------------------------------------------------------
 # algorithm invariants over seeded instances
 # ---------------------------------------------------------------------------
@@ -285,7 +279,7 @@ def test_all_levels_feasible_and_tight(seed):
             (*permute_flow_level(inst), inst),
             (*permute_coflow_level(inst), inst),
             (*permute_jobs(js), js)):
-        report = check_dual_feasibility(dual, subject, rel_tol=1e-6)
+        report = check_dual_feasibility(dual, subject)
         n_entities = len(js.jobs) if dual.kind == JOB_LEVEL else len(inst.coflows)
         assert report.feasible, (seed, dual.kind, report.max_violation)
         assert len(report.tight_set) == n_entities, (seed, dual.kind)
@@ -353,7 +347,7 @@ def test_nondefault_kappa_still_feasible_and_tight(kappa):
         for permute in (permute_flow_level, permute_coflow_level):
             _, dual = permute(inst, kappa)
             assert dual.kappa == kappa
-            report = check_dual_feasibility(dual, inst, rel_tol=1e-6)
+            report = check_dual_feasibility(dual, inst)
             assert report.feasible
             assert len(report.tight_set) == len(inst.coflows)
 
