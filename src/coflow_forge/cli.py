@@ -17,7 +17,6 @@ from .model import (
     Instance,
     InvalidInstanceError,
     JobSet,
-    JsonText,
     document_to_instance,
     document_to_jobset,
     instance_to_document,
@@ -39,7 +38,7 @@ from .metrics_report import (
     run_algorithm,
 )
 from .primal_dual import DEFAULT_KAPPA, dual_to_document
-from .simulator import schedule_to_document
+from .simulator import schedule_payload
 from .trace_io import TraceError, filter_by_min_flows, parse_trace, to_instance
 
 DATA_ERROR = 1
@@ -127,9 +126,7 @@ def _cmd_schedule(args) -> int:
                "order": render(1, perm.order)}
     if assignment is not None:
         payload["assignment"] = render(1, assignment_to_payload(assignment))
-    # The schedule document, one level deeper.
-    payload["schedule"] = JsonText(
-        "%s", (schedule_to_document(sched)[:-1].replace("\n", "\n  "),))
+    payload["schedule"] = render(1, schedule_payload(sched, 1))
     _write(args.output, render(0, payload, end="\n").text)
     return 0
 

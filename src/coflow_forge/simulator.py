@@ -500,18 +500,21 @@ def verify_schedule(schedule: Schedule, instance: Instance,
 # schedule document format
 # ---------------------------------------------------------------------------
 
-def schedule_to_document(schedule: Schedule) -> str:
-    return render(0, {
-        "flows": render(1, [(*key, c) for key, c in sorted(
+def schedule_payload(schedule: Schedule, depth: int) -> dict:
+    return {
+        "flows": render(depth + 1, [(*key, c) for key, c in sorted(
             schedule.flow_completions.items(),
             key=lambda it: (it[0][2], it[0]))], "src dst coflow completion"),
-        "coflows": render(1, sorted(schedule.coflow_completions.items()),
-                          "id completion"),
-        "jobs": render(1, sorted(schedule.job_completions.items()),
-                       "id completion"),
-        "segments": render(1, schedule.segments,
+        **{name: render(depth + 1, sorted(done.items()), "id completion")
+           for name, done in (("coflows", schedule.coflow_completions),
+                              ("jobs", schedule.job_completions))},
+        "segments": render(depth + 1, schedule.segments,
                            "src dst coflow core start end"),
-    }, end="\n").text
+    }
+
+
+def schedule_to_document(schedule: Schedule) -> str:
+    return render(0, schedule_payload(schedule, 0), end="\n").text
 
 
 def document_to_schedule(text: str) -> Schedule:
