@@ -25,6 +25,7 @@ from coflow_forge import (
     permute_coflow_level,
     permute_flow_level,
     permute_jobs,
+    validate_instance,
 )
 from coflow_forge.generator import GeneratorParams, generate_instance
 
@@ -258,6 +259,17 @@ def test_feasibility_empty_dual(two_coflow_instance):
     empty = DualSolution(FLOW_LEVEL, 0.5, {}, (), {})
     report = check_dual_feasibility(empty, two_coflow_instance)
     assert report.feasible and report.tight_set == ()
+
+
+@pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL])
+def test_feasibility_integer_beta_over_large_load_is_exact(kind):
+    # 2 * 2**62 wraps to -2**63 in int64; the LHS must read 2**63 > w = 1.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2**62)])])
+    assert validate_instance(inst).ok
+    dual = DualSolution(kind, 0.5, {}, (BetaRecord("in", 1, (1,), 2),), {})
+    report = check_dual_feasibility(dual, inst)
+    assert not report.feasible
+    assert report.lhs[1] == 2.0**63
 
 
 # ---------------------------------------------------------------------------
