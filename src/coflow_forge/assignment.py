@@ -71,10 +71,10 @@ def assign_coflows_cdls(instance: Instance, perm: Permutation) -> CoreAssignment
     flow_to_core: dict[tuple[int, int, int], int] = {}
     by_id = instance.coflow_by_id()
     demand = PortDemand(instance)
+    tables = [demand.load[side].astype(np.uint64) for side in ("in", "out")]
 
     for k in perm.order:
-        li, lo = (demand.load[side][demand.row[k], :, None].astype(np.uint64)
-                  for side in ("in", "out"))
+        li, lo = (table[demand.row[k], :, None] for table in tables)
         # max over (i, j) of in(i, h) + out(j, h) separates into two maxima.
         scores = (load_in + li).max(axis=0) + (load_out + lo).max(axis=0)
         h = int(np.argmin(scores))

@@ -295,8 +295,8 @@ class PortDemand:
     `load[side]` (int64) and `squares[side]` (float64) are n x N tables whose
     rows follow the subject's coflow order, as `row` maps coflow ids to
     them, and whose column p - 1 is port p. The subject's flows must lie on
-    ports 1..N, with the total volume below 2**63 so that every load is
-    exact, as `validate_instance` checks.
+    ports 1..N, with the total volume below 2**63, as `validate_instance`
+    checks: past it a load can wrap without an error.
     """
 
     def __init__(self, subject: Instance | JobSet):

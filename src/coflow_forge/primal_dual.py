@@ -348,9 +348,9 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet
     beta_lhs = np.zeros(demand.n)
     for rec in dual.beta:
         idx = _rows(demand, rec.coflows)
+        load = demand.at(rec.side, rec.port)[0][idx].astype(np.float64)
         # add.at adds a repeated id once per occurrence, in record order.
-        np.add.at(beta_lhs, idx,
-                  rec.value * demand.at(rec.side, rec.port)[0][idx])
+        np.add.at(beta_lhs, idx, rec.value * load)
     row_lhs = beta_lhs.tolist()
     for (a, b), value in dual.gamma.items():
         row_lhs[demand.row[b]] += value

@@ -505,9 +505,10 @@ def schedule_payload(schedule: Schedule, depth: int) -> dict:
         "flows": render(depth + 1, [(*key, c) for key, c in sorted(
             schedule.flow_completions.items(),
             key=lambda it: (it[0][2], it[0]))], "src dst coflow completion"),
-        **{name: render(depth + 1, sorted(done.items()), "id completion")
-           for name, done in (("coflows", schedule.coflow_completions),
-                              ("jobs", schedule.job_completions))},
+        "coflows": render(depth + 1, sorted(
+            schedule.coflow_completions.items()), "id completion"),
+        "jobs": render(depth + 1, sorted(schedule.job_completions.items()),
+                       "id completion"),
         "segments": render(depth + 1, schedule.segments,
                            "src dst coflow core start end"),
     }
