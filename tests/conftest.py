@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from coflow_forge import (
     Coflow,
@@ -11,6 +12,17 @@ from coflow_forge import (
     NetworkConfig,
     PrecedenceDag,
 )
+from coflow_forge.generator import DENSITY_MODES, GeneratorParams
+
+# The generator's parameter space, as the property tests draw it.
+PARAMS = st.builds(
+    GeneratorParams,
+    n=st.integers(1, 12), num_ports=st.integers(1, 6),
+    num_cores=st.integers(1, 4), deg=st.integers(0, 3),
+    p=st.sampled_from([0.5, 1.0, 2.0]),
+    density_mode=st.sampled_from(DENSITY_MODES),
+    seed=st.integers(0, 2**16), release_horizon=st.integers(0, 30),
+    conforming=st.booleans())
 
 
 def mk_instance(cores, ports, coflows, edges=()):

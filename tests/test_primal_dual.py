@@ -1,16 +1,20 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from coflow_forge import (
     COFLOW_LEVEL,
     FLOW_LEVEL,
     JOB_LEVEL,
     BetaRecord,
+    Coflow,
     DocumentError,
     DualSolution,
+    Flow,
     Instance,
     InvalidInstanceError,
     Job,
@@ -27,9 +31,11 @@ from coflow_forge import (
     permute_jobs,
     validate_instance,
 )
+from coflow_forge import primal_dual
 from coflow_forge.generator import GeneratorParams, generate_instance
+from coflow_forge.primal_dual import Permutation
 
-from conftest import jobset_from_instance, jobset_grouped, mk_instance
+from conftest import PARAMS, jobset_from_instance, jobset_grouped, mk_instance
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +381,145 @@ def test_empty_coflow_is_handled():
 
 
 # ---------------------------------------------------------------------------
+# the engine against a reference loop
+# ---------------------------------------------------------------------------
+
+def _reference_engine(ent, load, successors, m, kappa, kind, snapshot_ids):
+    """The plain right-to-left loop: every step scans all entities, divides
+    by every load and clips every residual."""
+    n = len(ent.ids)
+    port_in = load["in"].sum(axis=0)
+    port_out = load["out"].sum(axis=0)
+    successors = {ent.index[a]: sorted(ent.index[b] for b in bs)
+                  for a, bs in successors.items()}
+    resid = ent.weight.copy()
+    unsched = np.ones(n, dtype=bool)
+
+    alpha, beta, gamma = {}, [], {}
+    sigma = [0] * n
+    scale = max(1.0, float(ent.weight.max())) if n else 1.0
+
+    for pos in range(n, 0, -1):
+        mu1, mu2 = int(np.argmax(port_in)), int(np.argmax(port_out))
+        if port_in[mu1] > port_out[mu2]:
+            side, port = "in", mu1
+            bottleneck = port_in[mu1]
+        else:
+            side, port = "out", mu2
+            bottleneck = port_out[mu2]
+        loads = load[side][:, port]
+
+        krel = int(np.argmax(np.where(unsched, ent.release, -1)))
+        cand_mask = unsched & (loads > 0)
+
+        if ent.release[krel] > kappa * bottleneck / m or not cand_mask.any():
+            chosen = krel
+            alpha[(side, port + 1, ent.ids[krel])] = float(resid[krel])
+        else:
+            ratios = np.full(n, np.inf)
+            np.divide(resid, loads, out=ratios, where=cand_mask)
+            cand = int(np.argmin(ratios))
+            f1 = float(ratios[cand])
+
+            t0, t1 = -1, cand
+            while True:
+                nxt = next((s for s in successors.get(t1, ())
+                            if unsched[s]), None)
+                if nxt is None:
+                    break
+                t0, t1 = t1, nxt
+            if t1 != cand:
+                g = float(resid[t1] - loads[t1] * f1)
+                assert g >= -1e-9 * scale
+                if g > 1e-9 * scale:
+                    gamma[(ent.ids[t0], ent.ids[t1])] = g
+                    resid[t0] += g
+                    resid[t1] -= g
+
+            frozen = snapshot_ids(unsched, side, port + 1, loads)
+            beta.append(BetaRecord(side, port + 1, frozen, f1))
+            resid -= f1 * loads
+            chosen = t1
+
+        sigma[pos - 1] = ent.ids[chosen]
+        unsched[chosen] = False
+        port_in -= load["in"][chosen]
+        port_out -= load["out"][chosen]
+        if unsched.any():
+            assert float(resid[unsched].min()) >= -1e-6 * scale
+            np.clip(resid, 0.0, None, out=resid)
+
+    return (Permutation(tuple(sigma)),
+            DualSolution(kind, kappa, alpha, tuple(beta), gamma))
+
+
+def _assert_engine_matches_reference(subject, kappa=0.5):
+    permutes = ((permute_jobs,) if isinstance(subject, JobSet)
+                else (permute_flow_level, permute_coflow_level))
+    for permute in permutes:
+        shipped = permute(subject, kappa)
+        with mock.patch.object(primal_dual, "_run_engine", _reference_engine):
+            reference = permute(subject, kappa)
+        # repr also tells -0.0 from 0.0 and pins the dicts' insertion order.
+        assert shipped == reference and repr(shipped) == repr(reference)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARAMS)
+def test_engine_matches_reference_over_generator_params(params):
+    inst = generate_instance(params)
+    _assert_engine_matches_reference(inst)
+    _assert_engine_matches_reference(jobset_grouped(inst, lambda k: k % 3))
+
+
+def test_engine_matches_reference_on_equal_releases():
+    # Releases dominate every load, so alpha places the latest-released
+    # entity first, the smallest index among equal releases.
+    inst = mk_instance(2, 2, [(k, rel, 1 + k % 3, [(1 + k % 2, 2, 1)])
+                              for k, rel in ((1, 90), (2, 90), (3, 40),
+                                             (4, 90), (5, 40), (6, 0))])
+    for kappa in (0.05, 0.5, 50.0):
+        _assert_engine_matches_reference(inst, kappa)
+        _assert_engine_matches_reference(jobset_from_instance(inst, 2), kappa)
+    _, dual = permute_coflow_level(inst, 0.05)
+    assert [e for _, _, e in dual.alpha][:3] == [1, 2, 4]
+
+
+def test_engine_matches_reference_on_equal_ratios():
+    # Weight over load is 1 for every coflow at the bottleneck port 1.
+    inst = mk_instance(1, 2, [(1, 0, 3, [(1, 1, 3)]), (2, 0, 1, [(1, 2, 1)]),
+                              (3, 0, 2, [(1, 1, 2)]), (4, 0, 4, [(1, 2, 4)])])
+    _assert_engine_matches_reference(inst)
+    _assert_engine_matches_reference(jobset_from_instance(inst, 1))
+    perm, dual = permute_coflow_level(inst)
+    assert perm.order[-1] == 1 and dual.beta[0].value == 1.0
+
+
+def test_engine_matches_reference_when_bottleneck_has_no_unscheduled_load():
+    # Once coflows 1 and 3 are placed only flowless coflows are left, so the
+    # bottleneck carries no load and alpha places them.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 3)]), (2, 0, 2, []),
+                              (3, 0, 1, [(2, 2, 1)]), (4, 0, 5, [])])
+    _assert_engine_matches_reference(inst)
+    _assert_engine_matches_reference(jobset_from_instance(inst, 1))
+    perm, dual = permute_flow_level(inst)
+    assert {e for _, _, e in dual.alpha} == {2, 4}
+    assert perm.order[:2] == (4, 2)
+
+
+def test_engine_matches_reference_on_a_gamma_chain():
+    # Coflow 1 has the smallest ratio but two unscheduled successors in a
+    # chain, so it is traded for coflow 3 through the edge (2, 3).
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 10)]),
+                              (2, 0, 10, [(1, 1, 1)]),
+                              (3, 0, 10, [(1, 1, 1)])], edges=[(1, 2), (2, 3)])
+    _assert_engine_matches_reference(inst)
+    perm, dual = permute_flow_level(inst)
+    assert perm.order == (1, 2, 3)
+    assert (2, 3) in dual.gamma
+
+
+# ---------------------------------------------------------------------------
 # dual documents
 # ---------------------------------------------------------------------------
 
@@ -690,6 +835,21 @@ def test_hand_built_job_dual_matches_naive_reference(seed):
         for j in js.jobs}
     assert dual_objective(dual, js) == _naive_objective(dual, js)
     assert dual_to_document(dual, js) == _naive_document(dual, js)
+
+
+def test_flow_level_document_of_unsorted_flows_matches_naive_reference():
+    # Coflow(...) keeps its flows in the order given, unlike Coflow.make.
+    flows = {1: [(2, 1, 3), (1, 2, 4), (1, 1, 2), (2, 2, 5)],
+             2: [(2, 2, 1), (1, 2, 6)], 3: [(1, 1, 7)]}
+    inst = Instance(NetworkConfig(1, 2), tuple(
+        Coflow(k, 0, float(k), tuple(Flow(*f) for f in fl))
+        for k, fl in flows.items()), PrecedenceDag.make(flows))
+    _, dual = permute_flow_level(inst)
+    hand = DualSolution(FLOW_LEVEL, 0.5, {}, tuple(
+        BetaRecord(side, port, (3, 1, 2), 0.25)
+        for side in ("in", "out") for port in (1, 2)), {})
+    for d in (dual, hand):
+        assert dual_to_document(d, inst) == _naive_document(d, inst)
 
 
 @pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL, JOB_LEVEL])

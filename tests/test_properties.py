@@ -33,11 +33,7 @@ from coflow_forge import (
     permute_flow_level,
     permute_jobs,
 )
-from coflow_forge.generator import (
-    DENSITY_MODES,
-    GeneratorParams,
-    generate_instance,
-)
+from coflow_forge.generator import GeneratorParams, generate_instance
 from coflow_forge.model import PortDemand
 from coflow_forge.metrics_report import (
     ALGORITHMS,
@@ -51,16 +47,7 @@ from coflow_forge.simulator import (
     verify_schedule,
 )
 
-from conftest import jobset_from_instance, jobset_grouped, mk_instance
-
-PARAMS = st.builds(
-    GeneratorParams,
-    n=st.integers(1, 12), num_ports=st.integers(1, 6),
-    num_cores=st.integers(1, 4), deg=st.integers(0, 3),
-    p=st.sampled_from([0.5, 1.0, 2.0]),
-    density_mode=st.sampled_from(DENSITY_MODES),
-    seed=st.integers(0, 2**16), release_horizon=st.integers(0, 30),
-    conforming=st.booleans())
+from conftest import PARAMS, jobset_from_instance, jobset_grouped, mk_instance
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
