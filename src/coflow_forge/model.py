@@ -318,14 +318,6 @@ class PortDemand:
             self.squares[side] = np.bincount(cell, squares, self.n * ports
                                              ).reshape(self.n, ports)
 
-    def at(self, side: str, port: int) -> tuple[np.ndarray, np.ndarray]:
-        """(load, sum of squared flow sizes) of every coflow at the port: 0
-        outside ports 1..N. Sides other than "in" count as "out"."""
-        side = "in" if side == "in" else "out"
-        if not 1 <= port <= self.load[side].shape[1]:
-            return np.zeros(self.n, dtype=np.int64), np.zeros(self.n)
-        return self.load[side][:, port - 1], self.squares[side][:, port - 1]
-
 
 def is_conforming(instance: Instance) -> bool:
     """True iff along every edge weights are non-increasing and per-port

@@ -106,8 +106,14 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
     port_out = load["out"].sum(axis=0)
     successors = {ent.index[a]: sorted(ent.index[b] for b in bs)
                   for a, bs in successors.items()}
+    column = _port_major(load)
     resid = ent.weight.copy()
     unsched = np.ones(n, dtype=bool)
+    placed = [False] * n
+    # The latest-released unscheduled entity is the first unplaced one in
+    # this order, which breaks ties by the smallest index.
+    by_release = np.argsort(-ent.release, kind="stable").tolist()
+    latest = 0
 
     alpha: dict[tuple[str, int, int], float] = {}
     beta: list[BetaRecord] = []
@@ -116,7 +122,7 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
     scale = max(1.0, float(ent.weight.max())) if n else 1.0
 
     for pos in range(n, 0, -1):
-        mu1, mu2 = int(np.argmax(port_in)), int(np.argmax(port_out))
+        mu1, mu2 = int(port_in.argmax()), int(port_out.argmax())
         # Strict ">" so the output side wins ties, matching the branch test.
         if port_in[mu1] > port_out[mu2]:
             side, port = "in", mu1
@@ -124,26 +130,29 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
         else:
             side, port = "out", mu2
             bottleneck = port_out[mu2]
-        loads = load[side][:, port]
+        loads = column(side, port + 1)
 
-        krel = int(np.argmax(np.where(unsched, ent.release, -1)))
-        cand_mask = unsched & (loads > 0)
+        while placed[by_release[latest]]:
+            latest += 1
+        krel = by_release[latest]
+        cands = (unsched & (loads > 0)).nonzero()[0]
 
-        if ent.release[krel] > kappa * bottleneck / m or not cand_mask.any():
+        if ent.release[krel] > kappa * bottleneck / m or not len(cands):
             # Alpha rule: release dominates (or, degenerately, nothing loads
             # the bottleneck port); raising alpha makes krel tight.
             chosen = krel
             alpha[(side, port + 1, ent.ids[krel])] = float(resid[krel])
         else:
-            ratios = np.full(n, np.inf)
-            np.divide(resid, loads, out=ratios, where=cand_mask)
-            cand = int(np.argmin(ratios))
-            f1 = float(ratios[cand])
+            # argmin over the ascending candidates picks the smallest index.
+            cand_loads = loads[cands]
+            ratios = resid[cands] / cand_loads
+            i = int(ratios.argmin())
+            cand, f1 = int(cands[i]), float(ratios[i])
 
             t0, t1 = -1, cand
             while True:
                 nxt = next((s for s in successors.get(t1, ())
-                            if unsched[s]), None)
+                            if not placed[s]), None)
                 if nxt is None:
                     break
                 t0, t1 = t1, nxt
@@ -160,20 +169,21 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
 
             frozen = snapshot_ids(unsched, side, port + 1, loads)
             beta.append(BetaRecord(side, port + 1, frozen, f1))
-            # Scheduled residuals go stale: nothing reads them again.
-            resid -= f1 * loads
             chosen = t1
-
-        sigma[pos - 1] = ent.ids[chosen]
-        unsched[chosen] = False
-        port_in -= load["in"][chosen]
-        port_out -= load["out"][chosen]
-        if unsched.any():
-            worst = float(resid[unsched].min())
+            # Only the candidates' residuals fall (t0's rose by gamma), and
+            # only theirs need the check and the clip; the chosen one's goes
+            # stale, as nothing reads a placed residual again.
+            left = resid[cands] - f1 * cand_loads
+            worst = float(left[cands != chosen].min(initial=0.0))
             if worst < -1e-6 * scale:
                 raise RuntimeError(
                     f"internal error: residual weight went negative ({worst})")
-            np.clip(resid, 0.0, None, out=resid)
+            resid[cands] = np.maximum(left, 0.0)
+
+        sigma[pos - 1] = ent.ids[chosen]
+        unsched[chosen], placed[chosen] = False, True
+        port_in -= load["in"][chosen]
+        port_out -= load["out"][chosen]
 
     dual = DualSolution(kind, kappa, alpha, tuple(beta), gamma)
     return Permutation(tuple(sigma)), dual
@@ -206,7 +216,7 @@ def _permute(subject: Instance | JobSet, kappa: float,
     def snapshot(unsched, side, port, loads):
         # One masked gather; coflow-level entities are these coflows.
         if kind == JOB_LEVEL:
-            unsched, loads = unsched[owner], demand.at(side, port)[0][rows]
+            unsched, loads = unsched[owner], demand.load[side][rows, port - 1]
         if kind != COFLOW_LEVEL:
             unsched = unsched & (loads > 0)
         return tuple(id_array[unsched].tolist())
@@ -280,6 +290,22 @@ class _Entities:
                                  for r in self.rows], dtype=np.int64)
 
 
+def _port_major(tables: Mapping[str, np.ndarray]):
+    """column(side, port): column port - 1 of `tables[side]` (one row per
+    coflow or entity, one column per port), read from a float64 copy that
+    holds one port per row; zeros outside ports 1..N, and sides other than
+    "in" count as "out"."""
+    rows = {}
+    for side, table in tables.items():
+        rows[side] = np.zeros((table.shape[1] + 1, table.shape[0]))
+        rows[side][:-1] = table.T
+
+    def column(side: str, port: int) -> np.ndarray:
+        by_port = rows["in" if side == "in" else "out"]
+        return by_port[port - 1 if 1 <= port < len(by_port) else -1]
+    return column
+
+
 def _slot_demand(coflow: Coflow, side: str, port: int) -> int:
     # The alpha variable of the flow-level dual sits on slot (port, 1) or
     # (1, port); its objective coefficient is that slot's demand.
@@ -316,6 +342,7 @@ def dual_objective(dual: DualSolution,
     """
     m = subject.config.num_cores
     demand, ent = _entities_of(dual, subject)
+    loads = _port_major(demand.load)
 
     # An alpha pays the release of its entity's first coflow plus the slot
     # demand at flow level, the port load at coflow level, or 0 at job level.
@@ -324,17 +351,19 @@ def dual_objective(dual: DualSolution,
         row = ent.rows[ent.index[e]][0]
         c = subject.coflows[row]
         term = (_slot_demand(c, side, port) if dual.kind == FLOW_LEVEL
-                else float(demand.at(side, port)[0][row])
+                else float(loads(side, port)[row])
                 if dual.kind == COFLOW_LEVEL else 0)
         total += value * (c.release + term)
 
     # Flow level sums the squares of the flow sizes; coflow and job level
     # treat each coflow's port load as one item.
+    if dual.kind == FLOW_LEVEL:
+        squares = _port_major(demand.squares)
     for rec in dual.beta:
         idx = _rows(demand, rec.coflows)
-        load, squares = demand.at(rec.side, rec.port)
-        s = load[idx].astype(np.float64)  # s * s wraps in int64 past 3e9
-        q = squares[idx] if dual.kind == FLOW_LEVEL else s * s
+        s = loads(rec.side, rec.port)[idx]
+        q = (squares(rec.side, rec.port)[idx] if dual.kind == FLOW_LEVEL
+             else s * s)
         total += rec.value * _f_sums(float(s.sum()), float(q.sum()), m)
     return total
 
@@ -345,12 +374,12 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet
     non-negative and every LHS <= w (1 + _REL_TOL). An entity's LHS is the
     sum over its coflow rows, plus its alpha."""
     demand, ent = _entities_of(dual, subject)
+    loads = _port_major(demand.load)
     beta_lhs = np.zeros(demand.n)
     for rec in dual.beta:
         idx = _rows(demand, rec.coflows)
-        load = demand.at(rec.side, rec.port)[0][idx].astype(np.float64)
         # add.at adds a repeated id once per occurrence, in record order.
-        np.add.at(beta_lhs, idx, rec.value * load)
+        np.add.at(beta_lhs, idx, rec.value * loads(rec.side, rec.port)[idx])
     row_lhs = beta_lhs.tolist()
     for (a, b), value in dual.gamma.items():
         row_lhs[demand.row[b]] += value
@@ -389,6 +418,8 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet
 # values (flow-level triples) at depth 5.
 _ITEM = "\n" + " " * 8
 _INNER = "\n" + " " * 10
+_SEP = "," + _ITEM
+_TRIPLE = f"[{_INNER}%s,{_INNER}%s,{_INNER}%s{_ITEM}]"
 
 
 def _snapshot_items(dual: DualSolution, subject: Instance | JobSet):
@@ -400,16 +431,20 @@ def _snapshot_items(dual: DualSolution, subject: Instance | JobSet):
     if dual.kind != FLOW_LEVEL:
         ids = {k: str(k) for k in empty}
         return lambda side, port: ids
-    triples: dict[tuple[str, int], dict[int, list[str]]] = {}
+    columns: dict[tuple[str, int], dict[int, str]] = {}
     for c in subject.coflows:
+        ins: dict[int, list[str]] = {}
+        outs: dict[int, list[str]] = {}
         for f in sorted(c.flows, key=lambda f: (f.source, f.dest)):
-            text = (f"[{_INNER}{f.source},{_INNER}{f.dest},{_INNER}{c.id}"
-                    f"{_ITEM}]")
-            for key in (("in", f.source), ("out", f.dest)):
-                triples.setdefault(key, {}).setdefault(c.id, []).append(text)
-    columns = {key: {**empty, **{k: ("," + _ITEM).join(texts)
-                                 for k, texts in by_id.items()}}
-               for key, by_id in triples.items()}
+            text = _TRIPLE % (f.source, f.dest, c.id)
+            ins.setdefault(f.source, []).append(text)
+            outs.setdefault(f.dest, []).append(text)
+        for side, by_port in (("in", ins), ("out", outs)):
+            for port, texts in by_port.items():
+                column = columns.get((side, port))
+                if column is None:
+                    column = columns[side, port] = empty.copy()
+                column[c.id] = _SEP.join(texts)
     return lambda side, port: columns.get((side, port), empty)
 
 
@@ -419,7 +454,7 @@ def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
     def snapshot(rec: BetaRecord) -> JsonText:
         column = items(rec.side, rec.port)
         try:
-            body = ("," + _ITEM).join(
+            body = _SEP.join(
                 filter(None, map(column.__getitem__, sorted(rec.coflows))))
         except KeyError as exc:
             raise ValueError(
