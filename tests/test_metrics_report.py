@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from coflow_forge import Job, JobSet, metrics_report
+from coflow_forge import InvalidInstanceError, Job, JobSet, metrics_report
 from coflow_forge.generator import GeneratorParams, generate_instance
 from coflow_forge.metrics_report import (
     CSV_HEADER,
@@ -144,6 +144,17 @@ def test_evaluate_end_to_end(alg):
     assert rec.ratio == pytest.approx(rec.twc / rec.dual)
     assert rec.n == 8 and rec.m == 2 and rec.num_ports == 5
     assert rec.ms == 0.0
+
+
+@pytest.mark.parametrize("weight", [float("inf"), 10**400],
+                         ids=["inf", "10**400"])
+@pytest.mark.parametrize("alg", ["fdls", "cdls", "jobs"])
+def test_evaluate_rejects_weights_past_the_float_range(weight, alg):
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]),
+                              (2, 0, weight, [(1, 1, 3)])])
+    subject = jobset_from_instance(inst, 1) if alg == "jobs" else inst
+    with pytest.raises(InvalidInstanceError, match="must be a finite number"):
+        evaluate(subject, alg)
 
 
 def test_evaluate_jobs():

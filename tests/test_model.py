@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -105,6 +106,27 @@ def test_validate_flags_release_past_int64():
     report = validate_instance(mk_instance(1, 1, [(1, 2**63, 1, [])]))
     assert report.violations == (
         f"coflow 1: release {2**63} exceeds the 64-bit limit {2**63 - 1}",)
+
+
+@pytest.mark.parametrize("weight", [float("inf"), 10**400],
+                         ids=["inf", "10**400"])
+def test_validate_flags_weights_past_the_float_range(weight):
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]),
+                              (2, 0, weight, [(1, 1, 3)])])
+    assert validate_instance(inst).violations == (
+        f"coflow 2: weight must be a finite number, got {weight!r}",)
+    report = validate_jobset(jobset_from_instance(inst, 1))
+    assert report.violations == (
+        f"coflow 2: weight must be a finite number, got {weight!r}",
+        f"job 2: weight must be a finite number, got {weight!r}")
+
+
+def test_validate_jobset_flags_an_infinite_job_weight():
+    js = jobset_from_instance(mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)])]))
+    bad = dataclasses.replace(js, jobs=(dataclasses.replace(
+        js.jobs[0], weight=float("inf")),))
+    assert validate_jobset(bad).violations == (
+        "job 1: weight must be a finite number, got inf",)
 
 
 def test_validate_flags_duplicate_ids():

@@ -1006,6 +1006,38 @@ def test_strict_dual_rejects_foreign_snapshot_triple():
                    rf"\[.*\] is not a flow at {rec['side']} port {rec['port']}")
 
 
+def test_strict_dual_rejects_repeated_snapshot_ids():
+    # One coflow, one size-4 flow, weight 1, optimum 4. Naming the coflow
+    # twice at half the value would certify 6.0 if it were read back.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 4)])])
+    _, dual = permute_coflow_level(inst)
+    doc = json.loads(dual_to_document(dual, inst))
+    assert doc["beta"][0]["snapshot"] == [1]
+    doc["beta"][0]["snapshot"], doc["beta"][0]["value"] = [1, 1], 0.125
+    _rejected(doc, r"^beta entry 0 snapshot item 1 1 repeats an earlier item$")
+    _, dual = permute_jobs(jobset_from_instance(inst))
+    doc = json.loads(dual_to_document(dual, inst))
+    doc["beta"][0]["snapshot"] = [1, 1]
+    _rejected(doc, "beta entry 0 snapshot item 1 1 repeats an earlier item")
+
+
+def test_strict_dual_rejects_repeated_snapshot_triples():
+    doc = _dual_doc()
+    rec = doc["beta"][0]
+    rec["snapshot"].append(rec["snapshot"][0])
+    _rejected(doc, f"beta entry 0 snapshot item {len(rec['snapshot']) - 1} "
+                   r"\[.*\] repeats an earlier item")
+
+
+def test_dual_document_keeps_distinct_triples_of_one_coflow():
+    # Two flows of coflow 1 at input port 1 are two items, not a repeat.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2), (1, 2, 3)])])
+    _, dual = permute_flow_level(inst)
+    text = dual_to_document(dual, inst)
+    assert json.loads(text)["beta"][0]["snapshot"] == [[1, 1, 1], [1, 2, 1]]
+    assert document_to_dual(text) == dual
+
+
 def test_strict_dual_root_must_be_an_object():
     with pytest.raises(DocumentError, match="must be an object, got list"):
         document_to_dual("[]")
