@@ -164,6 +164,16 @@ def config_violations(config: NetworkConfig) -> list[str]:
                     and 1 <= value <= MAX_CORES_AND_PORTS)]
 
 
+def _weight_violations(what: str, weight) -> list[str]:
+    # Weights must be positive and, as in documents, finite numbers within
+    # the float range: inf, nan and larger ints are left out.
+    if not weight > 0:
+        return [f"{what}: non-positive weight {weight!r}"]
+    if not weight <= sys.float_info.max:
+        return [f"{what}: weight must be a finite number, got {weight!r}"]
+    return []
+
+
 def validate_instance(instance: Instance) -> ValidationReport:
     """Check every type invariant; violations are data, not exceptions."""
     cfg = instance.config
@@ -177,8 +187,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
         seen_ids.add(c.id)
         if not (isinstance(c.id, int) and -2**63 <= c.id < 2**63):
             v.append(f"coflow {c.id}: id exceeds the 64-bit range")
-        if not c.weight > 0:
-            v.append(f"coflow {c.id}: non-positive weight {c.weight!r}")
+        v.extend(_weight_violations(f"coflow {c.id}", c.weight))
         if not (isinstance(c.release, int) and c.release >= 0):
             v.append(f"coflow {c.id}: release must be a non-negative integer, "
                      f"got {c.release!r}")
@@ -230,8 +239,7 @@ def validate_jobset(jobset: JobSet) -> ValidationReport:
         if job.id in seen_jobs:
             v.append(f"duplicate job id {job.id}")
         seen_jobs.add(job.id)
-        if not job.weight > 0:
-            v.append(f"job {job.id}: non-positive weight {job.weight!r}")
+        v.extend(_weight_violations(f"job {job.id}", job.weight))
         if not job.coflows:
             v.append(f"job {job.id}: empty coflow group")
         for k in job.coflows:

@@ -492,19 +492,23 @@ def document_to_dual(text: str) -> DualSolution:
     for i, (side, port, snap, value) in enumerate(entries(
             betas, "beta entry", side=SIDE, port=INTEGER, snapshot=LIST,
             value=NUMBER)):
-        where = f"beta entry {i}"
-        if kind == FLOW_LEVEL:
-            ids = set()
-            for j, item in enumerate(snap):
-                src, dst, k = typed(item, TRIPLE, f"{where} snapshot item {j}")
+        ids, seen = [], set()
+        for j, item in enumerate(snap):
+            where = f"beta entry {i} snapshot item {j}"
+            if kind == FLOW_LEVEL:
+                src, dst, k = key = tuple(typed(item, TRIPLE, where))
                 if (src if side == "in" else dst) != port:
-                    raise DocumentError(f"{where} snapshot item {j} {item} "
-                                        f"is not a flow at {side} port {port}")
-                ids.add(k)
-            ids = sorted(ids)
-        else:
-            ids = [typed(item, INTEGER, f"{where} snapshot item {j}")
-                   for j, item in enumerate(snap)]
+                    raise DocumentError(f"{where} {item} is not a flow at "
+                                        f"{side} port {port}")
+            else:
+                k = key = typed(item, INTEGER, where)
+            # A repeat would count its coflow twice in the certificate.
+            if key in seen:
+                raise DocumentError(f"{where} {item} repeats an earlier item")
+            seen.add(key)
+            ids.append(k)
+        if kind == FLOW_LEVEL:
+            ids = sorted(set(ids))
         beta.append(BetaRecord(side, port, tuple(ids), value))
     gamma = {(pred, succ): value
              for pred, succ, value in entries(
