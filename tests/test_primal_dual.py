@@ -1029,15 +1029,6 @@ def test_strict_dual_rejects_repeated_snapshot_triples():
                    r"\[.*\] repeats an earlier item")
 
 
-def test_dual_document_keeps_distinct_triples_of_one_coflow():
-    # Two flows of coflow 1 at input port 1 are two items, not a repeat.
-    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2), (1, 2, 3)])])
-    _, dual = permute_flow_level(inst)
-    text = dual_to_document(dual, inst)
-    assert json.loads(text)["beta"][0]["snapshot"] == [[1, 1, 1], [1, 2, 1]]
-    assert document_to_dual(text) == dual
-
-
 def test_strict_dual_root_must_be_an_object():
     with pytest.raises(DocumentError, match="must be an object, got list"):
         document_to_dual("[]")
