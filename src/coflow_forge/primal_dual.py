@@ -108,6 +108,7 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
                   for a, bs in successors.items()}
     column = _port_major(load)
     resid = ent.weight.copy()
+    # The same state twice: a mask for array steps, flags for scalar reads.
     unsched = np.ones(n, dtype=bool)
     placed = [False] * n
     # The latest-released unscheduled entity is the first unplaced one in
