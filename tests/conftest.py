@@ -1,6 +1,8 @@
 """Shared builders for test instances and job sets."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import strategies as st
 
@@ -66,6 +68,64 @@ def jobset_grouped(instance, job_of):
     edges = [(a, b) for a, b in instance.dag.edges if job_of(a) == job_of(b)]
     return JobSet(instance.config, tuple(jobs), tuple(coflows),
                   PrecedenceDag.make(ids, edges))
+
+
+# The fields `with_field` can replace: a coflow's, a flow's, the network's,
+# an edge's (its pred or succ endpoint) and a job's.
+COFLOW_FIELDS = ("id", "release", "weight")
+FLOW_FIELDS = ("source", "dest", "size")
+CONFIG_FIELDS = ("num_cores", "num_ports")
+EDGE_FIELDS = ("pred", "succ")
+JOB_FIELDS = ("job id", "job weight", "job member")
+FIELDS = COFLOW_FIELDS + FLOW_FIELDS + CONFIG_FIELDS + EDGE_FIELDS \
+    + JOB_FIELDS
+
+
+def with_field(subject, field, value, i=0):
+    """`subject` with `field` of its i-th coflow, flow, edge (in sorted
+    order) or job, or of its network, replaced by `value`; None when it
+    has no such entry. Nothing else changes: a replaced coflow id is not
+    carried into the DAG or the jobs."""
+    if field in CONFIG_FIELDS:
+        return replace(subject, config=replace(subject.config,
+                                               **{field: value}))
+    if field in JOB_FIELDS:
+        if not getattr(subject, "jobs", ()):
+            return None
+        jobs = list(subject.jobs)
+        job = jobs[i % len(jobs)]
+        if field == "job member":
+            job = replace(job, coflows=(value, *job.coflows[1:]))
+        else:
+            job = replace(job, **{field[4:]: value})
+        jobs[i % len(jobs)] = job
+        return replace(subject, jobs=tuple(jobs))
+    if field in EDGE_FIELDS:
+        name = "intra_job_dag" if isinstance(subject, JobSet) else "dag"
+        dag = getattr(subject, name)
+        edges = sorted(dag.edges)
+        if not edges:
+            return None
+        a, b = edges.pop(i % len(edges))
+        edges.append((value, b) if field == "pred" else (a, value))
+        return replace(subject, **{name: PrecedenceDag(dag.nodes,
+                                                       frozenset(edges))})
+    coflows = list(subject.coflows)
+    if field in COFLOW_FIELDS:
+        if not coflows:
+            return None
+        j = i % len(coflows)
+        coflows[j] = replace(coflows[j], **{field: value})
+    else:
+        places = [(j, k) for j, c in enumerate(coflows)
+                  for k in range(len(c.flows))]
+        if not places:
+            return None
+        j, k = places[i % len(places)]
+        flows = list(coflows[j].flows)
+        flows[k] = replace(flows[k], **{field: value})
+        coflows[j] = replace(coflows[j], flows=tuple(flows))
+    return replace(subject, coflows=tuple(coflows))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,36 @@ def test_invalid_instance_data_exits_1(tmp_path, capsys):
     assert "weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [False, True], ids=["instance", "jobset"])
+def test_an_invalid_document_is_named_in_its_error(tmp_path, capsys, jobs):
+    # The subject is validated once, by the pipeline, whose violations the
+    # command reports under the file's name.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]), (2, 0, 1, [(1, 1, 3)])])
+    js = jobset_from_instance(inst, 1)
+    path = tmp_path / "broken.json"
+    path.write_text(jobset_to_document(replace(js, jobs=(
+        replace(js.jobs[0], weight=-1), js.jobs[1]))) if jobs else
+        instance_to_document(replace(inst, coflows=(
+            replace(inst.coflows[0], weight=-1), inst.coflows[1]))))
+    alg = "jobs" if jobs else "fdls"
+    for command in ("order", "schedule", "eval"):
+        capsys.readouterr()
+        assert main([command, str(path), "--alg", alg,
+                     "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"coflow-forge: error: {path}: {'job' if jobs else 'coflow'} 1: "
+            "non-positive weight -1\n")
+
+
+def test_bench_names_an_invalid_trace_in_its_error(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("3 2\n1 0 1 1 1 2:100\n1 0 1 2 1 3:10\n")
+    assert main(["bench", "--seeds", "0:1", "--trace", str(trace),
+                 "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"coflow-forge: error: {trace}: duplicate coflow id 1\n")
+
+
 # Each case is (key path, bad value, document is a jobset). None of them
 # may exit through a traceback.
 MALFORMED = {
@@ -248,6 +279,38 @@ def test_bench_threshold_sweep_over_trace(tmp_path):
     # threshold 2 keeps only the 2-flow coflow
     assert by_tag["threshold=1"] == {2}
     assert by_tag["threshold=2"] == {1}
+
+
+@pytest.mark.parametrize("vary, values, tags", [
+    ("m", "1,3", {"m=1": 1, "m=3": 3}), ("p", "0.5", {"p=0.5": 2})])
+def test_bench_sweeps_cores_and_parallelism(tmp_path, vary, values, tags):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--seeds", "1,3", "--vary", vary, "--values", values,
+                 "--n", "5", "--ports", "4", "--cores", "2", "--alg", "fdls",
+                 "-o", str(out)]) == 0
+    records = parse_report(out.read_text()).records
+    assert sorted((r.instance_id, r.seed, r.m) for r in records) == sorted(
+        (tag, seed, m) for tag, m in tags.items() for seed in (1, 3))
+
+
+def test_output_defaults_to_stdout(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    capsys.readouterr()
+    for out in ([], ["-o", "-"]):
+        assert main(["order", str(inst), *out]) == 0
+        assert capsys.readouterr().out.startswith('{\n  "algorithm": "fdls"')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "INSTANCE", "--alg", "fdls,bogus"], "unknown algorithm 'bogus'"),
+    (["bench", "--seeds", "0:1", "--alg", "jobs"],
+     "bench supports fdls/cdls, not 'jobs'")], ids=["eval", "bench"])
+def test_an_unknown_algorithm_exits_1_with_one_line(tmp_path, capsys, argv,
+                                                    message):
+    inst = str(_generate(tmp_path))
+    capsys.readouterr()
+    assert main([inst if a == "INSTANCE" else a for a in argv]) == 1
+    assert capsys.readouterr().err == f"coflow-forge: error: {message}\n"
 
 
 def test_bench_vary_requires_values(tmp_path, capsys):

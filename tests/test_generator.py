@@ -145,6 +145,29 @@ def test_invalid_params_rejected():
                                           workload_mix=wide))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"deg": -1}, "deg must be >= 0"),
+    ({"weight_range": (0, 5)}, "weight range must satisfy 1 <= lo <= hi"),
+    ({"weight_range": (6, 5)}, "weight range must satisfy 1 <= lo <= hi"),
+    ({"release_horizon": -1}, "release horizon must be >= 0"),
+    ({"workload_mix": (WorkloadConfig(1, 1, 2, 1, 1.0),)},
+     "workload sizes .* must satisfy 1 <= min <= max")],
+    ids=["deg", "weight floor", "weight order", "release horizon",
+         "workload sizes"])
+def test_each_invalid_param_is_named(change, message):
+    params = GeneratorParams(n=2, num_ports=2, num_cores=1, **change)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_instance(params)
+
+
+@pytest.mark.parametrize("n, deg, p, message", [
+    (0, 1, 1.0, "n must be >= 1"), (3, -1, 1.0, "deg must be >= 0"),
+    (3, 1, 0.0, "parallelism factor p must be positive")])
+def test_generate_dag_rejects_bad_arguments(n, deg, p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_dag(n, deg, p, seed=0)
+
+
 def test_default_mix_uses_port_count():
     mix = default_workload_mix(24)
     assert mix[2].w_max == 24 and mix[3].w_max == 24

@@ -128,6 +128,15 @@ def test_parse_report_names_a_row_with_the_wrong_cell_count():
         parse_report(text.replace("i,1,fdls", "i,1,fdls,x"))
 
 
+def test_unknown_report_format_and_missing_header_raise():
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+        emit_report(EvaluationReport([_record()]), format="xml")
+    for text in ("", "i,0,fdls\n", CSV_HEADER.replace("ms", "us") + "\n"):
+        with pytest.raises(ValueError,
+                           match="^missing or unexpected CSV header$"):
+            parse_report(text)
+
+
 def test_report_sorted_records():
     report = EvaluationReport([_record(instance_id="b"),
                                _record(instance_id="a")])

@@ -3,6 +3,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,9 @@ from coflow_forge import (
     CycleError,
     DocumentError,
     Instance,
+    InvalidInstanceError,
+    Job,
+    JobSet,
     NetworkConfig,
     PrecedenceDag,
     document_to_instance,
@@ -25,10 +29,11 @@ from coflow_forge import (
     validate_jobset,
 )
 from coflow_forge.generator import GeneratorParams, generate_instance
+from coflow_forge.metrics_report import evaluate
 from coflow_forge.primal_dual import document_to_dual
 from coflow_forge.simulator import document_to_schedule
 
-from conftest import jobset_from_instance, mk_instance
+from conftest import jobset_from_instance, mk_instance, with_field
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +154,99 @@ def test_validate_jobset_catches_partition_and_releases():
     assert any("differing release" in v for v in report.violations)
 
 
+# Three coflows on 2 ports: coflow 1 sends (1,2) of size 3, and 1 precedes
+# 2 and 3. Its job set puts coflows 1 and 2 in job 1 and coflow 3 in job 2.
+TYPED = mk_instance(2, 2, [(1, 0, 1, [(1, 2, 3)]), (2, 0, 2, [(2, 1, 1)]),
+                           (3, 0, 1, [(1, 1, 2)])], edges=[(1, 2), (1, 3)])
+
+
+def _partition(*groups):
+    return JobSet(TYPED.config, tuple(Job(i, 1, tuple(g)) for i, g in groups),
+                  TYPED.coflows, TYPED.dag)
+
+
+@pytest.mark.parametrize("jobset, violations", [
+    (_partition((1, [1]), (1, [2, 3])), ("duplicate job id 1",)),
+    (_partition((1, [1, 2, 3]), (2, [])), ("job 2: empty coflow group",)),
+    (_partition((1, [1, 2]), (2, [2, 3])), (
+        "coflow 2 assigned to jobs 1 and 2", "edge (1,2) crosses jobs 1 and 2",
+        "edge (1,3) crosses jobs 1 and 2")),
+    (_partition((1, [1, 2])), ("jobs do not partition the coflow set",)),
+    (_partition((1, [1, 2]), (2, [3])), ("edge (1,3) crosses jobs 1 and 2",)),
+], ids=["duplicate id", "empty job", "coflow in two jobs", "no partition",
+        "edge across jobs"])
+def test_validate_jobset_flags_each_broken_grouping(jobset, violations):
+    assert validate_jobset(jobset).violations == violations
+
+
+# Each case: the field of TYPED, or of its job set, replaced; the entry it
+# is replaced in (see conftest.with_field); the value; the violations.
+MISTYPED = {
+    "str weight": ("weight", 1, "x",
+                   ("coflow 2: weight must be a finite number, got 'x'",)),
+    "None weight": ("weight", 1, None,
+                    ("coflow 2: weight must be a finite number, got None",)),
+    "complex weight": ("weight", 1, 1j,
+                       ("coflow 2: weight must be a finite number, got 1j",)),
+    "bool weight": ("weight", 1, True,
+                    ("coflow 2: weight must be a finite number, got True",)),
+    "numpy weight": ("weight", 1, np.float64(2.0),
+                     ("coflow 2: weight must be a finite number, got "
+                      "np.float64(2.0)",)),
+    "str port": ("source", 0, "x",
+                 ("coflow 1: flow (x,2) source must be an integer, got 'x'",)),
+    "float port": ("dest", 0, 2.0,
+                   ("coflow 1: flow (1,2.0) dest must be an integer, got "
+                    "2.0",)),
+    "bool port": ("source", 0, True,
+                  ("coflow 1: flow (True,2) source must be an integer, got "
+                   "True",)),
+    "bool size": ("size", 0, True,
+                  ("coflow 1: flow (1,2) size must be an integer, got True",)),
+    "numpy size": ("size", 0, np.int64(3),
+                   ("coflow 1: flow (1,2) size must be an integer, got "
+                    "np.int64(3)",)),
+    "bool release": ("release", 0, True,
+                     ("coflow 1: release must be a non-negative integer, "
+                      "got True",)),
+    "bool id": ("id", 0, True,
+                ("coflow True: id must be an integer, got True",)),
+    "bool core count": ("num_cores", 0, True,
+                        ("num_cores must be an integer in 1..4096, got "
+                         "True",)),
+    "numpy port count": ("num_ports", 0, np.int64(2),
+                         ("num_ports must be an integer in 1..4096, got "
+                          "np.int64(2)",)),
+    "str endpoint": ("succ", 1, "x",
+                     ("edge (1,x): endpoint must be an integer, got 'x'",)),
+    "str job id": ("job id", 0, "x",
+                   ("job x: id must be an integer, got 'x'",)),
+    "str job weight": ("job weight", 0, "x",
+                       ("job 1: weight must be a finite number, got 'x'",)),
+    "str job member": ("job member", 0, "x",
+                       ("job 1: member must be an integer, got 'x'",
+                        "jobs do not partition the coflow set")),
+    "str job-set endpoint": ("pred", 0, "x",
+                             ("edge (x,2): endpoint must be an integer, got "
+                              "'x'",)),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED)
+def test_validators_flag_a_mistyped_field_and_evaluate_rejects_it(case):
+    # A value of the wrong type is one violation naming its field, judged
+    # by the documents' rule: bools and numpy scalars are not numbers here.
+    field, i, value, violations = MISTYPED[case]
+    jobs = field.startswith("job") or "job-set" in case
+    subject = with_field(jobset_from_instance(TYPED, 2) if jobs else TYPED,
+                         field, value, i)
+    validate = validate_jobset if jobs else validate_instance
+    assert validate(subject).violations == violations
+    for alg in ("jobs",) if jobs else ("fdls", "cdls"):
+        with pytest.raises(InvalidInstanceError):
+            evaluate(subject, alg)
+
+
 # ---------------------------------------------------------------------------
 # longest_path_chi
 # ---------------------------------------------------------------------------
@@ -261,6 +359,12 @@ def test_document_rejects_unknown_fields():
     doc["coflows"][0]["flows"][0]["rate"] = 2
     with pytest.raises(DocumentError, match="rate"):
         document_to_instance(json.dumps(doc))
+
+
+def test_document_that_is_not_json():
+    with pytest.raises(DocumentError, match="^not a valid instance "
+                                            "document: Expecting"):
+        document_to_instance('{"cores": 1,')
 
 
 def test_document_missing_field():

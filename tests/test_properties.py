@@ -17,6 +17,7 @@ from coflow_forge import (
     Coflow,
     Flow,
     Instance,
+    InvalidInstanceError,
     JobSet,
     NetworkConfig,
     PrecedenceDag,
@@ -32,11 +33,14 @@ from coflow_forge import (
     permute_coflow_level,
     permute_flow_level,
     permute_jobs,
+    validate_instance,
+    validate_jobset,
 )
 from coflow_forge.generator import GeneratorParams, generate_instance
 from coflow_forge.model import PortDemand
 from coflow_forge.metrics_report import (
     ALGORITHMS,
+    evaluate,
     run_algorithm,
     total_weighted_completion,
 )
@@ -47,7 +51,8 @@ from coflow_forge.simulator import (
     verify_schedule,
 )
 
-from conftest import PARAMS, jobset_from_instance, jobset_grouped, mk_instance
+from conftest import (FIELDS, PARAMS, jobset_from_instance, jobset_grouped,
+                      mk_instance, with_field)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -73,9 +78,7 @@ def test_pipeline_properties_over_generator_params(params):
         twc = total_weighted_completion(schedule, subject)
         assert dual_objective(dual, subject) <= twc * (1 + 1e-9), alg
 
-        dag = jobset.intra_job_dag if alg == "jobs" else inst.dag
-        base = Instance(inst.config, subject.coflows, dag)
-        assert verify_schedule(schedule, base, assignment).ok, alg
+        assert verify_schedule(schedule, subject, assignment).ok, alg
 
         dtext = dual_to_document(dual, subject)
         assert dual_to_document(document_to_dual(dtext), subject) == dtext
@@ -294,8 +297,9 @@ def test_port_demand_on_edge_cases(name):
         assert inst.dag.edges and is_conforming(inst)
 
 
-def _mutations(schedule: Schedule, i: int, num_cores: int):
-    """Each way of breaking `schedule` at its i-th segment, by name."""
+def _mutations(schedule: Schedule, i: int, num_cores: int, job_of: dict):
+    """Each way of breaking `schedule` at its i-th segment, by name;
+    `job_of` maps each job id to its coflows (empty for an instance)."""
     seg = schedule.segments[i]
     key = (seg.source, seg.dest, seg.coflow)
     last_end = max(g.end for g in schedule.segments
@@ -330,6 +334,14 @@ def _mutations(schedule: Schedule, i: int, num_cores: int):
         yield "overlap", with_segment(
             (seg, seg._replace(core=other.core, start=other.start,
                                end=other.end)))
+    # The job of the segment's coflow completes a unit early.
+    job = next((t for t, coflows in job_of.items() if seg.coflow in coflows),
+               None)
+    if job is not None:
+        yield "false job completion", Schedule(
+            schedule.flow_completions, schedule.coflow_completions,
+            {**schedule.job_completions,
+             job: schedule.job_completions[job] - 1}, schedule.segments)
 
 
 # The part of a violation that each mutation must produce.
@@ -338,7 +350,8 @@ FLAGGED_BY = {"drop": "transmitted", "shorten": "transmitted",
               "early completion": "after its completion",
               "late completion": "after its last segment ends",
               "overlap": "overlapping transmissions",
-              "twice at once": "at once"}
+              "twice at once": "at once",
+              "false job completion": "!= last coflow"}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -349,15 +362,44 @@ def test_auditor_flags_every_infeasible_mutation(params, alg, data):
     # completion before the flow's last segment end has the flow transmit
     # after it completes, one after it has the flow complete with nothing
     # left to send, a copy on another core sends the flow twice at once,
-    # and a copy laid over another flow's segment shares a port with it.
-    # The audit gets no assignment, as for jobs.
+    # and a copy laid over another flow's segment shares a port with it; a
+    # job that completes before its last coflow does is flagged against
+    # the job set. The audit gets no assignment, as for jobs.
     inst = generate_instance(params)
     subject = jobset_from_instance(inst) if alg == "jobs" else inst
     schedule = run_algorithm(subject, alg)[3]
     assume(schedule.segments)
-    dag = subject.intra_job_dag if alg == "jobs" else inst.dag
-    base = Instance(inst.config, subject.coflows, dag)
+    job_of = {j.id: j.coflows for j in getattr(subject, "jobs", ())}
     i = data.draw(st.integers(0, len(schedule.segments) - 1), label="segment")
-    for name, mutated in _mutations(schedule, i, inst.config.num_cores):
-        violations = verify_schedule(mutated, base).violations
+    for name, mutated in _mutations(schedule, i, inst.config.num_cores,
+                                    job_of):
+        violations = verify_schedule(mutated, subject).violations
         assert any(FLAGGED_BY[name] in v for v in violations), name
+
+
+# What a Python caller might put where an integer or a number belongs.
+MISTYPED_VALUES = ("x", None, True, 1.0, 1j, np.int64(1), float("nan"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(PARAMS, st.sampled_from(FIELDS), st.sampled_from(MISTYPED_VALUES),
+       st.integers(0, 2**16))
+def test_a_mistyped_field_is_a_violation_never_a_traceback(params, field,
+                                                            value, i):
+    # The validators judge a Python-built subject by the documents' rule
+    # and never raise; what they pass, evaluate runs and audits, and what
+    # they reject, it rejects.
+    inst = generate_instance(params)
+    for subject, validate, algorithms in (
+            (inst, validate_instance, ("fdls", "cdls")),
+            (jobset_from_instance(inst), validate_jobset, ("jobs",))):
+        mistyped = with_field(subject, field, value, i)
+        if mistyped is None:
+            continue
+        report = validate(mistyped)
+        for alg in algorithms:
+            if report.ok:
+                evaluate(mistyped, alg)
+            else:
+                with pytest.raises(InvalidInstanceError):
+                    evaluate(mistyped, alg)

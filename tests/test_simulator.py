@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -150,6 +151,13 @@ def test_priority_mismatch_errors():
         simulate(inst, asg, Permutation((1, 2)))
 
 
+def test_unknown_assignment_kind_errors():
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 1)])])
+    asg = replace(assign_flows_fdls(inst, Permutation((1,))), kind="rack")
+    with pytest.raises(ValueError, match="^unknown assignment kind 'rack'$"):
+        simulate(inst, asg, Permutation((1,)))
+
+
 # ---------------------------------------------------------------------------
 # simulate_jobs examples
 # ---------------------------------------------------------------------------
@@ -177,6 +185,17 @@ def test_jobs_chain_inside_job():
     js = JobSet(inst.config, (Job(1, 1, (1, 2)),), inst.coflows, inst.dag)
     sched = simulate_jobs(js, Permutation((1,)))
     assert sched.job_completions == {1: 2}
+
+
+def test_jobs_permutation_must_cover_the_jobs():
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]),
+                              (2, 0, 1, [(1, 1, 3)])])
+    js = JobSet(inst.config, (Job(1, 1, (1,)), Job(2, 1, (2,))),
+                inst.coflows, inst.dag)
+    for order in ((1,), (1, 3), (1, 2, 2)):
+        with pytest.raises(ValueError, match="^job permutation does not "
+                                             "cover the job set$"):
+            simulate_jobs(js, Permutation(order))
 
 
 def test_jobs_respect_job_barrier():
@@ -235,6 +254,17 @@ def test_verify_reports_fields_that_are_not_int64(field, value):
         "flow (1, 1, 1) transmitted 0 of 2 units")
 
 
+def test_verify_audits_the_good_segments_beside_a_bad_one():
+    # Only the broken segment is left out: flow (1, 1, 1) is still summed.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2), (2, 2, 3)])])
+    bad = Segment(2, 2, 1, 1, 0.5, 3)
+    sched = Schedule({(1, 1, 1): 2, (2, 2, 1): 3}, {1: 3}, {},
+                     (Segment(1, 1, 1, 1, 0, 2), bad))
+    assert verify_schedule(sched, inst).violations == (
+        f"segment {bad} has a field that is not a 64-bit integer",
+        "flow (2, 2, 1) transmitted 0 of 3 units")
+
+
 def test_verify_sums_volumes_exactly_past_int64():
     big = 2**62 + 1
     inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, big)])])
@@ -247,6 +277,32 @@ def test_verify_sums_volumes_exactly_past_int64():
                      Segment(1, 1, 1, 2, 0, 2**63 - 1)))
     assert f"flow (1, 1, 1) transmitted {2**64 - 2} of {big} units" \
         in verify_schedule(wide, inst).violations
+
+
+def test_verify_flags_missing_completions_without_raising():
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)])])
+    sched = Schedule({}, {}, {1: 2}, (Segment(1, 1, 1, 1, 0, 2),))
+    missing = ("flow (1, 1, 1) has no completion time",
+               "coflow 1 has no completion time")
+    assert verify_schedule(sched, inst).violations == missing
+    # A job whose coflow has no completion is not checked against it.
+    js = jobset_from_instance(inst)
+    assert verify_schedule(sched, js).violations == missing
+
+
+def test_verify_flags_a_job_completion_that_is_not_its_last_coflows():
+    # A job set is audited whole: its coflows under the intra-job DAG, then
+    # each job's completion against its last coflow's.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]), (2, 0, 1, [(1, 1, 3)]),
+                              (3, 0, 1, [(1, 1, 1)])], edges=[(1, 2)])
+    js = jobset_from_instance(inst, group_size=2)
+    sched = simulate_jobs(js, Permutation((1, 2)))
+    assert sched.job_completions == {1: 5, 2: 6}
+    assert verify_schedule(sched, js).ok
+    for wrong, shown in ({1: 4, 2: 6}, 4), ({2: 6}, None):
+        false = replace(sched, job_completions=wrong)
+        assert verify_schedule(false, js).violations == (
+            f"job 1 completion {shown} != last coflow 5",)
 
 
 def test_verify_flags_precedence_violation():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from coflow_forge import validate_instance
@@ -50,6 +52,26 @@ def test_parse_missing_header():
         parse_trace("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3\n", "line 1: header must be 'ports coflows'"),
+    ("3 x\n", "line 1: non-integer header: invalid literal"),
+    ("3 1\n1 0 2 1\n", "line 2: expected 2 mappers, got 1"),
+    ("3 1\n1 0 1 1 2 2:10\n", "line 2: expected 2 reducers, got 1"),
+    ("3 1\n1 0 1 1\n", "line 2: malformed record: list index out of range"),
+    ("3 1\n1 0 1 1 1 4:10\n", "line 2: reducer rack 4 outside 1..3"),
+    ("3 1\n1 0 1 1 1 2:0\n", "line 2: non-positive reducer size 0")],
+    ids=["header width", "header value", "mapper count", "reducer count",
+         "short record", "reducer rack", "reducer size"])
+def test_parse_rejects_each_malformed_part(text, message):
+    with pytest.raises(TraceError, match="^" + re.escape(message)):
+        parse_trace(text)
+
+
+def test_parse_skips_blank_lines():
+    assert parse_trace("3 1\n\n1 0 1 1 1 2:10\n  \n") == (
+        3, [TraceCoflow(1, 0, (1,), ((2, 10),))])
+
+
 def test_round_trip():
     ports, coflows = parse_trace(SAMPLE)
     assert format_trace(ports, coflows) == SAMPLE
@@ -91,6 +113,15 @@ def test_to_instance_modes():
     uni = to_instance(ports, coflows, weight_mode="uniform", seed=7)
     assert to_instance(ports, coflows, weight_mode="uniform", seed=7) == uni
     assert all(1 <= c.weight <= 100 for c in uni.coflows)
+
+
+@pytest.mark.parametrize("mode, message", [
+    ({"weight_mode": "heavy"}, "unknown weight mode 'heavy'"),
+    ({"release_mode": "late"}, "unknown release mode 'late'")])
+def test_to_instance_rejects_unknown_modes(mode, message):
+    ports, coflows = parse_trace(SAMPLE)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        to_instance(ports, coflows, **mode)
 
 
 def test_to_instance_conserves_volume():
