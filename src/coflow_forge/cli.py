@@ -13,7 +13,6 @@ import sys
 
 from . import __version__
 from .model import (
-    DocumentError,
     Instance,
     InvalidInstanceError,
     JobSet,
@@ -39,7 +38,7 @@ from .metrics_report import (
 )
 from .primal_dual import DEFAULT_KAPPA, dual_to_document
 from .simulator import schedule_payload
-from .trace_io import TraceError, filter_by_min_flows, parse_trace, to_instance
+from .trace_io import filter_by_min_flows, parse_trace, to_instance
 
 DATA_ERROR = 1
 
@@ -68,19 +67,18 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, jobs: bool, text: str | None = None) -> Instance | JobSet:
-    """The job set, or the validated instance, in the document at `path`,
-    whose text is read unless given."""
+    """The job set or the instance in the document at `path`, whose text
+    is read unless given. The pipeline validates it; see `_named`."""
     text = _read(path) if text is None else text
-    if jobs:
-        return document_to_jobset(text)
-    return _validated(document_to_instance(text), path)
+    return document_to_jobset(text) if jobs else document_to_instance(text)
 
 
-def _validated(instance: Instance, path: str) -> Instance:
-    report = validate_instance(instance)
-    if not report.ok:
-        raise DataError(f"{path}: " + "; ".join(report.violations))
-    return instance
+def _named(path: str, run, *args, **kwargs):
+    """run(*args, **kwargs), naming `path` in a subject's violations."""
+    try:
+        return run(*args, **kwargs)
+    except InvalidInstanceError as exc:
+        raise DataError(f"{path}: " + "; ".join(exc.violations)) from exc
 
 
 def _seed_range(spec: str) -> list[int]:
@@ -110,10 +108,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_order(args) -> int:
     subject = _load(args.instance, PIPELINE[args.alg][2])
-    perm, dual = PIPELINE[args.alg][0](subject, args.kappa)
+    perm, dual = _named(args.instance, PIPELINE[args.alg][0], subject,
+                        args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
                "order": render(1, perm.order)}
-    _write(args.output, render(0, payload, end="\n").text)
+    _write(args.output, render(0, payload).text)
     if args.emit_dual:
         _write(args.emit_dual, dual_to_document(dual, subject))
     return 0
@@ -121,13 +120,14 @@ def _cmd_order(args) -> int:
 
 def _cmd_schedule(args) -> int:
     subject = _load(args.instance, PIPELINE[args.alg][2])
-    perm, _, assignment, sched = run_algorithm(subject, args.alg, args.kappa)
+    perm, _, assignment, sched = _named(args.instance, run_algorithm,
+                                        subject, args.alg, args.kappa)
     payload = {"algorithm": args.alg, "kappa": args.kappa,
                "order": render(1, perm.order)}
     if assignment is not None:
         payload["assignment"] = render(1, assignment_to_payload(assignment))
     payload["schedule"] = render(1, schedule_payload(sched, 1))
-    _write(args.output, render(0, payload, end="\n").text)
+    _write(args.output, render(0, payload).text)
     return 0
 
 
@@ -140,9 +140,9 @@ def _evaluate_one(path: str, algorithms: list[str], kappa: float,
         jobs = PIPELINE[alg][2]
         if jobs not in subjects:
             subjects[jobs] = _load(path, jobs, text)
-        records.append(evaluate(subjects[jobs], alg, kappa,
-                                instance_id=os.path.basename(path),
-                                timing=timing))
+        records.append(_named(path, evaluate, subjects[jobs], alg, kappa,
+                              instance_id=os.path.basename(path),
+                              timing=timing))
     return records
 
 
@@ -164,12 +164,15 @@ def _cmd_ingest(args) -> int:
         instance = to_instance(port_count, coflows, num_cores=args.cores,
                                weight_mode=args.weight_mode,
                                release_mode=args.release_mode, seed=args.seed)
-    except (TraceError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
     if args.min_flows:
         instance = filter_by_min_flows(instance, args.min_flows)
     # A trace may repeat a coflow id or, as arrivals, give negative releases.
-    _write(args.output, instance_to_document(_validated(instance, args.trace)))
+    report = validate_instance(instance)
+    if not report.ok:
+        raise DataError(f"{args.trace}: " + "; ".join(report.violations))
+    _write(args.output, instance_to_document(instance))
     return 0
 
 
@@ -231,10 +234,10 @@ def _cmd_bench(args) -> int:
         tag = f"{args.vary}={value}" if args.vary else "base"
         for seed in seeds:
             instance = build(value, seed)
-            records.extend(evaluate(instance, alg, args.kappa,
-                                    instance_id=tag, seed=seed,
-                                    timing=args.timing)
-                           for alg in algorithms)
+            records.extend(_named(args.trace or "generated instance",
+                                  evaluate, instance, alg, args.kappa,
+                                  instance_id=tag, seed=seed,
+                                  timing=args.timing) for alg in algorithms)
     _write(args.output, emit_report(EvaluationReport(records), args.format))
     return 0
 
@@ -328,8 +331,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DocumentError, InvalidInstanceError, TraceError,
-            ValueError) as exc:
+    except (DataError, ValueError) as exc:
         print(f"coflow-forge: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

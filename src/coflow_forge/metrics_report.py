@@ -160,28 +160,17 @@ def evaluate(subject: Instance | JobSet, algorithm: str,
     """
     started = time.perf_counter()
     _, dual, assignment, schedule = run_algorithm(subject, algorithm, kappa)
-    _, _, jobs, bound_kind = PIPELINE[algorithm]
-    # A job set's schedule is audited against its coflows and intra-job DAG.
-    dag = subject.intra_job_dag if jobs else subject.dag
-    base = Instance(subject.config, subject.coflows, dag)
-    violations = list(verify_schedule(schedule, base, assignment).violations)
-    if jobs and not violations:
-        # The cost reads job completions: each is its last coflow's.
-        for job in subject.jobs:
-            last = max(schedule.coflow_completions[k] for k in job.coflows)
-            done = schedule.job_completions.get(job.id)
-            if done != last:
-                violations.append(f"job {job.id} completion {done} != last "
-                                  f"coflow {last}")
+    violations = verify_schedule(schedule, subject, assignment).violations
     if violations:
         raise RuntimeError("internal error: infeasible schedule: "
                            + "; ".join(violations[:3]))
     m = subject.config.num_cores
-    conforming = is_conforming(base)
-    chi = max(longest_path_chi(dag), 1)
+    conforming = is_conforming(subject)
+    chi = max(longest_path_chi(subject.dag), 1)
     R = weight_ratio_R(subject)
     with_release = any(c.release > 0 for c in subject.coflows)
-    bound = theorem_bound(bound_kind, chi, m, R, with_release, conforming)
+    bound = theorem_bound(PIPELINE[algorithm][3], chi, m, R, with_release,
+                          conforming)
 
     feas = check_dual_feasibility(dual, subject)
     if not feas.feasible:

@@ -128,6 +128,11 @@ class JobSet:
     def coflow_by_id(self) -> dict[int, Coflow]:
         return {c.id: c for c in self.coflows}
 
+    @property
+    def dag(self) -> PrecedenceDag:
+        """The intra-job DAG, under the name an `Instance` gives its DAG."""
+        return self.intra_job_dag
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -142,42 +147,31 @@ class ValidationReport:
 # structural queries
 # ---------------------------------------------------------------------------
 
-def _check_cyclic(dag: PrecedenceDag) -> bool:
-    # Stray edge endpoints are reported separately; ignore them here.
-    inner = PrecedenceDag.make(dag.nodes,
-                               ((a, b) for a, b in dag.edges
-                                if a in dag.nodes and b in dag.nodes))
-    try:
-        topological_order(inner)
-    except CycleError:
-        return True
-    return False
-
-
 def config_violations(config: NetworkConfig) -> list[str]:
     """One message per core or port count outside 1..MAX_CORES_AND_PORTS."""
+    integer = _EXPECTED[INTEGER]
     return [f"{name} must be an integer in 1..{MAX_CORES_AND_PORTS}, "
             f"got {value!r}"
             for name, value in (("num_cores", config.num_cores),
                                 ("num_ports", config.num_ports))
-            if not (isinstance(value, int)
-                    and 1 <= value <= MAX_CORES_AND_PORTS)]
+            if not (integer(value) and 1 <= value <= MAX_CORES_AND_PORTS)]
 
 
 def _weight_violations(what: str, weight) -> list[str]:
-    # Weights must be positive and, as in documents, finite numbers within
-    # the float range: inf, nan and larger ints are left out.
+    if not _EXPECTED[NUMBER](weight):
+        return [_mistyped(f"{what}: weight", NUMBER, weight)]
     if not weight > 0:
         return [f"{what}: non-positive weight {weight!r}"]
-    if not weight <= sys.float_info.max:
-        return [f"{what}: weight must be a finite number, got {weight!r}"]
     return []
 
 
-def validate_instance(instance: Instance) -> ValidationReport:
-    """Check every type invariant; violations are data, not exceptions."""
+def validate_instance(instance: Instance | JobSet) -> ValidationReport:
+    """Check every invariant, judging each value's type by the document
+    readers' rule; violations are data, not exceptions."""
+    integer = _EXPECTED[INTEGER]
     cfg = instance.config
     v = config_violations(cfg)
+    ports = cfg.num_ports if integer(cfg.num_ports) else 0
 
     seen_ids: set[int] = set()
     volume = latest = 0
@@ -185,10 +179,12 @@ def validate_instance(instance: Instance) -> ValidationReport:
         if c.id in seen_ids:
             v.append(f"duplicate coflow id {c.id}")
         seen_ids.add(c.id)
-        if not (isinstance(c.id, int) and -2**63 <= c.id < 2**63):
+        if not integer(c.id):
+            v.append(_mistyped(f"coflow {c.id}: id", INTEGER, c.id))
+        elif not -2**63 <= c.id < 2**63:
             v.append(f"coflow {c.id}: id exceeds the 64-bit range")
         v.extend(_weight_violations(f"coflow {c.id}", c.weight))
-        if not (isinstance(c.release, int) and c.release >= 0):
+        if not (integer(c.release) and c.release >= 0):
             v.append(f"coflow {c.id}: release must be a non-negative integer, "
                      f"got {c.release!r}")
         elif c.release >= 2**63:
@@ -198,40 +194,55 @@ def validate_instance(instance: Instance) -> ValidationReport:
             latest = c.release
         pairs: set[tuple[int, int]] = set()
         for f in c.flows:
-            if not (isinstance(f.size, int) and f.size > 0):
+            source, dest, size = f.source, f.dest, f.size
+            if not (integer(source) and integer(dest) and integer(size)):
+                v.extend(_mistyped(f"coflow {c.id}: flow ({source},{dest}) "
+                                   f"{name}", INTEGER, x) for name, x in (
+                    ("source", source), ("dest", dest), ("size", size))
+                    if not integer(x))
+                continue
+            if size <= 0:
                 v.append(f"coflow {c.id}: non-positive flow size on "
-                         f"({f.source},{f.dest})")
+                         f"({source},{dest})")
             else:
-                volume += f.size
-            if isinstance(cfg.num_ports, int) and cfg.num_ports >= 1:
-                if not (1 <= f.source <= cfg.num_ports
-                        and 1 <= f.dest <= cfg.num_ports):
-                    v.append(f"coflow {c.id}: flow ({f.source},{f.dest}) "
-                             f"outside ports 1..{cfg.num_ports}")
-            if (f.source, f.dest) in pairs:
+                volume += size
+            if ports >= 1 and not (1 <= source <= ports
+                                   and 1 <= dest <= ports):
+                v.append(f"coflow {c.id}: flow ({source},{dest}) "
+                         f"outside ports 1..{ports}")
+            if (source, dest) in pairs:
                 v.append(f"coflow {c.id}: duplicate flow pair "
-                         f"({f.source},{f.dest})")
-            pairs.add((f.source, f.dest))
+                         f"({source},{dest})")
+            pairs.add((source, dest))
 
     if latest + volume >= 2**63:
         # No simulated time passes the latest release plus the total
         # volume, so this bounds every segment time, and every port load.
         v.append(f"latest release {latest} plus total volume {volume} "
                  f"exceeds the 64-bit limit {2**63 - 1}")
-    if instance.dag.nodes != seen_ids:
+    dag = instance.dag
+    if dag.nodes != seen_ids:
         v.append("dag nodes differ from coflow ids")
-    for a, b in sorted(instance.dag.edges):
-        if a not in instance.dag.nodes or b not in instance.dag.nodes:
+    typed = sorted(e for e in dag.edges if integer(e[0]) and integer(e[1]))
+    v.extend(_mistyped(f"edge ({a},{b}): endpoint", INTEGER, x)
+             for a, b in sorted(dag.edges.difference(typed), key=repr)
+             for x in (a, b) if not integer(x))
+    for a, b in typed:
+        if a not in dag.nodes or b not in dag.nodes:
             v.append(f"edge ({a},{b}) has endpoint outside dag nodes")
-    if _check_cyclic(instance.dag):
+    # Look for a cycle among the integer nodes only; the rest are reported.
+    nodes = set(filter(integer, dag.nodes))
+    try:
+        topological_order(PrecedenceDag.make(nodes, (
+            (a, b) for a, b in typed if a in nodes and b in nodes)))
+    except CycleError:
         v.append("cycle detected in precedence dag")
     return ValidationReport(tuple(v))
 
 
 def validate_jobset(jobset: JobSet) -> ValidationReport:
-    base = validate_instance(
-        Instance(jobset.config, jobset.coflows, jobset.intra_job_dag))
-    v = list(base.violations)
+    integer = _EXPECTED[INTEGER]
+    v = list(validate_instance(jobset).violations)
 
     owner: dict[int, int] = {}
     seen_jobs: set[int] = set()
@@ -239,10 +250,14 @@ def validate_jobset(jobset: JobSet) -> ValidationReport:
         if job.id in seen_jobs:
             v.append(f"duplicate job id {job.id}")
         seen_jobs.add(job.id)
+        if not integer(job.id):
+            v.append(_mistyped(f"job {job.id}: id", INTEGER, job.id))
         v.extend(_weight_violations(f"job {job.id}", job.weight))
         if not job.coflows:
             v.append(f"job {job.id}: empty coflow group")
         for k in job.coflows:
+            if not integer(k):
+                v.append(_mistyped(f"job {job.id}: member", INTEGER, k))
             if k in owner:
                 v.append(f"coflow {k} assigned to jobs {owner[k]} and {job.id}")
             owner[k] = job.id
@@ -251,13 +266,14 @@ def validate_jobset(jobset: JobSet) -> ValidationReport:
     if set(owner) != all_ids:
         v.append("jobs do not partition the coflow set")
 
-    releases = {c.id: c.release for c in jobset.coflows}
+    releases = {c.id: c.release for c in jobset.coflows if integer(c.release)}
     for job in jobset.jobs:
         rel = {releases[k] for k in job.coflows if k in releases}
         if len(rel) > 1:
             v.append(f"job {job.id}: coflows have differing release times {sorted(rel)}")
 
-    for a, b in sorted(jobset.intra_job_dag.edges):
+    for a, b in sorted(e for e in jobset.dag.edges
+                       if integer(e[0]) and integer(e[1])):
         if a in owner and b in owner and owner[a] != owner[b]:
             v.append(f"edge ({a},{b}) crosses jobs {owner[a]} and {owner[b]}")
     return ValidationReport(tuple(v))
@@ -327,7 +343,7 @@ class PortDemand:
                                              ).reshape(self.n, ports)
 
 
-def is_conforming(instance: Instance) -> bool:
+def is_conforming(instance: Instance | JobSet) -> bool:
     """True iff along every edge weights are non-increasing and per-port
     loads non-decreasing (the regime of the constant-factor bounds)."""
     by_id = instance.coflow_by_id()
@@ -383,12 +399,16 @@ def parse_json(text: str, what: str):
         raise DocumentError(f"not a valid {what}: {exc}") from exc
 
 
+def _mistyped(where: str, expected: str, value) -> str:
+    shown = type(value).__name__ if isinstance(value, (list, dict)) \
+        else repr(value)
+    return f"{where} must be {expected}, got {shown}"
+
+
 def typed(value, expected: str, where: str):
     """`value`, if it is what `expected` (INTEGER, NUMBER, ...) names."""
     if not _EXPECTED[expected](value):
-        shown = type(value).__name__ if isinstance(value, (list, dict)) \
-            else repr(value)
-        raise DocumentError(f"{where} must be {expected}, got {shown}")
+        raise DocumentError(_mistyped(where, expected, value))
     return value
 
 
@@ -457,13 +477,13 @@ def _template(pad: str, keys) -> str:
     return "{" + ",".join(f'{pad}  "{k}": %s' for k in keys) + pad + "}"
 
 
-def render(depth: int, rows: dict | Sequence, keys: str = "", *,
-           end: str = "") -> JsonText:
+def render(depth: int, rows: dict | Sequence, keys: str = "") -> JsonText:
     """What json.dumps(..., indent=2) writes for `rows` at nesting `depth`,
-    then `end`. A dict is an object; other `rows` are a list of objects
-    with the fields `keys` names, one tuple of values per row, or without
-    `keys` of the values themselves."""
+    and at depth 0 the newline that ends a document. A dict is an object;
+    other `rows` are a list of objects with the fields `keys` names, one
+    tuple of values per row, or without `keys` of the values themselves."""
     pad = "\n" + "  " * depth
+    end = "" if depth else "\n"
     if type(rows) is dict:
         # An object takes in the templates of the JsonText it holds, so a
         # document is filled in by one % and each value copied once.
@@ -526,29 +546,26 @@ def document_to_jobset(text: str) -> JobSet:
     return JobSet(instance.config, jobs, instance.coflows, instance.dag)
 
 
-def _instance_payload(config: NetworkConfig, coflows: Sequence[Coflow],
-                      dag: PrecedenceDag) -> dict:
+def _instance_payload(subject: Instance | JobSet) -> dict:
     return {
-        "cores": config.num_cores,
-        "ports": config.num_ports,
+        "cores": subject.config.num_cores,
+        "ports": subject.config.num_ports,
         "coflows": render(1, [
             (c.id, c.release, c.weight, render(3, sorted(
                 [(f.source, f.dest, f.size) for f in c.flows],
                 key=itemgetter(0, 1)), "src dst size"))
-            for c in coflows], "id release weight flows"),
-        "edges": render(1, [render(2, e) for e in sorted(dag.edges)]),
+            for c in subject.coflows], "id release weight flows"),
+        "edges": render(1, [render(2, e) for e in sorted(subject.dag.edges)]),
     }
 
 
 def instance_to_document(instance: Instance) -> str:
-    return render(0, _instance_payload(
-        instance.config, instance.coflows, instance.dag), end="\n").text
+    return render(0, _instance_payload(instance)).text
 
 
 def jobset_to_document(jobset: JobSet) -> str:
-    payload = _instance_payload(jobset.config, jobset.coflows,
-                                jobset.intra_job_dag)
+    payload = _instance_payload(jobset)
     payload["jobs"] = render(1, [
         (j.id, j.weight, render(3, j.coflows)) for j in jobset.jobs],
         "id weight coflows")
-    return render(0, payload, end="\n").text
+    return render(0, payload).text

@@ -472,7 +472,7 @@ def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
                            for rec in dual.beta], "side port snapshot value"),
         "gamma": render(1, [(*key, v) for key, v in sorted(
             dual.gamma.items())], "pred succ value"),
-    }, end="\n").text
+    }).text
 
 
 def document_to_dual(text: str) -> DualSolution:

@@ -210,8 +210,6 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                         if next_rel < len(ids) else None)
 
         if not active:
-            if incomplete == 0 and len(coflow_completions) == len(ids):
-                break
             if next_release is None:
                 raise RuntimeError("simulation stalled: incomplete flows but "
                                    "nothing admissible and no future release")
@@ -348,13 +346,14 @@ def _first_overlaps(side: str, port: np.ndarray, core: np.ndarray,
                     end[b].tolist()))
 
 
-def verify_schedule(schedule: Schedule, instance: Instance,
+def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
                     assignment: CoreAssignment | None = None
                     ) -> ValidationReport:
     """Independent feasibility audit: segments on the network's cores, port
     capacity, each flow on one core at a time, segments within their flow's
     completion, releases, precedence, transmitted volume and per-flow
-    completion bounds.
+    completion bounds. A job set's coflows are audited under its intra-job
+    DAG, and each job's completion must be its last coflow's.
 
     The segments are audited as int64 columns; a segment with a field that
     is not an integer in 64 bits is reported and audited no further."""
@@ -493,6 +492,13 @@ def verify_schedule(schedule: Schedule, instance: Instance,
             if ck != last_f:
                 v.append(f"coflow {c.id} completion {ck} != last flow "
                          f"{last_f}")
+    # A coflow without a completion is reported above; its job is not.
+    for job in getattr(instance, "jobs", ()):
+        ends = [schedule.coflow_completions.get(k) for k in job.coflows]
+        done = schedule.job_completions.get(job.id)
+        if None not in ends and done != max(ends):
+            v.append(f"job {job.id} completion {done} != last coflow "
+                     f"{max(ends)}")
     return ValidationReport(tuple(v))
 
 
@@ -515,7 +521,7 @@ def schedule_payload(schedule: Schedule, depth: int) -> dict:
 
 
 def schedule_to_document(schedule: Schedule) -> str:
-    return render(0, schedule_payload(schedule, 0), end="\n").text
+    return render(0, schedule_payload(schedule, 0)).text
 
 
 def document_to_schedule(text: str) -> Schedule:
