@@ -75,15 +75,10 @@ class GeneratorParams:
 
 
 def _validate(params: GeneratorParams) -> None:
-    if params.n < 1:
-        raise ValueError("n must be >= 1")
+    # n, deg and p are checked by generate_dag, which runs next.
     if problems := config_violations(NetworkConfig(params.num_cores,
                                                    params.num_ports)):
         raise ValueError("; ".join(problems))
-    if params.deg < 0:
-        raise ValueError("deg must be >= 0")
-    if not params.p > 0:
-        raise ValueError("parallelism factor p must be positive")
     if params.density_mode not in DENSITY_MODES:
         raise ValueError(f"unknown density mode {params.density_mode!r}")
     lo, hi = params.weight_range
