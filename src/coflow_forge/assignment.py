@@ -30,10 +30,12 @@ class CoreAssignment:
     load_out: np.ndarray
 
 
-def _check_perm(instance: Instance, perm: Permutation) -> None:
+def _check_perm(instance: Instance, perm: Permutation) -> list[int]:
+    """The instance's coflow ids, sorted, once `perm` holds each exactly once."""
     ids = sorted(c.id for c in instance.coflows)
     if sorted(perm.order) != ids:
         raise ValueError("permutation does not cover the instance's coflows")
+    return ids
 
 
 def assign_flows_fdls(instance: Instance, perm: Permutation) -> CoreAssignment:

@@ -13,6 +13,7 @@ import sys
 
 from . import __version__
 from .model import (
+    DocumentError,
     Instance,
     InvalidInstanceError,
     JobSet,
@@ -40,13 +41,6 @@ from .primal_dual import DEFAULT_KAPPA, dual_to_document
 from .simulator import schedule_payload
 from .trace_io import filter_by_min_flows, parse_trace, to_instance
 
-DATA_ERROR = 1
-
-
-class DataError(Exception):
-    """Invalid input data; maps to exit code 1."""
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -55,7 +49,7 @@ def _write(path: str | None, text: str) -> None:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from exc
+            raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _read(path: str) -> str:
@@ -63,14 +57,17 @@ def _read(path: str) -> str:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load(path: str, jobs: bool, text: str | None = None) -> Instance | JobSet:
     """The job set or the instance in the document at `path`, whose text
     is read unless given. The pipeline validates it; see `_named`."""
     text = _read(path) if text is None else text
-    return document_to_jobset(text) if jobs else document_to_instance(text)
+    try:
+        return document_to_jobset(text) if jobs else document_to_instance(text)
+    except DocumentError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _named(path: str, run, *args, **kwargs):
@@ -78,7 +75,7 @@ def _named(path: str, run, *args, **kwargs):
     try:
         return run(*args, **kwargs)
     except InvalidInstanceError as exc:
-        raise DataError(f"{path}: " + "; ".join(exc.violations)) from exc
+        raise ValueError(f"{path}: " + "; ".join(exc.violations)) from exc
 
 
 def _seed_range(spec: str) -> list[int]:
@@ -98,11 +95,7 @@ def _cmd_generate(args) -> int:
         p=args.p, weight_range=(args.weight_min, args.weight_max),
         density_mode=args.density, seed=args.seed,
         release_horizon=args.release_horizon, conforming=args.conforming)
-    try:
-        instance = generate_instance(params)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _write(args.output, instance_to_document(instance))
+    _write(args.output, instance_to_document(generate_instance(params)))
     return 0
 
 
@@ -137,7 +130,8 @@ def _evaluate_one(path: str, algorithms: list[str], kappa: float,
     subjects: dict[bool, Instance | JobSet] = {}
     records = []
     for alg in algorithms:
-        jobs = PIPELINE[alg][2]
+        # An unknown name reads an instance; run_algorithm rejects it.
+        jobs = alg in PIPELINE and PIPELINE[alg][2]
         if jobs not in subjects:
             subjects[jobs] = _load(path, jobs, text)
         records.append(_named(path, evaluate, subjects[jobs], alg, kappa,
@@ -148,9 +142,6 @@ def _evaluate_one(path: str, algorithms: list[str], kappa: float,
 
 def _cmd_eval(args) -> int:
     algorithms = args.alg.split(",")
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise DataError(f"unknown algorithm {alg!r}")
     records = []
     for path in args.instances:
         records.extend(_evaluate_one(path, algorithms, args.kappa, args.timing))
@@ -159,19 +150,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    try:
-        port_count, coflows = parse_trace(_read(args.trace))
-        instance = to_instance(port_count, coflows, num_cores=args.cores,
-                               weight_mode=args.weight_mode,
-                               release_mode=args.release_mode, seed=args.seed)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    port_count, coflows = parse_trace(_read(args.trace))
+    instance = to_instance(port_count, coflows, num_cores=args.cores,
+                           weight_mode=args.weight_mode,
+                           release_mode=args.release_mode, seed=args.seed)
     if args.min_flows:
         instance = filter_by_min_flows(instance, args.min_flows)
     # A trace may repeat a coflow id or, as arrivals, give negative releases.
     report = validate_instance(instance)
     if not report.ok:
-        raise DataError(f"{args.trace}: " + "; ".join(report.violations))
+        raise ValueError(f"{args.trace}: " + "; ".join(report.violations))
     _write(args.output, instance_to_document(instance))
     return 0
 
@@ -186,25 +174,25 @@ def _cmd_bench(args) -> int:
     given = [name for name in _GENERATOR_FLAGS
              if getattr(args, name) is not None]
     if args.trace and given:
-        raise DataError(", ".join(f"--{name}" for name in given)
-                        + " cannot be used with --trace")
+        raise ValueError(", ".join(f"--{name}" for name in given)
+                         + " cannot be used with --trace")
     gen = {**_GENERATOR_FLAGS, **{name: getattr(args, name) for name in given}}
     algorithms = args.alg.split(",")
     for alg in algorithms:
         if alg not in PIPELINE or PIPELINE[alg][2]:
-            raise DataError(f"bench supports fdls/cdls, not {alg!r}")
+            raise ValueError(f"bench supports fdls/cdls, not {alg!r}")
     if (args.vary is None) != (args.values is None):
-        raise DataError("--vary and --values must be given together")
+        raise ValueError("--vary and --values must be given together")
     if args.trace and args.vary in ("n", "p"):
-        raise DataError(f"--vary {args.vary} does not apply to --trace")
+        raise ValueError(f"--vary {args.vary} does not apply to --trace")
     if not args.trace and args.vary == "threshold":
-        raise DataError("--vary threshold needs --trace")
+        raise ValueError("--vary threshold needs --trace")
     seeds = _seed_range(args.seeds)
     if not seeds:
-        raise DataError(f"--seeds {args.seeds} selects no seed")
+        raise ValueError(f"--seeds {args.seeds} selects no seed")
     values = args.values.split(",") if args.vary else [None]
     if "" in values:
-        raise DataError(f"--values {args.values!r} has an empty value")
+        raise ValueError(f"--values {args.values!r} has an empty value")
     trace = parse_trace(_read(args.trace)) if args.trace else None
 
     def build(value, seed):
@@ -331,9 +319,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError) as exc:
+    except ValueError as exc:
         print(f"coflow-forge: error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+        return 1
 
 
 if __name__ == "__main__":

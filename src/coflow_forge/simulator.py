@@ -28,7 +28,7 @@ import numpy as np
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag,
                     ValidationReport, entries, fields, parse_json,
                     render, topological_order)
-from .assignment import CoreAssignment, assign_flows_fdls
+from .assignment import CoreAssignment, _check_perm, assign_flows_fdls
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -52,9 +52,7 @@ class Schedule:
 def simulate(instance: Instance, assignment: CoreAssignment,
              priority: Permutation) -> Schedule:
     """Run the per-core transmission loop; all event times are integers."""
-    ids = sorted(c.id for c in instance.coflows)
-    if sorted(priority.order) != ids:
-        raise ValueError("priority permutation does not cover the instance")
+    ids = _check_perm(instance, priority)
     if assignment.kind not in (FLOW_LEVEL, COFLOW_LEVEL):
         raise ValueError(f"unknown assignment kind {assignment.kind!r}")
     flow_level = assignment.kind == FLOW_LEVEL

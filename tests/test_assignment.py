@@ -140,14 +140,6 @@ def test_balance_equal_flows_one_pair():
     assert per_core.tolist() == [q] * m
 
 
-def test_permutation_mismatch_errors():
-    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 1)])])
-    with pytest.raises(ValueError):
-        assign_flows_fdls(inst, Permutation((1, 2)))
-    with pytest.raises(ValueError):
-        assign_coflows_cdls(inst, Permutation(()))
-
-
 def test_fdls_assignment_is_deterministic():
     inst = generate_instance(GeneratorParams(n=6, num_ports=4, num_cores=2,
                                              seed=11))

@@ -101,12 +101,23 @@ def test_ingest_with_threshold(tmp_path):
     assert inst.config.num_cores == 2
 
 
-def test_ingest_malformed_trace_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("command, record, message", [
+    ("ingest", "1 100 2 1 2 9:100", "line 2: malformed record: invalid "
+     "literal for int() with base 10: '9:100'"),
+    ("ingest", "1 100 1 9 1 2:100", "line 2: mapper rack 9 outside 1..3"),
+    ("bench", "1 100 1 9 1 2:100", "line 2: mapper rack 9 outside 1..3")],
+    ids=["malformed-record-ingest", "mapper-rack-ingest", "mapper-rack-bench"])
+def test_ingest_malformed_trace_exits_1(tmp_path, capsys, command, record,
+                                        message):
     trace = tmp_path / "bad.txt"
-    trace.write_text("3 1\n1 100 2 1 2 9:100\n")
-    code = main(["ingest", str(trace), "-o", str(tmp_path / "x.json")])
-    assert code == 1
-    assert "line 2" in capsys.readouterr().err
+    trace.write_text(f"3 1\n{record}\n")
+    out = tmp_path / "x.json"
+    argv = {"ingest": ["ingest", str(trace)],
+            "bench": ["bench", "--seeds", "0:1", "--trace", str(trace)],
+            }[command]
+    assert main([*argv, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"coflow-forge: error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("records, message", [
@@ -180,6 +191,24 @@ def test_an_invalid_document_is_named_in_its_error(tmp_path, capsys, jobs):
         assert capsys.readouterr().err == (
             f"coflow-forge: error: {path}: {'job' if jobs else 'coflow'} 1: "
             "non-positive weight -1\n")
+
+
+def test_a_malformed_document_is_named_in_its_error(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    doc = json.loads(inst.read_text())
+    del doc["ports"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for argv, message in (
+            (["eval", str(inst), str(broken)],
+             f"{broken}: missing field 'ports' in instance document"),
+            (["schedule", str(inst), "--alg", "jobs"],
+             f"{inst}: document has no 'jobs' field")):
+        capsys.readouterr()
+        assert main([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"coflow-forge: error: {message}\n"
+        assert not out.exists()
 
 
 def test_bench_names_an_invalid_trace_in_its_error(tmp_path, capsys):
@@ -304,13 +333,22 @@ def test_output_defaults_to_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["eval", "INSTANCE", "--alg", "fdls,bogus"], "unknown algorithm 'bogus'"),
     (["bench", "--seeds", "0:1", "--alg", "jobs"],
-     "bench supports fdls/cdls, not 'jobs'")], ids=["eval", "bench"])
+     "bench supports fdls/cdls, not 'jobs'"),
+    (["eval", "INSTANCE", "--alg", "bogus"], "unknown algorithm 'bogus'"),
+    (["eval", "INSTANCE", "OTHER", "--alg", "fdls,bogus"],
+     "unknown algorithm 'bogus'")],
+    ids=["eval", "bench", "eval-only-unknown", "eval-two-files"])
 def test_an_unknown_algorithm_exits_1_with_one_line(tmp_path, capsys, argv,
                                                     message):
-    inst = str(_generate(tmp_path))
+    # run_algorithm owns the name rule; eval writes nothing before every
+    # record is made.
+    paths = {"INSTANCE": str(_generate(tmp_path)),
+             "OTHER": str(_generate(tmp_path, "other.json"))}
+    out = tmp_path / "out.csv"
     capsys.readouterr()
-    assert main([inst if a == "INSTANCE" else a for a in argv]) == 1
+    assert main([paths.get(a, a) for a in argv] + ["-o", str(out)]) == 1
     assert capsys.readouterr().err == f"coflow-forge: error: {message}\n"
+    assert not out.exists()
 
 
 def test_bench_vary_requires_values(tmp_path, capsys):

@@ -144,11 +144,22 @@ def test_flow_on_core_outside_network_errors(core):
         simulate(inst, asg, Permutation((1,)))
 
 
-def test_priority_mismatch_errors():
-    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 1)])])
-    asg = assign_flows_fdls(inst, Permutation((1,)))
-    with pytest.raises(ValueError, match="does not cover"):
-        simulate(inst, asg, Permutation((1, 2)))
+def _fdls_then_simulate(instance, perm):
+    assignment = assign_flows_fdls(instance, Permutation((1, 2)))
+    return simulate(instance, assignment, perm)
+
+
+@pytest.mark.parametrize("order", [(1,), (1, 2, 3), (1, 1, 2)],
+                         ids=["missing", "extra", "repeated"])
+@pytest.mark.parametrize("stage", [assign_flows_fdls, assign_coflows_cdls,
+                                   _fdls_then_simulate],
+                         ids=["fdls", "cdls", "simulate"])
+def test_every_stage_rejects_a_permutation_with_one_message(stage, order):
+    # One rule, owned by assignment._check_perm, guards each public stage.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 1)]), (2, 0, 1, [(2, 2, 1)])])
+    with pytest.raises(ValueError, match="^permutation does not cover the "
+                                         "instance's coflows$"):
+        stage(inst, Permutation(order))
 
 
 def test_unknown_assignment_kind_errors():

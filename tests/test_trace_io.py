@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from coflow_forge import validate_instance
+from coflow_forge import InvalidInstanceError, validate_instance
+from coflow_forge.metrics_report import evaluate
 from coflow_forge.trace_io import (
     TraceCoflow,
     TraceError,
@@ -135,9 +136,13 @@ def test_to_instance_conserves_volume():
 
 
 def test_to_instance_rack_out_of_range():
-    bad = [TraceCoflow(1, 0, (9,), ((1, 10),))]
-    with pytest.raises(ValueError, match="outside"):
-        to_instance(3, bad)
+    # parse_trace owns the rack range of trace text; a record built in
+    # Python still becomes an instance, which validate_instance judges.
+    inst = to_instance(3, [TraceCoflow(1, 0, (9,), ((1, 10),))])
+    assert validate_instance(inst).violations == (
+        "coflow 1: flow (9,1) outside ports 1..3",)
+    with pytest.raises(InvalidInstanceError, match=r"flow \(9,1\) outside"):
+        evaluate(inst, "fdls")
 
 
 def test_filter_threshold_one_keeps_everything():
