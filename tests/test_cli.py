@@ -322,6 +322,26 @@ def test_bench_sweeps_cores_and_parallelism(tmp_path, vary, values, tags):
         (tag, seed, m) for tag, m in tags.items() for seed in (1, 3))
 
 
+@pytest.mark.parametrize("timing", [False, True])
+def test_wall_clock_columns_need_timing(tmp_path, timing):
+    # Without --timing every ms cell is 0.0, so reruns stay byte-identical.
+    inst = _generate(tmp_path)
+    flag = ["--timing"] if timing else []
+    runs = {"eval": ["eval", str(inst), "--alg", "fdls,cdls"],
+            "bench": ["bench", "--seeds", "0", "--n", "4", "--ports", "3",
+                      "--cores", "2"]}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, *flag, "-o", str(out)]) == 0
+        cells = [line.rsplit(",", 1)[1]
+                 for line in out.read_text().splitlines()[1:]]
+        assert len(cells) == 2
+        if timing:
+            assert all(float(cell) > 0 for cell in cells)
+        else:
+            assert set(cells) == {"0.0"}
+
+
 def test_output_defaults_to_stdout(tmp_path, capsys):
     inst = _generate(tmp_path)
     capsys.readouterr()
@@ -558,3 +578,45 @@ PINNED_CLI_OUTPUTS = {
 
 def test_cli_outputs_match_pinned_digests(tmp_path):
     assert _cli_outputs(tmp_path) == PINNED_CLI_OUTPUTS
+
+
+# One trace coflow has 50 flows (10 mappers x 5 reducers), so threshold 50
+# keeps one coflow and thresholds 0 and 1 keep all three.
+WIDE_TRACE = """10 3
+1 0 10 1 2 3 4 5 6 7 8 9 10 5 1:100 2:200 3:300 4:400 5:500
+2 20 3 1 2 3 2 4:50 9:70
+3 40 1 5 1 6:33
+"""
+
+
+def _bench_outputs(tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(WIDE_TRACE)
+    small = ["--n", "6", "--ports", "4"]
+    runs = {"vary-n": ["--ports", "4", "--vary", "n", "--values", "4,7"],
+            "vary-m": [*small, "--vary", "m", "--values", "1,3"],
+            "vary-p": [*small, "--vary", "p", "--values", "0.5,2"],
+            "trace-vary-m": ["--trace", trace, "--vary", "m",
+                             "--values", "1,3"],
+            "trace-vary-threshold": ["--trace", trace, "--vary", "threshold",
+                                     "--values", "0,1,50"]}
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["bench", "--seeds", "0:2", "--cores", "2",
+                     *map(str, argv), "-o", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    return digests
+
+
+PINNED_BENCH_OUTPUTS = {
+    "trace-vary-m": "4949fa9a223af1ef",
+    "trace-vary-threshold": "3ce1169fe4e26950",
+    "vary-m": "91c911433b5a5509",
+    "vary-n": "c7d54cf1c1892396",
+    "vary-p": "89bcba9e4251288d",
+}
+
+
+def test_bench_outputs_match_pinned_digests(tmp_path):
+    assert _bench_outputs(tmp_path) == PINNED_BENCH_OUTPUTS

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from statistics import mean
 
@@ -43,6 +45,18 @@ def test_dag_is_acyclic_with_all_nodes(seed):
     dag = generate_dag(30, 4, 0.7, seed=seed)
     assert dag.nodes == frozenset(range(1, 31))
     assert longest_path_chi(dag) >= 1  # raises on cycles
+
+
+def test_dag_edges_match_pinned_digest():
+    # The grid reaches every way the level widths are made to sum to n:
+    # cut from the back, drop trailing levels (p = 0.05) and pad the last.
+    digest = hashlib.sha256()
+    for n, p, deg, seed in itertools.product(
+            (1, 2, 3, 5, 8, 25, 100, 400), (0.05, 0.1, 0.5, 1, 2, 8), (0, 3),
+            range(8)):
+        digest.update(repr(sorted(generate_dag(n, deg, p, seed).edges))
+                      .encode())
+    assert digest.hexdigest()[:16] == "946f84def902d9aa"
 
 
 def test_chi_non_increasing_in_parallelism_factor():
