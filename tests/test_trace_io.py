@@ -94,6 +94,14 @@ def test_to_instance_ceil_split():
     assert sizes == [51, 51]
 
 
+def test_to_instance_share_is_exact_past_float_precision():
+    # ceil((2**60 + 1) / 3) in floats reads 384307168202282304.
+    ports, coflows = parse_trace(f"4 1\n1 0 3 1 2 3 1 4:{2**60 + 1}\n")
+    inst = to_instance(ports, coflows)
+    sizes = [f.size for f in inst.coflows[0].flows]
+    assert sizes == [384307168202282326] * 3
+
+
 def test_to_instance_merges_duplicate_pairs():
     # Two reducers on the same rack fold into one flow per mapper.
     ports, coflows = parse_trace("4 1\n1 0 1 2 2 3:10 3:6\n")
