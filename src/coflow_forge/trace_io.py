@@ -11,7 +11,6 @@ by summing sizes so demands stay simple.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,7 +122,7 @@ def to_instance(port_count: int, coflows: Sequence[TraceCoflow],
     for c in coflows:
         demand: dict[tuple[int, int], int] = {}
         for rack, size in c.reducers:
-            share = math.ceil(size / len(c.mappers)) if c.mappers else 0
+            share = -(-size // len(c.mappers)) if c.mappers else 0
             for mapper in c.mappers:
                 key = (mapper, rack)
                 demand[key] = demand.get(key, 0) + share
