@@ -118,19 +118,15 @@ def generate_dag(n: int, deg: int, p: float, seed: int) -> PrecedenceDag:
     sqrt_n = math.sqrt(n)
     num_levels = _uniform_mean(rng, sqrt_n / p)
     widths = [_uniform_mean(rng, p * sqrt_n) for _ in range(num_levels)]
-    # Truncate from the last level backwards (keeping levels non-empty) or
-    # pad the last level so the widths sum to exactly n.
+    # Truncate from the last level backwards (keeping levels non-empty),
+    # keep at most n levels, then pad the last level so the widths sum to n.
     overflow = sum(widths) - n
     for i in range(len(widths) - 1, -1, -1):
-        if overflow <= 0:
-            break
-        cut = min(overflow, widths[i] - 1)
+        cut = min(max(overflow, 0), widths[i] - 1)
         widths[i] -= cut
         overflow -= cut
-    if overflow > 0:  # more levels than coflows: drop trailing levels
-        widths = widths[:len(widths) - overflow]
-    if sum(widths) < n:
-        widths[-1] += n - sum(widths)
+    widths = widths[:n]
+    widths[-1] += n - sum(widths)
 
     # Nodes are numbered level by level, so the nodes on higher levels than
     # node k are the ones numbered after the last node of k's level.

@@ -125,8 +125,7 @@ class JobSet:
     coflows: tuple[Coflow, ...]
     intra_job_dag: PrecedenceDag
 
-    def coflow_by_id(self) -> dict[int, Coflow]:
-        return {c.id: c for c in self.coflows}
+    coflow_by_id = Instance.coflow_by_id
 
     @property
     def dag(self) -> PrecedenceDag:

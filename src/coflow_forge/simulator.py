@@ -11,7 +11,7 @@ rate 1 until the next event, so preemption happens at event boundaries only.
 The loop keeps its state between events: each core holds its ready coflows
 in priority order (a coflow enters when its release and its last predecessor
 are behind it and leaves when its flows on that core are done), each
-(core, coflow) pair its unfinished flows, and each core its admitted set,
+(core, coflow) pair its pending flows, and each core its admitted set,
 which is recomputed only when one of those lists changed.
 """
 from __future__ import annotations
@@ -104,23 +104,19 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     ports = [in_bit[src[fid]] | out_bit[dst[fid]] for fid in range(nflows)]
     full = min(len(in_bit), len(out_bit))
 
-    # unfinished[h][k]: coflow k's unfinished flows on core h in list order
+    # pending[h][k]: coflow k's pending flows on core h in list order
     # (size desc, then ports). Flow level keeps them sorted by remaining
     # size; coflow level keeps the initial order.
-    unfinished: list[dict[int, list[int]]] = [{} for _ in range(m + 1)]
+    pending: list[dict[int, list[int]]] = [{} for _ in range(m + 1)]
     for fid in range(nflows):
-        unfinished[core[fid]].setdefault(owner[fid], []).append(fid)
-    cores_of: dict[int, list[int]] = {k: [] for k in ids}
-    for h in range(1, m + 1):
-        for k in unfinished[h]:
-            cores_of[k].append(h)
+        pending[core[fid]].setdefault(owner[fid], []).append(fid)
     flows_left = {k: 0 for k in ids}
     for fid in range(nflows):
         flows_left[owner[fid]] += 1
 
     # A coflow waits for its release and for each predecessor; it becomes
     # ready when the count reaches zero, and then sits in the ready list of
-    # every core holding one of its unfinished flows, in rank order.
+    # every core holding one of its pending flows, in rank order.
     preds = instance.dag.predecessors()
     succs = instance.dag.successors()
     waiting = {k: len(preds.get(k, ())) + 1 for k in ids}
@@ -163,9 +159,10 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             if flows_left[k] == 0:
                 complete_coflow(k, at)
                 continue
-            for h in cores_of[k]:
-                insort(ready[h], k, key=rank.__getitem__)
-                changed.add(h)
+            for h in range(1, m + 1):
+                if k in pending[h]:
+                    insort(ready[h], k, key=rank.__getitem__)
+                    changed.add(h)
 
     def admit(h: int) -> None:
         # Greedy list scheduling on core h under port exclusivity. Each
@@ -173,7 +170,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         chosen: list[int] = []
         owners: list[int] = []
         busy = 0
-        flows_of = unfinished[h]
+        flows_of = pending[h]
         for k in ready[h]:
             before = len(chosen)
             for fid in flows_of[k]:
@@ -195,10 +192,9 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         admitted[h] = chosen
         sent_from[h] = owners
 
-    incomplete = nflows
     t = release[by_release[0]]
     wake(t)
-    while incomplete > 0 or len(coflow_completions) < len(ids):
+    while len(coflow_completions) < len(ids):
         if changed:
             for h in changed:
                 admit(h)
@@ -209,7 +205,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
 
         if not active:
             if next_release is None:
-                raise RuntimeError("simulation stalled: incomplete flows but "
+                raise RuntimeError("simulation stalled: coflows left but "
                                    "nothing admissible and no future release")
             t = next_release
             wake(t)
@@ -220,18 +216,15 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             dt = min(dt, next_release - t)
         t += dt
         step = dt * stride
-        finished: list[int] = []
         for fid in active:
             remaining[fid] -= dt
             rank_key[fid] += step
-            if not remaining[fid]:
-                finished.append(fid)
-        for fid in finished:
+            if remaining[fid]:
+                continue
             h, k = core[fid], owner[fid]
             segments.append((open_seg.pop(fid), h, src[fid], dst[fid], k, t))
             flow_completions[(src[fid], dst[fid], k)] = t
-            incomplete -= 1
-            flows = unfinished[h][k]
+            flows = pending[h][k]
             flows.remove(fid)
             if not flows:
                 ready[h].remove(k)
@@ -244,7 +237,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             # lists keep their order keeps its admitted set.
             for h in range(1, m + 1):
                 for k in sent_from[h]:
-                    flows = unfinished[h][k]
+                    flows = pending[h][k]
                     before = flows[:]
                     flows.sort(key=rank_key.__getitem__)
                     if flows != before:
