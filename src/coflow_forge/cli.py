@@ -39,7 +39,7 @@ from .metrics_report import (
 )
 from .primal_dual import DEFAULT_KAPPA, dual_to_document
 from .simulator import schedule_payload
-from .trace_io import filter_by_min_flows, parse_trace, to_instance
+from .trace_io import TraceError, filter_by_min_flows, parse_trace, to_instance
 
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
@@ -62,18 +62,19 @@ def _read(path: str) -> str:
 
 def _load(path: str, jobs: bool, text: str | None = None) -> Instance | JobSet:
     """The job set or the instance in the document at `path`, whose text
-    is read unless given. The pipeline validates it; see `_named`."""
+    is read unless given. The pipeline validates it."""
     text = _read(path) if text is None else text
-    try:
-        return document_to_jobset(text) if jobs else document_to_instance(text)
-    except DocumentError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _named(path, document_to_jobset if jobs else document_to_instance,
+                  text)
 
 
 def _named(path: str, run, *args, **kwargs):
-    """run(*args, **kwargs), naming `path` in a subject's violations."""
+    """run(*args, **kwargs), naming `path` in the error of a malformed
+    document or trace and in a subject's violations."""
     try:
         return run(*args, **kwargs)
+    except (DocumentError, TraceError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     except InvalidInstanceError as exc:
         raise ValueError(f"{path}: " + "; ".join(exc.violations)) from exc
 
@@ -150,7 +151,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    port_count, coflows = parse_trace(_read(args.trace))
+    port_count, coflows = _named(args.trace, parse_trace, _read(args.trace))
     instance = to_instance(port_count, coflows, num_cores=args.cores,
                            weight_mode=args.weight_mode,
                            release_mode=args.release_mode, seed=args.seed)
@@ -193,28 +194,20 @@ def _cmd_bench(args) -> int:
     values = args.values.split(",") if args.vary else [None]
     if "" in values:
         raise ValueError(f"--values {args.values!r} has an empty value")
-    trace = parse_trace(_read(args.trace)) if args.trace else None
+    trace = args.trace and _named(args.trace, parse_trace, _read(args.trace))
 
     def build(value, seed):
-        n, m, p, threshold = gen["n"], args.cores, gen["p"], None
-        if args.vary == "n":
-            n = int(value)
-        elif args.vary == "m":
-            m = int(value)
-        elif args.vary == "p":
-            p = float(value)
-        elif args.vary == "threshold":
-            threshold = int(value)
+        axes = {"n": gen["n"], "m": args.cores, "p": gen["p"], "threshold": 0}
+        if args.vary:
+            axes[args.vary] = (float if args.vary == "p" else int)(value)
         if trace:
-            instance = to_instance(*trace, num_cores=m,
+            instance = to_instance(*trace, num_cores=axes["m"],
                                    weight_mode="uniform", seed=seed)
-            if threshold:
-                instance = filter_by_min_flows(instance, threshold)
-            return instance
-        params = GeneratorParams(n=n, num_ports=gen["ports"], num_cores=m,
-                                 deg=gen["deg"], p=p,
-                                 density_mode=gen["density"], seed=seed,
-                                 conforming=gen["conforming"])
+            return filter_by_min_flows(instance, axes["threshold"])
+        params = GeneratorParams(n=axes["n"], num_ports=gen["ports"],
+                                 num_cores=axes["m"], deg=gen["deg"],
+                                 p=axes["p"], density_mode=gen["density"],
+                                 seed=seed, conforming=gen["conforming"])
         return generate_instance(params)
 
     records = []

@@ -116,7 +116,8 @@ def test_ingest_malformed_trace_exits_1(tmp_path, capsys, command, record,
             "bench": ["bench", "--seeds", "0:1", "--trace", str(trace)],
             }[command]
     assert main([*argv, "-o", str(out)]) == 1
-    assert capsys.readouterr().err == f"coflow-forge: error: {message}\n"
+    assert capsys.readouterr().err == (
+        f"coflow-forge: error: {trace}: {message}\n")
     assert not out.exists()
 
 
