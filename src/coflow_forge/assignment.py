@@ -17,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .model import Instance, PortDemand, render
+from .model import Coflow, Flow, Instance, PortDemand, render
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -38,6 +38,11 @@ def _check_perm(instance: Instance, perm: Permutation) -> list[int]:
     return ids
 
 
+def list_order(coflow: Coflow) -> list[Flow]:
+    """The coflow's flows in list order: by non-increasing size, then ports."""
+    return sorted(coflow.flows, key=lambda f: (-f.size, f.source, f.dest))
+
+
 def assign_flows_fdls(instance: Instance, perm: Permutation) -> CoreAssignment:
     """Flow-driven list scheduling, assignment phase."""
     _check_perm(instance, perm)
@@ -49,8 +54,7 @@ def assign_flows_fdls(instance: Instance, perm: Permutation) -> CoreAssignment:
     by_id = instance.coflow_by_id()
 
     for k in perm.order:
-        flows = sorted(by_id[k].flows, key=lambda f: (-f.size, f.source, f.dest))
-        for f in flows:
+        for f in list_order(by_id[k]):
             row_in, row_out = load_in[f.source - 1], load_out[f.dest - 1]
             scores = list(map(add, row_in, row_out))
             h = scores.index(min(scores))

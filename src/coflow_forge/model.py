@@ -301,15 +301,13 @@ def topological_order(dag: PrecedenceDag) -> list[int]:
 
 def longest_path_chi(dag: PrecedenceDag) -> int:
     """Number of nodes on the longest directed path; 1 for an edgeless DAG."""
-    if not dag.nodes:
-        return 0
     order = topological_order(dag)  # raises CycleError on cycles
     succ = dag.successors()
     depth = {n: 1 for n in dag.nodes}
     for n in reversed(order):
         for s in succ.get(n, ()):
             depth[n] = max(depth[n], 1 + depth[s])
-    return max(depth.values())
+    return max(depth.values(), default=0)
 
 
 class PortDemand:

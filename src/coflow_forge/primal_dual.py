@@ -108,9 +108,7 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
                   for a, bs in successors.items()}
     column = _port_major(load)
     resid = ent.weight.copy()
-    # The same state twice: a mask for array steps, flags for scalar reads.
     unsched = np.ones(n, dtype=bool)
-    placed = [False] * n
     # The latest-released unscheduled entity is the first unplaced one in
     # this order, which breaks ties by the smallest index.
     by_release = np.argsort(-ent.release, kind="stable").tolist()
@@ -120,7 +118,7 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
     beta: list[BetaRecord] = []
     gamma: dict[tuple[int, int], float] = {}
     sigma = [0] * n
-    scale = max(1.0, float(ent.weight.max())) if n else 1.0
+    scale = float(ent.weight.max(initial=1.0))
 
     for pos in range(n, 0, -1):
         mu1, mu2 = int(port_in.argmax()), int(port_out.argmax())
@@ -133,7 +131,7 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
             bottleneck = port_out[mu2]
         loads = column(side, port + 1)
 
-        while placed[by_release[latest]]:
+        while not unsched[by_release[latest]]:
             latest += 1
         krel = by_release[latest]
         cands = (unsched & (loads > 0)).nonzero()[0]
@@ -153,7 +151,7 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
             t0, t1 = -1, cand
             while True:
                 nxt = next((s for s in successors.get(t1, ())
-                            if not placed[s]), None)
+                            if unsched[s]), None)
                 if nxt is None:
                     break
                 t0, t1 = t1, nxt
@@ -182,7 +180,7 @@ def _run_engine(ent: _Entities, load: dict[str, np.ndarray],
             resid[cands] = np.maximum(left, 0.0)
 
         sigma[pos - 1] = ent.ids[chosen]
-        unsched[chosen], placed[chosen] = False, True
+        unsched[chosen] = False
         port_in -= load["in"][chosen]
         port_out -= load["out"][chosen]
 

@@ -28,7 +28,8 @@ import numpy as np
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag,
                     ValidationReport, entries, fields, parse_json,
                     render, topological_order)
-from .assignment import CoreAssignment, _check_perm, assign_flows_fdls
+from .assignment import (CoreAssignment, _check_perm, assign_flows_fdls,
+                         list_order)
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -56,22 +57,23 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     if assignment.kind not in (FLOW_LEVEL, COFLOW_LEVEL):
         raise ValueError(f"unknown assignment kind {assignment.kind!r}")
     flow_level = assignment.kind == FLOW_LEVEL
-    if not ids:
-        return Schedule({}, {}, {}, ())
 
     by_id = instance.coflow_by_id()
     rank = {k: r for r, k in enumerate(priority.order)}
-    release = {k: by_id[k].release for k in ids}
 
-    # Dense flow tables. fid indexes every flow of the instance.
+    # One pass fills the dense flow tables (fid indexes every flow), each
+    # pending[h][k], coflow k's pending flows on core h in list order (flow
+    # level re-sorts them by remaining size), and flows_left.
     m = instance.config.num_cores
     src: list[int] = []
     dst: list[int] = []
     owner: list[int] = []
-    size: list[int] = []
+    remaining: list[int] = []
     core: list[int] = []
+    pending: list[dict[int, list[int]]] = [{} for _ in range(m + 1)]
+    flows_left = dict.fromkeys(ids, 0)
     for k in ids:
-        for f in sorted(by_id[k].flows, key=lambda f: (-f.size, f.source, f.dest)):
+        for f in list_order(by_id[k]):
             h = assignment.flow_to_core.get((f.source, f.dest, k))
             if h is None:
                 raise ValueError(f"flow ({f.source},{f.dest},{k}) "
@@ -80,12 +82,13 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                 raise ValueError(f"flow ({f.source},{f.dest},{k}) is "
                                  f"assigned to core {h}, outside cores "
                                  f"1..{m}")
+            pending[h].setdefault(k, []).append(len(src))
+            flows_left[k] += 1
             src.append(f.source)
             dst.append(f.dest)
             owner.append(k)
-            size.append(f.size)
+            remaining.append(f.size)
             core.append(h)
-    remaining = list(size)
     nflows = len(src)
 
     # rank_key[fid] orders a coflow's flows by (-remaining, src, dst) as one
@@ -93,7 +96,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     pairs = sorted(set(zip(src, dst)))
     stride = len(pairs)
     pair_rank = {pair: i for i, pair in enumerate(pairs)}
-    rank_key = [pair_rank[src[fid], dst[fid]] - size[fid] * stride
+    rank_key = [pair_rank[src[fid], dst[fid]] - remaining[fid] * stride
                 for fid in range(nflows)]
     # ports[fid] has one bit for the flow's input port and one for its output
     # port, numbered over the ports in use; a core is full once every input
@@ -104,23 +107,13 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     ports = [in_bit[src[fid]] | out_bit[dst[fid]] for fid in range(nflows)]
     full = min(len(in_bit), len(out_bit))
 
-    # pending[h][k]: coflow k's pending flows on core h in list order
-    # (size desc, then ports). Flow level keeps them sorted by remaining
-    # size; coflow level keeps the initial order.
-    pending: list[dict[int, list[int]]] = [{} for _ in range(m + 1)]
-    for fid in range(nflows):
-        pending[core[fid]].setdefault(owner[fid], []).append(fid)
-    flows_left = {k: 0 for k in ids}
-    for fid in range(nflows):
-        flows_left[owner[fid]] += 1
-
     # A coflow waits for its release and for each predecessor; it becomes
     # ready when the count reaches zero, and then sits in the ready list of
     # every core holding one of its pending flows, in rank order.
     preds = instance.dag.predecessors()
     succs = instance.dag.successors()
     waiting = {k: len(preds.get(k, ())) + 1 for k in ids}
-    by_release = sorted(ids, key=lambda k: release[k])
+    by_release = sorted(map(by_id.get, ids), key=lambda c: c.release)
     next_rel = 0
     woken: list[int] = []
     ready: list[list[int]] = [[] for _ in range(m + 1)]
@@ -151,8 +144,8 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         # Release what is due at `at` and file every coflow that became
         # ready; a coflow without flows completes the moment it is ready.
         nonlocal next_rel
-        while next_rel < len(ids) and release[by_release[next_rel]] <= at:
-            unblock(by_release[next_rel])
+        while next_rel < len(ids) and by_release[next_rel].release <= at:
+            unblock(by_release[next_rel].id)
             next_rel += 1
         while woken:
             k = woken.pop()
@@ -192,7 +185,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         admitted[h] = chosen
         sent_from[h] = owners
 
-    t = release[by_release[0]]
+    t = 0
     wake(t)
     while len(coflow_completions) < len(ids):
         if changed:
@@ -200,7 +193,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                 admit(h)
             changed.clear()
             active = [fid for h in range(1, m + 1) for fid in admitted[h]]
-        next_release = (release[by_release[next_rel]]
+        next_release = (by_release[next_rel].release
                         if next_rel < len(ids) else None)
 
         if not active:
