@@ -113,9 +113,13 @@ def generate_dag(n: int, deg: int, p: float, seed: int) -> PrecedenceDag:
         raise ValueError("deg must be >= 0")
     if not p > 0:
         raise ValueError("parallelism factor p must be positive")
+    sqrt_n = math.sqrt(n)
+    # Levels are drawn one by one, so their ranges are capped; p=inf is past.
+    if 2 * max(sqrt_n / p, p * sqrt_n) > 2**20:
+        raise ValueError(f"parallelism factor p={p} at n={n} puts a level "
+                         "count or width range past 2**20")
 
     rng = _rng(seed, _STREAM_LEVELS)
-    sqrt_n = math.sqrt(n)
     num_levels = _uniform_mean(rng, sqrt_n / p)
     widths = [_uniform_mean(rng, p * sqrt_n) for _ in range(num_levels)]
     # Truncate from the last level backwards (keeping levels non-empty),

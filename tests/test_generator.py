@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from statistics import mean
 
 import pytest
@@ -180,6 +181,15 @@ def test_each_invalid_param_is_named(change, message):
 def test_generate_dag_rejects_bad_arguments(n, deg, p, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         generate_dag(n, deg, p, seed=0)
+
+
+@pytest.mark.parametrize("p", [float("inf"), 1e-320, 1e308, 1e-9])
+def test_generate_dag_rejects_p_past_the_level_range_cap(p):
+    # Levels are drawn one by one: p = 1e-9 would draw about 3.5e9 of them.
+    with pytest.raises(ValueError, match=re.escape(
+            f"parallelism factor p={p} at n=3 puts a level count or width "
+            "range past 2**20")):
+        generate_dag(3, 1, p, seed=0)
 
 
 def test_default_mix_uses_port_count():
