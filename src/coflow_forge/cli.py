@@ -79,11 +79,20 @@ def _named(path: str, run, *args, **kwargs):
         raise ValueError(f"{path}: " + "; ".join(exc.violations)) from exc
 
 
+def _number(flag: str, text: str, kind=int):
+    """kind(text), or a ValueError that names `flag` and `text`."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "a number" if kind is float else "an integer"
+        raise ValueError(f"{flag}: {text!r} is not {what}") from None
+
+
 def _seed_range(spec: str) -> list[int]:
     if ":" in spec:
         lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in spec.split(",")]
+        return list(range(_number("--seeds", lo), _number("--seeds", hi)))
+    return [_number("--seeds", s) for s in spec.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +200,26 @@ def _cmd_bench(args) -> int:
     seeds = _seed_range(args.seeds)
     if not seeds:
         raise ValueError(f"--seeds {args.seeds} selects no seed")
-    values = args.values.split(",") if args.vary else [None]
+    values = args.values.split(",") if args.vary else []
     if "" in values:
         raise ValueError(f"--values {args.values!r} has an empty value")
+    # Each run's tag and the axis value it sets.
+    kind = float if args.vary == "p" else int
+    runs = [(f"{args.vary}={v}", {args.vary: _number("--values", v, kind)})
+            for v in values] or [("base", {})]
     trace = args.trace and _named(args.trace, parse_trace, _read(args.trace))
 
-    def build(value, seed):
-        axes = {"n": gen["n"], "m": args.cores, "p": gen["p"], "threshold": 0}
-        if args.vary:
-            axes[args.vary] = (float if args.vary == "p" else int)(value)
+    def build(axis, seed):
+        axes = {"n": gen["n"], "m": args.cores, "p": gen["p"], "threshold": 0,
+                **axis}
         if trace:
-            instance = to_instance(*trace, num_cores=axes["m"],
-                                   weight_mode="uniform", seed=seed)
-            return filter_by_min_flows(instance, axes["threshold"])
+            instance = filter_by_min_flows(to_instance(
+                *trace, num_cores=axes["m"], weight_mode="uniform",
+                seed=seed), axes["threshold"])
+            if instance.coflows:
+                return instance
+            raise ValueError(f"{args.trace}: threshold {axes['threshold']} "
+                             "keeps no coflow")
         params = GeneratorParams(n=axes["n"], num_ports=gen["ports"],
                                  num_cores=axes["m"], deg=gen["deg"],
                                  p=axes["p"], density_mode=gen["density"],
@@ -211,10 +227,9 @@ def _cmd_bench(args) -> int:
         return generate_instance(params)
 
     records = []
-    for value in values:
-        tag = f"{args.vary}={value}" if args.vary else "base"
+    for tag, axis in runs:
         for seed in seeds:
-            instance = build(value, seed)
+            instance = build(axis, seed)
             records.extend(_named(args.trace or "generated instance",
                                   evaluate, instance, alg, args.kappa,
                                   instance_id=tag, seed=seed,

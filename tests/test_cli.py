@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -380,8 +381,16 @@ def test_bench_vary_requires_values(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--seeds", "0:1", "--vary", "m", "--values", ""], "--values '' has"),
     (["--seeds", "0:1", "--vary", "m", "--values", "2,"], "--values '2,' has"),
-    (["--seeds", "5:2"], "--seeds 5:2 selects no seed")],
-    ids=["empty-values", "trailing-comma", "empty-seed-range"])
+    (["--seeds", "5:2"], "--seeds 5:2 selects no seed"),
+    (["--seeds", "0:1", "--vary", "n", "--values", "x"],
+     "--values: 'x' is not an integer"),
+    (["--seeds", "0:1", "--vary", "n", "--values", "2.5"],
+     "--values: '2.5' is not an integer"),
+    (["--seeds", "0:1", "--vary", "p", "--values", "abc"],
+     "--values: 'abc' is not a number"),
+    (["--seeds", "x"], "--seeds: 'x' is not an integer")],
+    ids=["empty-values", "trailing-comma", "empty-seed-range", "n-not-int",
+         "n-not-whole", "p-not-number", "seed-not-int"])
 def test_bench_with_nothing_to_run_exits_1_with_one_line(tmp_path, capsys,
                                                          flags, message):
     out = tmp_path / "out.csv"
@@ -390,6 +399,40 @@ def test_bench_with_nothing_to_run_exits_1_with_one_line(tmp_path, capsys,
     assert code == 1 and not out.exists()
     assert err.count("\n") == 1 and err.startswith("coflow-forge: error: ")
     assert message in err
+
+
+def test_bench_threshold_that_keeps_no_coflow_names_trace_and_threshold(
+        tmp_path, capsys):
+    # TRACE's largest coflow has 4 flows, so threshold 50 keeps none.
+    path = tmp_path / "trace.txt"
+    path.write_text(TRACE)
+    out = tmp_path / "out.csv"
+    code = main(["bench", "--seeds", "0:1", "--trace", str(path), "--vary",
+                 "threshold", "--values", "1,50", "--alg", "fdls",
+                 "-o", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"coflow-forge: error: {path}: threshold 50 keeps no coflow\n")
+
+
+@pytest.mark.parametrize("p", ["inf", "1e-320", "1e308", "1e-9"])
+@pytest.mark.parametrize("command", [
+    ["generate", "--n", "3", "--cores", "1", "--ports", "2", "--seed", "0",
+     "--p"],
+    ["bench", "--seeds", "0:1", "--alg", "fdls", "--p"],
+    ["bench", "--seeds", "0:1", "--alg", "fdls", "--vary", "p", "--values"]],
+    ids=["generate", "bench", "bench-vary"])
+def test_extreme_p_exits_1_with_one_line_at_once(tmp_path, capsys, command,
+                                                 p):
+    # Each is past the cap on level ranges, or overflows a mean to inf.
+    out = tmp_path / "out"
+    start = time.process_time()
+    assert main([*command, p, "-o", str(out)]) == 1
+    assert time.process_time() - start < 1.0
+    err = capsys.readouterr().err
+    assert not out.exists()
+    assert err.count("\n") == 1 and err.startswith(
+        f"coflow-forge: error: parallelism factor p={float(p)} at n=")
 
 
 @pytest.mark.parametrize("vary, trace", [
