@@ -35,7 +35,6 @@ from .primal_dual import (
     document_to_dual,
     dual_objective,
     dual_to_document,
-    f_set,
     permute_coflow_level,
     permute_flow_level,
     permute_jobs,

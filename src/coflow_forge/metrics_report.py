@@ -66,10 +66,6 @@ class RunRecord:
 class EvaluationReport:
     records: list[RunRecord]
 
-    def sorted_records(self) -> list[RunRecord]:
-        return sorted(self.records,
-                      key=lambda r: (r.instance_id, r.algorithm, r.seed))
-
 
 def total_weighted_completion(schedule: Schedule,
                               subject: Instance | JobSet) -> float:
@@ -195,7 +191,8 @@ def _csv_cell(value) -> str:
 
 def emit_report(report: EvaluationReport, format: str = "csv") -> str:
     """Render the report as CSV rows or a per-algorithm summary."""
-    records = report.sorted_records()
+    records = sorted(report.records,
+                     key=lambda r: (r.instance_id, r.algorithm, r.seed))
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

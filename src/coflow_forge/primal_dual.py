@@ -18,7 +18,7 @@ weighted completion time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -77,17 +77,8 @@ class FeasibilityReport:
     lhs: dict[int, float] = field(default_factory=dict)
 
 
-def f_set(sizes: Iterable[float], m: int) -> float:
-    """(sum(d)^2 + sum(d^2)) / (2m) over a multiset of flow sizes."""
-    total = 0.0
-    squares = 0.0
-    for d in sizes:
-        total += d
-        squares += d * d
-    return _f_sums(total, squares, m)
-
-
 def _f_sums(total: float, squares: float, m: int) -> float:
+    """f(S) = (sum(d)^2 + sum(d^2)) / (2m), from S's sum and sum of squares."""
     if m < 1:
         raise ValueError("m must be >= 1")
     return (total * total + squares) / (2.0 * m)

@@ -138,9 +138,16 @@ def test_unknown_report_format_and_missing_header_raise():
 
 
 def test_report_sorted_records():
-    report = EvaluationReport([_record(instance_id="b"),
-                               _record(instance_id="a")])
-    assert [r.instance_id for r in report.sorted_records()] == ["a", "b"]
+    # emit_report writes rows by (instance, algorithm, seed), whatever the
+    # order of the records.
+    report = EvaluationReport([
+        _record(instance_id="b", seed=0), _record(instance_id="a", seed=1),
+        _record(instance_id="a", algorithm="cdls", seed=2),
+        _record(instance_id="a", seed=0)])
+    rows = emit_report(report).splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["a", "2", "cdls"], ["a", "0", "fdls"], ["a", "1", "fdls"],
+        ["b", "0", "fdls"]]
 
 
 @pytest.mark.parametrize("alg", ["fdls", "cdls"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from coflow_forge import (
     document_to_dual,
     dual_objective,
     dual_to_document,
-    f_set,
     permute_coflow_level,
     permute_flow_level,
     permute_jobs,
@@ -39,24 +39,38 @@ from conftest import PARAMS, jobset_from_instance, jobset_grouped, mk_instance
 
 
 # ---------------------------------------------------------------------------
-# f_set
+# f(S), as the dual objective of one beta record
 # ---------------------------------------------------------------------------
 
+def _f(sizes, m, kind=FLOW_LEVEL):
+    """f(S) over `sizes`: dual_objective of one beta record of value 1 at
+    input port 1, over one coflow whose flows there have `sizes` (flow
+    level) or over one-flow coflows of `sizes` (coflow level)."""
+    if kind == FLOW_LEVEL:
+        coflows = [(1, 0, 1, [(1, j, d) for j, d in enumerate(sizes, 1)])]
+    else:
+        coflows = [(k, 0, 1, [(1, 1, d)]) for k, d in enumerate(sizes, 1)]
+    inst = mk_instance(m, max(len(sizes), 1), coflows)
+    record = BetaRecord("in", 1, tuple(c.id for c in inst.coflows), 1.0)
+    return dual_objective(DualSolution(kind, 0.5, {}, (record,), {}), inst)
+
+
 def test_f_set_examples():
-    assert f_set([2, 2], 2) == 6.0
-    assert f_set([], 5) == 0.0
-    assert f_set([7], 1) == 49.0
+    assert _f([2, 2], 2) == 6.0
+    assert _f([], 5) == 0.0
+    assert _f([7], 1) == 49.0
 
 
 def test_f_set_port_load_examples():
-    assert f_set([1, 2], 1) == 7.0
-    assert f_set([], 3) == 0.0
-    assert f_set([3], 3) == 3.0
+    # At the coflow level each coflow's port load is one item of S.
+    assert _f([1, 2], 1, COFLOW_LEVEL) == 7.0
+    assert _f([], 3, COFLOW_LEVEL) == 0.0
+    assert _f([3], 3, COFLOW_LEVEL) == 3.0
 
 
 def test_f_requires_positive_m():
-    with pytest.raises(ValueError):
-        f_set([1], 0)
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        _f([1], 0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -65,7 +79,7 @@ def test_observation_squared_sum_bound(seed):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 1000, size=rng.integers(1, 30)).tolist()
     m = int(rng.integers(1, 10))
-    assert sum(sizes) ** 2 <= 2 * m * f_set(sizes, m) + 1e-9
+    assert sum(sizes) ** 2 <= 2 * m * _f(sizes, m) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +618,20 @@ def _certificate(dual, subject):
             _sha16(repr(sorted(scaled.lhs.items()))))
 
 
+def _level_duals(inst):
+    """(level, dual, subject) for the flow-, coflow- and job-level duals of
+    `inst`, the job level over jobs of three coflows."""
+    js = jobset_from_instance(inst)
+    return (("flow", permute_flow_level(inst)[1], inst),
+            ("coflow", permute_coflow_level(inst)[1], inst),
+            ("job", permute_jobs(js)[1], js))
+
+
 def _corpus_certificates():
     out = {}
     for mode, horizon, deg in CORPUS:
         inst = _corpus_instance(mode, horizon, deg)
-        js = jobset_from_instance(inst)
-        for level, (_, dual), subject in (
-                ("flow", permute_flow_level(inst), inst),
-                ("coflow", permute_coflow_level(inst), inst),
-                ("job", permute_jobs(js), js)):
+        for level, dual, subject in _level_duals(inst):
             out[f"{mode}-r{horizon}-d{deg}-{level}"] = _certificate(dual,
                                                                     subject)
     return out
@@ -717,6 +736,87 @@ def test_sparse_n200_interleaved_job_dual_document_matches_pinned_digest():
     js = jobset_grouped(inst, lambda k: k % 7)
     assert _sha16(dual_to_document(permute_jobs(js)[1], js)) == \
         "fc37ca0b1615a5a7"
+
+
+# ---------------------------------------------------------------------------
+# the certificate in exact arithmetic
+# ---------------------------------------------------------------------------
+
+def _exact_certificate(dual, subject):
+    """Each entity's constraint side (LHS) and weight, and the dual
+    objective, recomputed from the instance in `Fraction`s: every dual value
+    is a float, so an exact dyadic rational, and every size an integer."""
+    m = subject.config.num_cores
+    by_id = subject.coflow_by_id()
+
+    def sizes(k, side, port):
+        return [f.size for f in by_id[k].flows
+                if (f.source if side == "in" else f.dest) == port]
+
+    coflow_lhs = {k: Fraction(0) for k in by_id}
+    objective = Fraction(0)
+    for rec in dual.beta:
+        value = Fraction(rec.value)
+        items = []
+        for k in rec.coflows:
+            coflow_lhs[k] += value * sum(sizes(k, rec.side, rec.port))
+            items += (sizes(k, rec.side, rec.port) if dual.kind == FLOW_LEVEL
+                      else [sum(sizes(k, rec.side, rec.port))])
+        objective += value * Fraction(
+            sum(items) ** 2 + sum(d * d for d in items), 2 * m)
+    for (a, b), value in dual.gamma.items():
+        coflow_lhs[b] += Fraction(value)
+        coflow_lhs[a] -= Fraction(value)
+
+    if dual.kind == JOB_LEVEL:
+        entities = {j.id: (j.coflows, j.weight) for j in subject.jobs}
+    else:
+        entities = {k: ((k,), c.weight) for k, c in by_id.items()}
+    lhs = {e: (sum(coflow_lhs[k] for k in ks), Fraction(w))
+           for e, (ks, w) in entities.items()}
+    for (side, port, e), value in dual.alpha.items():
+        first = by_id[entities[e][0][0]]
+        if dual.kind == FLOW_LEVEL:
+            slot = (port, 1) if side == "in" else (1, port)
+            term = sum(f.size for f in first.flows
+                       if (f.source, f.dest) == slot)
+        else:
+            term = (sum(sizes(first.id, side, port))
+                    if dual.kind == COFLOW_LEVEL else 0)
+        lhs[e] = (lhs[e][0] + Fraction(value), lhs[e][1])
+        objective += Fraction(value) * (first.release + term)
+    return lhs, objective
+
+
+def _assert_exactly_certified(dual, subject):
+    """Every LHS <= w (1 + _REL_TOL) exactly, and dual_objective within
+    1e-12 relative of the exact objective; returns the worst relative
+    excess of an LHS over its weight and the objective's relative gap."""
+    lhs, exact = _exact_certificate(dual, subject)
+    bound = 1 + Fraction(primal_dual._REL_TOL)
+    for e, (side, weight) in lhs.items():
+        assert side <= weight * bound, (e, float(side), float(weight))
+    gap = abs(Fraction(dual_objective(dual, subject)) - exact)
+    assert gap <= Fraction(1e-12) * exact, (float(gap), float(exact))
+    return (max(float((side - w) / w) for side, w in lhs.values()),
+            float(gap / exact) if exact else 0.0)
+
+
+def test_pinned_certificate_corpus_holds_in_exact_arithmetic():
+    worst = [_assert_exactly_certified(dual, subject)
+             for mode, horizon, deg in CORPUS
+             for _, dual, subject in _level_duals(
+                 _corpus_instance(mode, horizon, deg))]
+    assert len(worst) == 36
+    # The float certificate overstates exactly feasible by a few ulps only.
+    assert max(excess for excess, _ in worst) < 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(PARAMS)
+def test_generated_certificates_hold_in_exact_arithmetic(params):
+    for _, dual, subject in _level_duals(generate_instance(params)):
+        _assert_exactly_certified(dual, subject)
 
 
 # ---------------------------------------------------------------------------
