@@ -177,19 +177,14 @@ def test_each_invalid_param_is_named(change, message):
 
 @pytest.mark.parametrize("n, deg, p, message", [
     (0, 1, 1.0, "n must be >= 1"), (3, -1, 1.0, "deg must be >= 0"),
-    (3, 1, 0.0, "parallelism factor p must be positive")])
+    (3, 1, 0.0, "parallelism factor p must be positive"),
+    # Levels are drawn one by one: p = 1e-9 would draw about 3.5e9 of them.
+    *((3, 1, p, re.escape(f"parallelism factor p={p} at n=3 puts a level "
+                          "count or width range past 2**20"))
+      for p in (float("inf"), 1e-320, 1e308, 1e-9))])
 def test_generate_dag_rejects_bad_arguments(n, deg, p, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         generate_dag(n, deg, p, seed=0)
-
-
-@pytest.mark.parametrize("p", [float("inf"), 1e-320, 1e308, 1e-9])
-def test_generate_dag_rejects_p_past_the_level_range_cap(p):
-    # Levels are drawn one by one: p = 1e-9 would draw about 3.5e9 of them.
-    with pytest.raises(ValueError, match=re.escape(
-            f"parallelism factor p={p} at n=3 puts a level count or width "
-            "range past 2**20")):
-        generate_dag(3, 1, p, seed=0)
 
 
 def test_default_mix_uses_port_count():
