@@ -557,6 +557,22 @@ def test_eval_flowless_instance_has_ratio_one(tmp_path):
         assert (rec.twc, rec.dual, rec.ratio) == (0.0, 0.0, 1.0)
 
 
+def test_eval_bound_is_inf_when_the_weight_ratio_overflows(tmp_path):
+    # 5e-324 is a valid weight, but max/min overflows to inf. The edge makes
+    # the weights non-conforming and there are no releases, so the bound
+    # must not add the release term as 0 * inf, which is nan.
+    inst = mk_instance(1, 1, [(1, 0, 5e-324, [(1, 1, 1)]),
+                              (2, 0, 1, [(1, 1, 1)])], edges=[(1, 2)])
+    path = tmp_path / "tiny.json"
+    path.write_text(instance_to_document(inst))
+    out = tmp_path / "report.csv"
+    assert main(["eval", str(path), "--alg", "fdls,cdls", "-o", str(out)]) == 0
+    records = parse_report(out.read_text()).records
+    assert [(r.algorithm, r.conforming, r.weight_ratio, r.bound)
+            for r in records] == [("cdls", False, float("inf"), float("inf")),
+                                  ("fdls", False, float("inf"), float("inf"))]
+
+
 def test_eval_report_keeps_a_file_name_with_a_comma(tmp_path):
     path = _generate(tmp_path, name="a,b.json")
     out = tmp_path / "report.csv"

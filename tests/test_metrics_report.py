@@ -87,6 +87,13 @@ def test_theorem_bound_values():
         theorem_bound("flow", 0, 1)
 
 
+def test_theorem_bound_without_releases_is_inf_not_nan_at_infinite_R():
+    # The release term is added only with releases: 0 * inf is nan.
+    for kind in ("flow", "coflow"):
+        assert theorem_bound(kind, 1, 1, R=float("inf"), with_release=False,
+                             conforming_weights=False) == float("inf")
+
+
 def _record(**overrides):
     base = dict(instance_id="i", seed=0, algorithm="fdls", n=2, m=1,
                 num_ports=2, chi=1, weight_ratio=1.0, twc=5.0, dual=5.0,
