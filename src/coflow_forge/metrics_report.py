@@ -116,14 +116,16 @@ def theorem_bound(kind: str, chi: int, m: int, R: float = 1.0,
     if chi < 1 or m < 1 or R < 1:
         raise ValueError("need chi >= 1, m >= 1, R >= 1")
     a = 1.0 if with_release else 0.0
+    # The release term R is added only with releases: 0 * inf is nan.
+    aR = R if with_release else 0.0
     if kind in ("flow", "job"):
         if conforming_weights or kind == "job":
             return 4.0 * chi + 1.0 + a - 2.0 / m
-        return 4.0 * R * chi + a * R + 1.0 - 2.0 / m
+        return 4.0 * R * chi + aR + 1.0 - 2.0 / m
     if kind == "coflow":
         if conforming_weights:
             return 4.0 * chi * m + a
-        return 4.0 * R * chi * m + a * R
+        return 4.0 * R * chi * m + aR
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
