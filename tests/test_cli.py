@@ -482,6 +482,20 @@ def test_core_count_past_the_limit_exits_1_with_one_line(tmp_path, capsys,
                    "1..4096, got 5000\n")
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--weight-max", "99999999999999999999999", "weight range"),
+    ("--release-horizon", "99999999999999999999", "release horizon")])
+def test_generate_value_past_int64_exits_1_naming_it(tmp_path, capsys, flag,
+                                                     value, name):
+    out = tmp_path / "out.json"
+    assert main(["generate", "--n", "3", "--cores", "1", "--ports", "2",
+                 "--seed", "0", flag, value, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"coflow-forge: error: {name} {value} is past the int64 draw limit "
+        f"{2**63 - 1}\n")
+    assert not out.exists()
+
+
 def test_port_count_past_the_limit_exits_1_with_one_line(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("5000 1\n1 0 1 1 1 5000:10\n")

@@ -175,6 +175,30 @@ def test_each_invalid_param_is_named(change, message):
         generate_instance(params)
 
 
+@pytest.mark.parametrize("change, name, value", [
+    ({"weight_range": (1, 2**63)}, "weight range", 2**63),
+    ({"release_horizon": 10**20}, "release horizon", 10**20),
+    ({"workload_mix": (WorkloadConfig(1, 1, 1, 2**63, 1.0),)},
+     "workload size", 2**63)],
+    ids=["weight range", "release horizon", "workload size"])
+def test_values_past_the_int64_draw_range_are_named(change, name, value):
+    params = GeneratorParams(n=2, num_ports=2, num_cores=1, **change)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} {value} is past the int64 draw limit {2**63 - 1}")):
+        generate_instance(params)
+
+
+def test_values_at_the_int64_draw_limit_are_drawn():
+    top = 2**63 - 1
+    inst = generate_instance(GeneratorParams(
+        n=2, num_ports=2, num_cores=1, weight_range=(top, top),
+        release_horizon=top,
+        workload_mix=(WorkloadConfig(1, 1, top, top, 1.0),)))
+    assert {c.weight for c in inst.coflows} == {top}
+    assert {f.size for c in inst.coflows for f in c.flows} == {top}
+    assert all(0 <= c.release <= top for c in inst.coflows)
+
+
 @pytest.mark.parametrize("n, deg, p, message", [
     (0, 1, 1.0, "n must be >= 1"), (3, -1, 1.0, "deg must be >= 0"),
     (3, 1, 0.0, "parallelism factor p must be positive"),
