@@ -28,6 +28,8 @@ _STREAM_LEVELS = 0
 _STREAM_WORKLOAD = 1
 _STREAM_EDGES = 2
 
+_DRAW_MAX = 2**63 - 1
+
 DENSITY_MODES = ("default", "dense", "sparse", "combined")
 
 
@@ -94,6 +96,13 @@ def _validate(params: GeneratorParams) -> None:
             raise ValueError(f"workload widths {c} must fit 1..ports")
         if not (1 <= c.l_min <= c.l_max):
             raise ValueError(f"workload sizes {c} must satisfy 1 <= min <= max")
+    # integers(lo, hi + 1) draws in int64, so hi may be at most 2**63 - 1.
+    for name, top in (("weight range", hi),
+                      ("release horizon", params.release_horizon),
+                      *(("workload size", c.l_max) for c in mix)):
+        if top > _DRAW_MAX:
+            raise ValueError(f"{name} {top} is past the int64 draw limit "
+                             f"{_DRAW_MAX}")
 
 
 def _rng(seed: int, stream: int, index: int = 0) -> Generator:
