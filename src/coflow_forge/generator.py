@@ -27,6 +27,7 @@ from .model import (Coflow, Instance, NetworkConfig, PrecedenceDag,
 _STREAM_LEVELS = 0
 _STREAM_WORKLOAD = 1
 _STREAM_EDGES = 2
+_STREAM_TRACE_WEIGHTS = 3
 
 _DRAW_MAX = 2**63 - 1
 
@@ -106,7 +107,12 @@ def _validate(params: GeneratorParams) -> None:
 
 
 def _rng(seed: int, stream: int, index: int = 0) -> Generator:
-    return Generator(Philox(SeedSequence(seed, spawn_key=(stream, index))))
+    """The random stream of `seed`, one of the _STREAM_* numbers, and any
+    64-bit `index`; a negative index is taken modulo 2**64."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return Generator(Philox(SeedSequence(
+        seed, spawn_key=(stream, index % 2**64))))
 
 
 def _uniform_mean(rng: Generator, mean: float) -> int:

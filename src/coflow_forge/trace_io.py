@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from numpy.random import Generator, Philox, SeedSequence
-
-from .model import (Coflow, Instance, NetworkConfig, PrecedenceDag,
-                    config_violations)
+from .generator import _STREAM_TRACE_WEIGHTS, _rng
+from .model import Coflow, Instance, NetworkConfig, PrecedenceDag
 
 
 class TraceError(ValueError):
@@ -109,14 +107,12 @@ def to_instance(port_count: int, coflows: Sequence[TraceCoflow],
                 num_cores: int = 1, weight_mode: str = "unit",
                 release_mode: str = "zero", seed: int = 0) -> Instance:
     """Turn parsed records into an instance with an empty precedence DAG;
-    `validate_instance` reports a rack outside 1..port_count."""
+    `validate_instance` reports a core or port count past its limit and a
+    rack outside 1..port_count."""
     if weight_mode not in ("unit", "uniform"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     if release_mode not in ("zero", "arrival"):
         raise ValueError(f"unknown release mode {release_mode!r}")
-    config = NetworkConfig(num_cores, port_count)
-    if problems := config_violations(config):
-        raise ValueError("; ".join(problems))
 
     out: list[Coflow] = []
     for c in coflows:
@@ -127,14 +123,14 @@ def to_instance(port_count: int, coflows: Sequence[TraceCoflow],
                 key = (mapper, rack)
                 demand[key] = demand.get(key, 0) + share
         if weight_mode == "uniform":
-            rng = Generator(Philox(SeedSequence(seed, spawn_key=(3, c.id))))
-            weight = int(rng.integers(1, 101))
+            weight = int(_rng(seed, _STREAM_TRACE_WEIGHTS, c.id)
+                         .integers(1, 101))
         else:
             weight = 1
         release = c.arrival if release_mode == "arrival" else 0
         out.append(Coflow.make(c.id, release, weight,
                                [(i, j, s) for (i, j), s in sorted(demand.items())]))
-    return Instance(config, tuple(out),
+    return Instance(NetworkConfig(num_cores, port_count), tuple(out),
                     PrecedenceDag.make(c.id for c in out))
 
 

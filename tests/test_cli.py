@@ -464,6 +464,46 @@ def test_bench_rejects_generator_flags_with_a_trace(tmp_path, capsys, flag):
     assert err.count("\n") == 1 and f"{flag[0]} cannot be used" in err
 
 
+def test_trace_with_a_negative_coflow_id_gets_a_uniform_weight(tmp_path):
+    # Any 64-bit coflow id has a weight stream, and every other id keeps its.
+    trace = tmp_path / "trace.txt"
+    trace.write_text(TRACE.replace("\n1 100", "\n-4 100"))
+    runs = {"ingest": ["ingest", str(trace), "--weight-mode", "uniform"],
+            "bench": ["bench", "--seeds", "0:2", "--trace", str(trace)]}
+    for name, argv in runs.items():
+        outputs = []
+        for rerun in range(2):
+            out = tmp_path / f"{name}-{rerun}"
+            assert main([*argv, "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+    (tmp_path / "positive.txt").write_text(TRACE)
+    assert main(["ingest", str(tmp_path / "positive.txt"), "--weight-mode",
+                 "uniform", "-o", str(tmp_path / "positive.json")]) == 0
+    negative, positive = (document_to_instance(p.read_text()).coflows
+                          for p in (tmp_path / "ingest-0",
+                                    tmp_path / "positive.json"))
+    assert [c.id for c in negative] == [-4, 2]
+    assert 1 <= negative[0].weight <= 100
+    assert negative[1] == positive[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "3", "--cores", "1", "--ports", "2", "--seed", "-1"],
+    ["bench", "--seeds=-1:0", "--n", "3"],
+    ["ingest", "TRACE", "--weight-mode", "uniform", "--seed", "-1"]],
+    ids=["generate", "bench", "ingest"])
+def test_negative_seed_exits_1_with_one_line(tmp_path, capsys, argv):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(TRACE)
+    out = tmp_path / "out"
+    argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+    assert main([*argv, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "coflow-forge: error: seed must be a non-negative integer, got -1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "ingest", "bench-trace"])
 def test_core_count_past_the_limit_exits_1_with_one_line(tmp_path, capsys,
                                                           command):
@@ -478,8 +518,9 @@ def test_core_count_past_the_limit_exits_1_with_one_line(tmp_path, capsys,
     assert main([*argv, "--cores", "5000", "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert not out.exists()
-    assert err == ("coflow-forge: error: num_cores must be an integer in "
-                   "1..4096, got 5000\n")
+    named = "" if command == "generate" else f"{trace}: "
+    assert err == (f"coflow-forge: error: {named}num_cores must be an "
+                   "integer in 1..4096, got 5000\n")
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -500,13 +541,14 @@ def test_port_count_past_the_limit_exits_1_with_one_line(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("5000 1\n1 0 1 1 1 5000:10\n")
     out = tmp_path / "out.json"
-    for argv in (["generate", "--n", "3", "--cores", "1", "--ports", "5000",
-                  "--seed", "0"], ["ingest", str(trace)]):
+    for argv, named in ((["generate", "--n", "3", "--cores", "1", "--ports",
+                          "5000", "--seed", "0"], ""),
+                        (["ingest", str(trace)], f"{trace}: ")):
         capsys.readouterr()
         assert main([*argv, "-o", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "coflow-forge: error: num_ports must be an integer in 1..4096, "
-            "got 5000\n")
+            f"coflow-forge: error: {named}num_ports must be an integer in "
+            "1..4096, got 5000\n")
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
-"""numpy is the only runtime dependency of the coflow_forge package, and no
-writer uses json's indent encoder, which runs in pure Python."""
+"""numpy is the only runtime dependency of the coflow_forge package, only
+the generator builds random streams, and no writer uses json's indent
+encoder, which runs in pure Python."""
 import ast
 import sys
 from pathlib import Path
@@ -22,6 +23,17 @@ def test_package_imports_only_the_standard_library_and_numpy():
                for name in _absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}}
     assert not foreign
+
+
+def test_only_the_generator_uses_numpy_random():
+    # generator._rng builds every random stream and holds their numbers.
+    users = {path.name for path in SOURCES
+             if any(name.startswith("numpy.random")
+                    for name in _absolute_imports(path))
+             or any(isinstance(node, ast.Attribute) and node.attr == "random"
+                    and getattr(node.value, "id", None) in ("np", "numpy")
+                    for node in ast.walk(ast.parse(path.read_text())))}
+    assert users == {"generator.py"}
 
 
 def test_no_writer_uses_the_json_indent_encoder():

@@ -175,6 +175,15 @@ def test_each_invalid_param_is_named(change, message):
         generate_instance(params)
 
 
+@pytest.mark.parametrize("seed", [-1, True])
+def test_seed_must_be_a_non_negative_int(seed):
+    # A bool is not a seed, as the document readers rule.
+    params = GeneratorParams(n=2, num_ports=2, num_cores=1, seed=seed)
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative "
+                                         f"integer, got {seed}$"):
+        generate_instance(params)
+
+
 @pytest.mark.parametrize("change, name, value", [
     ({"weight_range": (1, 2**63)}, "weight range", 2**63),
     ({"release_horizon": 10**20}, "release horizon", 10**20),
