@@ -303,11 +303,11 @@ def _slot_demand(coflow: Coflow, side: str, port: int) -> int:
     return sum(f.size for f in coflow.flows if (f.source, f.dest) == slot)
 
 
-def _entities_of(dual: DualSolution, subject: Instance | JobSet
-                 ) -> tuple[PortDemand, _Entities]:
-    """The port demand of `subject` and the entities of the dual's level.
-    Raises ValueError for a dual of unknown kind, or one that names an entity
-    or coflow not in `subject`."""
+def _entities_of(dual: DualSolution, subject: Instance | JobSet):
+    """The port demand of `subject`, the entities of the dual's level, its
+    port loads' reader, and each beta record, as iterated, with its coflows'
+    rows and their loads at its port. Raises ValueError for an unknown dual
+    kind, or one that names an entity or coflow not in `subject`."""
     demand = PortDemand(subject)
     ent = _Entities(subject, dual.kind, demand)
     if dual.kind == JOB_LEVEL and dual.gamma:
@@ -317,7 +317,10 @@ def _entities_of(dual: DualSolution, subject: Instance | JobSet
     for _, _, e in dual.alpha:
         if e not in ent.index:
             raise ValueError(f"dual references unknown {what} {e}")
-    return demand, ent
+    loads = _port_major(demand.load)
+    beta = ((rec, idx, loads(rec.side, rec.port)[idx]) for rec in dual.beta
+            for idx in [_rows(demand, rec.coflows)])
+    return demand, ent, loads, beta
 
 
 def dual_objective(dual: DualSolution,
@@ -331,8 +334,7 @@ def dual_objective(dual: DualSolution,
     adds non-negative terms).
     """
     m = subject.config.num_cores
-    demand, ent = _entities_of(dual, subject)
-    loads = _port_major(demand.load)
+    demand, ent, loads, beta = _entities_of(dual, subject)
 
     # An alpha pays the release of its entity's first coflow plus the slot
     # demand at flow level, the port load at coflow level, or 0 at job level.
@@ -349,9 +351,7 @@ def dual_objective(dual: DualSolution,
     # treat each coflow's port load as one item.
     if dual.kind == FLOW_LEVEL:
         squares = _port_major(demand.squares)
-    for rec in dual.beta:
-        idx = _rows(demand, rec.coflows)
-        s = loads(rec.side, rec.port)[idx]
+    for rec, idx, s in beta:
         q = (squares(rec.side, rec.port)[idx] if dual.kind == FLOW_LEVEL
              else s * s)
         total += rec.value * _f_sums(float(s.sum()), float(q.sum()), m)
@@ -363,13 +363,11 @@ def check_dual_feasibility(dual: DualSolution, subject: Instance | JobSet
     """Evaluate every dual constraint: feasible iff every dual value is
     non-negative and every LHS <= w (1 + _REL_TOL). An entity's LHS is the
     sum over its coflow rows, plus its alpha."""
-    demand, ent = _entities_of(dual, subject)
-    loads = _port_major(demand.load)
+    demand, ent, _, beta = _entities_of(dual, subject)
     beta_lhs = np.zeros(demand.n)
-    for rec in dual.beta:
-        idx = _rows(demand, rec.coflows)
+    for rec, idx, load in beta:
         # add.at adds a repeated id once per occurrence, in record order.
-        np.add.at(beta_lhs, idx, rec.value * loads(rec.side, rec.port)[idx])
+        np.add.at(beta_lhs, idx, rec.value * load)
     row_lhs = beta_lhs.tolist()
     for (a, b), value in dual.gamma.items():
         row_lhs[demand.row[b]] += value
