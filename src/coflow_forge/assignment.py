@@ -17,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .model import Coflow, Flow, Instance, PortDemand, render
+from .model import Coflow, Flow, Instance, PortDemand, flow_rows, render
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
 
 
@@ -102,9 +102,8 @@ def assignment_to_payload(assignment: CoreAssignment) -> dict:
     schedule output holds them."""
     payload = {
         "kind": assignment.kind,
-        "flows": render(2, [(*key, h) for key, h in sorted(
-            assignment.flow_to_core.items(),
-            key=lambda it: (it[0][2], it[0]))], "src dst coflow core"),
+        "flows": render(2, flow_rows(assignment.flow_to_core),
+                        "src dst coflow core"),
         "load_in": render(2, [render(3, r)
                               for r in assignment.load_in.tolist()]),
         "load_out": render(2, [render(3, r)

@@ -497,6 +497,12 @@ def render(depth: int, rows: dict | Sequence, keys: str = "") -> JsonText:
                     + f"{pad}]{end}", tuple(_texts(values)))
 
 
+def flow_rows(by_flow: dict) -> list[tuple]:
+    """The (src, dst, coflow, value) rows of `by_flow`, by coflow, src, dst."""
+    return sorted([(*key, value) for key, value in by_flow.items()],
+                  key=itemgetter(2, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # instance document format
 # ---------------------------------------------------------------------------

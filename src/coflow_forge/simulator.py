@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag,
-                    ValidationReport, entries, fields, parse_json,
+                    ValidationReport, entries, fields, flow_rows, parse_json,
                     render, topological_order)
 from .assignment import (CoreAssignment, _check_perm, assign_flows_fdls,
                          list_order)
@@ -492,9 +492,8 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
 
 def schedule_payload(schedule: Schedule, depth: int) -> dict:
     return {
-        "flows": render(depth + 1, [(*key, c) for key, c in sorted(
-            schedule.flow_completions.items(),
-            key=lambda it: (it[0][2], it[0]))], "src dst coflow completion"),
+        "flows": render(depth + 1, flow_rows(schedule.flow_completions),
+                        "src dst coflow completion"),
         "coflows": render(depth + 1, sorted(
             schedule.coflow_completions.items()), "id completion"),
         "jobs": render(depth + 1, sorted(schedule.job_completions.items()),
