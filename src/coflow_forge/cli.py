@@ -167,9 +167,8 @@ def _cmd_ingest(args) -> int:
     if args.min_flows:
         instance = filter_by_min_flows(instance, args.min_flows)
     # A trace may repeat a coflow id or, as arrivals, give negative releases.
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValueError(f"{args.trace}: " + "; ".join(report.violations))
+    if violations := validate_instance(instance).violations:
+        raise ValueError(f"{args.trace}: " + "; ".join(violations))
     _write(args.output, instance_to_document(instance))
     return 0
 

@@ -107,8 +107,7 @@ def _validate(params: GeneratorParams) -> None:
 
 
 def _rng(seed: int, stream: int, index: int = 0) -> Generator:
-    """The random stream of `seed`, one of the _STREAM_* numbers, and any
-    64-bit `index`; a negative index is taken modulo 2**64."""
+    """Stream `stream` of `seed` at any 64-bit `index`, taken mod 2**64."""
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return Generator(Philox(SeedSequence(

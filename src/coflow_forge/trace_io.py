@@ -107,8 +107,7 @@ def to_instance(port_count: int, coflows: Sequence[TraceCoflow],
                 num_cores: int = 1, weight_mode: str = "unit",
                 release_mode: str = "zero", seed: int = 0) -> Instance:
     """Turn parsed records into an instance with an empty precedence DAG;
-    `validate_instance` reports a core or port count past its limit and a
-    rack outside 1..port_count."""
+    `validate_instance` judges its core and port counts and its racks."""
     if weight_mode not in ("unit", "uniform"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     if release_mode not in ("zero", "arrival"):
@@ -122,11 +121,8 @@ def to_instance(port_count: int, coflows: Sequence[TraceCoflow],
             for mapper in c.mappers:
                 key = (mapper, rack)
                 demand[key] = demand.get(key, 0) + share
-        if weight_mode == "uniform":
-            weight = int(_rng(seed, _STREAM_TRACE_WEIGHTS, c.id)
-                         .integers(1, 101))
-        else:
-            weight = 1
+        weight = (int(_rng(seed, _STREAM_TRACE_WEIGHTS, c.id).integers(1, 101))
+                  if weight_mode == "uniform" else 1)
         release = c.arrival if release_mode == "arrival" else 0
         out.append(Coflow.make(c.id, release, weight,
                                [(i, j, s) for (i, j), s in sorted(demand.items())]))
