@@ -15,6 +15,7 @@ from typing import get_type_hints
 
 from .model import (
     Instance,
+    InvalidInstanceError,
     JobSet,
     is_conforming,
     longest_path_chi,
@@ -94,11 +95,12 @@ def approximation_ratio(alg_value: float, dual_bound: float) -> float:
 
 
 def weight_ratio_R(subject: Instance | JobSet) -> float:
-    """Ratio of maximum to minimum weight."""
+    """Ratio of maximum to minimum weight. A subject without coflows has
+    none: InvalidInstanceError, so that a command names its file."""
     weights = [e.weight for e in (subject.jobs if isinstance(subject, JobSet)
                                   else subject.coflows)]
     if not weights:
-        raise ValueError("empty instance has no weight ratio")
+        raise InvalidInstanceError(["empty instance has no weight ratio"])
     return max(weights) / min(weights)
 
 

@@ -648,7 +648,7 @@ def test_eval_without_coflows_exits_1_with_one_line(tmp_path, capsys, alg,
                                 "edges": [], **extra}))
     assert main(["eval", str(path), "--alg", alg]) == 1
     assert capsys.readouterr().err == (
-        "coflow-forge: error: empty instance has no weight ratio\n")
+        f"coflow-forge: error: {path}: empty instance has no weight ratio\n")
     for one in alg.split(","):
         assert main(["schedule", str(path), "--alg", one,
                      "-o", str(tmp_path / "schedule.json")]) == 0
