@@ -33,7 +33,7 @@ class DocumentError(ValueError):
 
 
 class InvalidInstanceError(ValueError):
-    """Raised by algorithms that require a valid instance or job set."""
+    """Raised for a subject that is invalid, or empty where R is needed."""
 
     def __init__(self, violations: Sequence[str]):
         super().__init__("invalid instance: " + "; ".join(violations))
