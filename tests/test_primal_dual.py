@@ -1129,6 +1129,15 @@ def test_strict_dual_rejects_repeated_snapshot_triples():
                    r"\[.*\] repeats an earlier item")
 
 
+@pytest.mark.parametrize("section", ["alpha", "gamma"])
+def test_strict_dual_rejects_repeated_keys(section):
+    # Read last-wins, values 1.0 and 2.0 would come back as one 2.0.
+    doc = _dual_doc()
+    doc[section] = [{**doc[section][0], "value": value}
+                    for value in (1.0, 2.0)]
+    _rejected(doc, rf"^{section} entry 1 repeats an earlier entry$")
+
+
 def test_strict_dual_root_must_be_an_object():
     with pytest.raises(DocumentError, match="must be an object, got list"):
         document_to_dual("[]")

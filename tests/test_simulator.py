@@ -571,6 +571,21 @@ def test_schedule_document_flow_without_completion():
         document_to_schedule(json.dumps(doc))
 
 
+@pytest.mark.parametrize("section, where", [
+    ("flows", "flow entry"), ("coflows", "coflow entry"),
+    ("jobs", "job entry")])
+def test_schedule_document_rejects_a_repeated_key(section, where):
+    js = jobset_from_instance(generate_instance(GeneratorParams(
+        n=5, num_ports=4, num_cores=2, seed=2)))
+    doc = json.loads(schedule_to_document(
+        simulate_jobs(js, permute_jobs(js)[0])))
+    rows = doc[section]
+    rows.append({**rows[0], "completion": rows[0]["completion"] + 1})
+    with pytest.raises(DocumentError, match=rf"^{where} {len(rows) - 1} "
+                                            "repeats an earlier entry$"):
+        document_to_schedule(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # pinned schedules: simulator output stays byte-exact
 # ---------------------------------------------------------------------------
