@@ -25,7 +25,7 @@ import numpy as np
 from .model import (
     INTEGER, LIST, NUMBER, SIDE, STRING, TRIPLE, Coflow, DocumentError,
     Instance, InvalidInstanceError, JobSet, JsonText, PortDemand, entries,
-    fields, parse_json, render, typed, validate_instance, validate_jobset)
+    fields, keyed, parse_json, render, typed, validate_instance, validate_jobset)
 
 FLOW_LEVEL = "flow-level"
 COFLOW_LEVEL = "coflow-level"
@@ -472,10 +472,8 @@ def document_to_dual(text: str) -> DualSolution:
     if kind not in (FLOW_LEVEL, COFLOW_LEVEL, JOB_LEVEL):
         raise DocumentError(f"unknown dual kind {kind!r}")
 
-    alpha = {(side, port, eid): value
-             for side, port, eid, value in entries(
-                 alphas, "alpha entry", side=SIDE, port=INTEGER, id=INTEGER,
-                 value=NUMBER)}
+    alpha = keyed(alphas, "alpha entry", side=SIDE, port=INTEGER, id=INTEGER,
+                  value=NUMBER)
     beta = []
     for i, (side, port, snap, value) in enumerate(entries(
             betas, "beta entry", side=SIDE, port=INTEGER, snapshot=LIST,
@@ -498,8 +496,6 @@ def document_to_dual(text: str) -> DualSolution:
         if kind == FLOW_LEVEL:
             ids = sorted(set(ids))
         beta.append(BetaRecord(side, port, tuple(ids), value))
-    gamma = {(pred, succ): value
-             for pred, succ, value in entries(
-                 gammas, "gamma entry", pred=INTEGER, succ=INTEGER,
-                 value=NUMBER)}
+    gamma = keyed(gammas, "gamma entry", pred=INTEGER, succ=INTEGER,
+                  value=NUMBER)
     return DualSolution(kind, kappa, alpha, tuple(beta), gamma)

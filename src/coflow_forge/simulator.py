@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag,
-                    ValidationReport, entries, fields, flow_rows, parse_json,
-                    render, topological_order)
+                    ValidationReport, entries, fields, flow_rows, keyed,
+                    parse_json, render, topological_order)
 from .assignment import (CoreAssignment, _check_perm, assign_flows_fdls,
                          list_order)
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
@@ -513,11 +513,10 @@ def document_to_schedule(text: str) -> Schedule:
         doc, "schedule document", flows=LIST, coflows=LIST, jobs=LIST,
         segments=LIST)
     return Schedule(
-        {(src, dst, k): done for src, dst, k, done in entries(
-            flows, "flow entry", src=INTEGER, dst=INTEGER, coflow=INTEGER,
-            completion=INTEGER)},
-        dict(entries(coflows, "coflow entry", id=INTEGER, completion=INTEGER)),
-        dict(entries(jobs, "job entry", id=INTEGER, completion=INTEGER)),
+        keyed(flows, "flow entry", src=INTEGER, dst=INTEGER, coflow=INTEGER,
+              completion=INTEGER),
+        keyed(coflows, "coflow entry", id=INTEGER, completion=INTEGER),
+        keyed(jobs, "job entry", id=INTEGER, completion=INTEGER),
         tuple(Segment(*g) for g in entries(
             segments, "segment", src=INTEGER, dst=INTEGER, coflow=INTEGER,
             core=INTEGER, start=INTEGER, end=INTEGER)),
