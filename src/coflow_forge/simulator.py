@@ -117,10 +117,9 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     next_rel = 0
     woken: list[int] = []
     ready: list[list[int]] = [[] for _ in range(m + 1)]
-    # admitted[h] is core h's admitted set and sent_from[h] the coflows it
-    # draws on, both recomputed only for the cores in `changed`.
+    # admitted[h] is core h's admitted set, recomputed only for the cores
+    # in `changed`.
     admitted: list[list[int]] = [[] for _ in range(m + 1)]
-    sent_from: list[list[int]] = [[] for _ in range(m + 1)]
     changed: set[int] = set()
     active: list[int] = []
 
@@ -161,19 +160,15 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         # Greedy list scheduling on core h under port exclusivity. Each
         # admitted flow takes one input and one output port.
         chosen: list[int] = []
-        owners: list[int] = []
         busy = 0
         flows_of = pending[h]
         for k in ready[h]:
-            before = len(chosen)
             for fid in flows_of[k]:
                 if not busy & ports[fid]:
                     busy |= ports[fid]
                     chosen.append(fid)
-            if len(chosen) > before:
-                owners.append(k)
-                if len(chosen) == full:
-                    break
+            if len(chosen) == full:
+                break
         kept = set(chosen)
         for fid in admitted[h]:
             if remaining[fid] and fid not in kept:
@@ -183,7 +178,6 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             if fid not in open_seg:
                 open_seg[fid] = t
         admitted[h] = chosen
-        sent_from[h] = owners
 
     t = 0
     wake(t)
@@ -193,20 +187,12 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                 admit(h)
             changed.clear()
             active = [fid for h in range(1, m + 1) for fid in admitted[h]]
-        next_release = (by_release[next_rel].release
-                        if next_rel < len(ids) else None)
-
-        if not active:
-            if next_release is None:
-                raise RuntimeError("simulation stalled: coflows left but "
-                                   "nothing admissible and no future release")
-            t = next_release
-            wake(t)
-            continue
-
-        dt = min(map(remaining.__getitem__, active))
-        if next_release is not None:
-            dt = min(dt, next_release - t)
+        # The next event: an admitted flow completes or the next release.
+        gaps = [c.release - t for c in by_release[next_rel:next_rel + 1]]
+        dt = min(chain(map(remaining.__getitem__, active), gaps), default=None)
+        if dt is None:
+            raise RuntimeError("simulation stalled: coflows left but "
+                               "nothing admissible and no future release")
         t += dt
         step = dt * stride
         for fid in active:
@@ -229,7 +215,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             # Only the admitted flows' remaining sizes moved; a core whose
             # lists keep their order keeps its admitted set.
             for h in range(1, m + 1):
-                for k in sent_from[h]:
+                for k in {owner[fid] for fid in admitted[h]}:
                     flows = pending[h][k]
                     before = flows[:]
                     flows.sort(key=rank_key.__getitem__)
@@ -311,23 +297,17 @@ def _segment_columns(segments, v: list[str]) -> tuple[list, list]:
     return kept, columns(kept)
 
 
-def _first_overlaps(side: str, port: np.ndarray, core: np.ndarray,
-                    start: np.ndarray, end: np.ndarray) -> list[tuple]:
-    """(core, side, port, s1, e1, s2, e2) for each (core, port) whose
-    segments, sorted by (start, end), hold a neighbour that starts before
-    the one before it ends: the first such pair [s1, e1), [s2, e2)."""
-    order = np.lexsort((end, start, port, core))
-    # Neighbours that overlap in time, kept where they share core and port.
-    pairs = np.flatnonzero(start[order[1:]] < end[order[:-1]])
-    a, b = order[pairs], order[pairs + 1]
-    same = (core[a] == core[b]) & (port[a] == port[b])
-    a, b = a[same], b[same]
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = (core[a[1:]] != core[a[:-1]]) | (port[a[1:]] != port[a[:-1]])
-    a, b = a[first], b[first]
-    return list(zip(core[a].tolist(), repeat(side), port[a].tolist(),
-                    start[a].tolist(), end[a].tolist(), start[b].tolist(),
-                    end[b].tolist()))
+def _overlapping_neighbours(start: np.ndarray, end: np.ndarray,
+                            keys: tuple, ties: tuple = ()):
+    """The index pairs (i, j) of neighbours, sorted by `keys`, start and
+    `ties`, that share every key and where j starts before i ends. Sorted
+    so, segments that share the keys overlap only if two neighbours do."""
+    order = np.lexsort((*ties, start, *reversed(keys)))
+    i, j = order[:-1], order[1:]
+    keep = start[j] < end[i]
+    for key in keys:
+        keep &= key[i] == key[j]
+    return zip(i[keep].tolist(), j[keep].tolist())
 
 
 def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
@@ -352,12 +332,14 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
              for i in np.flatnonzero(end <= start).tolist())
     v.extend(f"segments on core {h}, outside cores 1..{m}"
              for h in sorted(set(core[(core < 1) | (core > m)].tolist())))
-    overlaps = (_first_overlaps("in", source, core, start, end)
-                + _first_overlaps("out", dest, core, start, end))
-    del source, dest  # not needed below; freeing them lowers peak memory
+    overlaps = {}
+    for side, port in (("in", source), ("out", dest)):
+        for i, j in _overlapping_neighbours(start, end, (core, port), (end,)):
+            overlaps.setdefault((int(core[i]), side, int(port[i])), (i, j))
+    del source, dest, port  # not needed below; freeing them lowers peak memory
     v.extend(f"core {h} {side}-port {p}: overlapping transmissions "
-             f"[{s1},{e1}) and [{s2},{e2})"
-             for h, side, p, s1, e1, s2, e2 in sorted(overlaps))
+             f"[{start[i]},{end[i]}) and [{start[j]},{end[j]})"
+             for (h, side, p), (i, j) in sorted(overlaps.items()))
 
     # Each segment's flow in the instance; unknown flows map to `nflows`.
     index: dict[tuple[int, int, int], int] = {}
@@ -368,15 +350,11 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     flow = np.fromiter(map(index.get, map(itemgetter(0, 1, 2), segments),
                            repeat(nflows)), np.int64, len(segments))
 
-    # A flow sent on two cores at once. Sorted by start, a flow's segments
-    # overlap only if two neighbours do; the port check takes one core's.
-    order = np.lexsort((start, flow))
-    a, b = order[:-1], order[1:]
-    keep = ((flow[a] == flow[b]) & (flow[a] < nflows) & (core[a] != core[b])
-            & (start[b] < end[a]))
+    # A flow sent on two cores at once; the port check takes one core's.
     twice = {}
-    for i, j in zip(a[keep].tolist(), b[keep].tolist()):
-        twice.setdefault(flow[i], (segments[i], segments[j]))
+    for i, j in _overlapping_neighbours(start, end, (flow,)):
+        if flow[i] < nflows and core[i] != core[j]:
+            twice.setdefault(flow[i], (segments[i], segments[j]))
     v.extend(f"flow {s[:3]} transmits on cores {s.core} and {t.core} at "
              f"once: [{s.start},{s.end}) and [{t.start},{t.end})"
              for s, t in twice.values())
