@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from coflow_forge import InvalidInstanceError, Job, JobSet, metrics_report
 from coflow_forge.generator import GeneratorParams, generate_instance
@@ -18,7 +19,7 @@ from coflow_forge.metrics_report import (
 )
 from coflow_forge.simulator import Schedule
 
-from conftest import jobset_from_instance, mk_instance
+from conftest import PARAMS, jobset_from_instance, mk_instance
 
 
 def _sched(coflows, jobs=None):
@@ -187,6 +188,26 @@ def test_evaluate_jobs():
     rec = evaluate(js, "jobs", instance_id="j", seed=3)
     assert rec.algorithm == "jobs"
     assert rec.ratio >= 1.0 - 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARAMS)
+def test_evaluate_ratio_is_within_the_reported_bound(params):
+    inst = generate_instance(params)
+    for alg in ("fdls", "cdls"):
+        rec = evaluate(inst, alg)
+        assert rec.ratio <= rec.bound, (alg, rec.ratio, rec.bound)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the job barrier "
+                   "puts the jobs ratio above the bound the CSV reports")
+def test_evaluate_jobs_ratio_is_within_the_reported_bound():
+    # The ratio reads 7.2445 against a bound of 4.6, with chi = 1.
+    inst = generate_instance(GeneratorParams(
+        n=15, num_ports=10, num_cores=5, deg=3, p=1.0, seed=93,
+        conforming=False, release_horizon=0))
+    rec = evaluate(jobset_from_instance(inst, 1), "jobs")
+    assert rec.ratio <= rec.bound, (rec.ratio, rec.bound)
 
 
 def test_evaluate_rejects_a_job_completion_that_is_not_its_last_coflows(

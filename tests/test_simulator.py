@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from coflow_forge import (
     DocumentError,
@@ -19,6 +21,7 @@ from coflow_forge import (
 )
 from coflow_forge.assignment import assign_coflows_cdls, assign_flows_fdls
 from coflow_forge.generator import GeneratorParams, generate_instance
+from coflow_forge.metrics_report import run_algorithm
 from coflow_forge.model import PortDemand, topological_order
 from coflow_forge.simulator import (
     Schedule,
@@ -30,7 +33,7 @@ from coflow_forge.simulator import (
     verify_schedule,
 )
 
-from conftest import jobset_from_instance, mk_instance
+from conftest import PARAMS, jobset_from_instance, mk_instance
 
 
 def _run_fdls(inst, order=None):
@@ -123,6 +126,25 @@ def test_successor_of_empty_coflow_starts_at_its_completion():
     assert [(g.coflow, g.start, g.end) for g in sched.segments] \
         == [(1, 0, 3), (3, 3, 5)]
     assert verify_schedule(sched, inst, asg).ok
+
+
+STALLED = ("^simulation stalled: coflows left but nothing admissible and "
+           "no future release$")
+
+
+@pytest.mark.parametrize("coflows, edges", [
+    # Two coflows that wait on each other from the start.
+    ([(1, 0, 1, [(1, 1, 2)]), (2, 0, 1, [(2, 2, 1)])], [(1, 2), (2, 1)]),
+    # Coflow 1 waits for its release at 5 and completes at 7; coflows 2
+    # and 3 never leave their cycle.
+    ([(1, 5, 1, [(1, 1, 2)]), (2, 0, 1, [(2, 2, 1)]), (3, 0, 1, [(1, 2, 1)])],
+     [(2, 3), (3, 2)])])
+def test_a_cyclic_dag_stalls_the_simulation(coflows, edges):
+    # Only the ordering step validates the DAG, so simulate meets the cycle.
+    inst = mk_instance(1, 2, coflows, edges=edges)
+    perm = Permutation(tuple(c.id for c in inst.coflows))
+    with pytest.raises(RuntimeError, match=STALLED):
+        simulate(inst, assign_flows_fdls(inst, perm), perm)
 
 
 def test_unassigned_flow_errors():
@@ -525,6 +547,56 @@ def test_work_conservation_replay_jobs(seed):
     sched = simulate_jobs(js, Permutation(job_order))
     _replay_admissions(gated, sched, assign_flows_fdls(gated, perm), perm,
                        True)
+
+
+def _list_scheduling_slack(inst, sched, asg, perm):
+    """ready(k) + L(f) - C_f for each flow f of coflow k on core h. ready(k)
+    is the later of k's release and its predecessors' completions; L(f)
+    sums the sizes of the flows on h that share f's input or output port
+    and belong to coflows at or before k in `perm`. A list schedule leaves
+    no slack negative."""
+    by_id = inst.coflow_by_id()
+    preds = inst.dag.predecessors()
+    # Cumulative loads per (core, side, port) in priority order, and per
+    # (core, src, dst) for the flows that both of f's ports count.
+    load = Counter()
+    slack = {}
+    for k in perm.order:
+        flows = [((f.source, f.dest, k), f) for f in by_id[k].flows]
+        for key, f in flows:
+            h = asg.flow_to_core[key]
+            load[h, "in", f.source] += f.size
+            load[h, "out", f.dest] += f.size
+            load[h, f.source, f.dest] += f.size
+        ready = max([by_id[k].release] + [sched.coflow_completions[p]
+                                          for p in preds.get(k, ())])
+        for key, f in flows:
+            h = asg.flow_to_core[key]
+            bound = ready + load[h, "in", f.source] + load[h, "out", f.dest] \
+                - load[h, f.source, f.dest]
+            slack[key] = bound - sched.flow_completions[key]
+    return slack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARAMS)
+def test_list_scheduling_inequality_per_flow(params):
+    inst = generate_instance(params)
+    for alg in ("fdls", "cdls"):
+        perm, _, asg, sched = run_algorithm(inst, alg)
+        slack = _list_scheduling_slack(inst, sched, asg, perm)
+        assert min(slack.values(), default=0) >= 0, alg
+
+
+def test_list_scheduling_inequality_over_the_pinned_corpus():
+    slack = []
+    for mode, horizon, deg in CORPUS:
+        inst = _corpus_instance(mode, horizon, deg)
+        for alg in ("fdls", "cdls"):
+            perm, _, asg, sched = run_algorithm(inst, alg)
+            slack += _list_scheduling_slack(inst, sched, asg, perm).values()
+    # Never broken, and met exactly by some flow.
+    assert min(slack) == 0
 
 
 def test_restriction_removing_last_priority_coflow():
