@@ -440,21 +440,18 @@ def entries(items: list, where: str, **expected: str) -> list[Sequence]:
             for i, obj in enumerate(items)]
 
 
-
 def keyed(items: list, where: str, **expected: str) -> dict:
     """{key: value} over the `entries` of `items`, the key an entry's fields
     but its last (one field stands alone) and the value its last. A key
     that repeats raises DocumentError naming the entry that repeats it."""
-    rows = entries(items, where, **expected)
-    keys = [row[0] if len(row) == 2 else tuple(row[:-1]) for row in rows]
-    out = dict(zip(keys, map(itemgetter(-1), rows)))
-    if len(out) < len(keys):
-        seen: set = set()
-        for i, key in enumerate(keys):
-            if key in seen:
-                raise DocumentError(f"{where} {i} repeats an earlier entry")
-            seen.add(key)
+    out: dict = {}
+    for i, row in enumerate(entries(items, where, **expected)):
+        key = row[0] if len(row) == 2 else tuple(row[:-1])
+        if key in out:
+            raise DocumentError(f"{where} {i} repeats an earlier entry")
+        out[key] = row[-1]
     return out
+
 
 # ---------------------------------------------------------------------------
 # document writing

@@ -25,7 +25,8 @@ import numpy as np
 from .model import (
     INTEGER, LIST, NUMBER, SIDE, STRING, TRIPLE, Coflow, DocumentError,
     Instance, InvalidInstanceError, JobSet, JsonText, PortDemand, entries,
-    fields, keyed, parse_json, render, typed, validate_instance, validate_jobset)
+    fields, keyed, parse_json, render, typed, validate_instance,
+    validate_jobset)
 
 FLOW_LEVEL = "flow-level"
 COFLOW_LEVEL = "coflow-level"
