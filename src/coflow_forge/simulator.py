@@ -20,6 +20,7 @@ import struct
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import inf
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -188,9 +189,10 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             changed.clear()
             active = [fid for h in range(1, m + 1) for fid in admitted[h]]
         # The next event: an admitted flow completes or the next release.
-        gaps = [c.release - t for c in by_release[next_rel:next_rel + 1]]
-        dt = min(chain(map(remaining.__getitem__, active), gaps), default=None)
-        if dt is None:
+        dt = min(map(remaining.__getitem__, active), default=inf)
+        if next_rel < len(ids):
+            dt = min(dt, by_release[next_rel].release - t)
+        if dt == inf:
             raise RuntimeError("simulation stalled: coflows left but "
                                "nothing admissible and no future release")
         t += dt
