@@ -302,8 +302,8 @@ def _segment_columns(segments, v: list[str]) -> tuple[list, list]:
 def _overlapping_neighbours(start: np.ndarray, end: np.ndarray,
                             keys: tuple, ties: tuple = ()):
     """The index pairs (i, j) of neighbours, sorted by `keys`, start and
-    `ties`, that share every key and where j starts before i ends. Sorted
-    so, segments that share the keys overlap only if two neighbours do."""
+    `ties`, that share every key and where j starts before i ends. In that
+    order, segments that share the keys overlap only if two neighbours do."""
     order = np.lexsort((*ties, start, *reversed(keys)))
     i, j = order[:-1], order[1:]
     keep = start[j] < end[i]
