@@ -629,6 +629,23 @@ def test_eval_bound_is_inf_when_the_weight_ratio_overflows(tmp_path):
                                   ("fdls", False, float("inf"), float("inf"))]
 
 
+@pytest.mark.parametrize("alg", ["fdls", "cdls"])
+def test_eval_of_a_cost_past_float_range_exits_1_naming_the_file(
+        tmp_path, capsys, alg):
+    # Weight 1e308 is finite, but cost and bound overflow to inf, whose
+    # ratio would be reported as nan.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"cores": 1, "ports": 1, "coflows": [
+        {"id": 1, "release": 0, "weight": 1e308,
+         "flows": [{"src": 1, "dst": 1, "size": 2}]}], "edges": []}))
+    out = tmp_path / "report.csv"
+    assert main(["eval", str(path), "--alg", alg, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"coflow-forge: error: {path}: twc inf and dual inf must both be "
+        "finite\n")
+    assert not out.exists()
+
+
 def test_eval_report_keeps_a_file_name_with_a_comma(tmp_path):
     path = _generate(tmp_path, name="a,b.json")
     out = tmp_path / "report.csv"
