@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import time
+from math import isfinite
 from dataclasses import dataclass, fields
 from statistics import mean, pstdev
 from typing import get_type_hints
@@ -86,9 +87,14 @@ def total_weighted_completion(schedule: Schedule,
 
 def approximation_ratio(alg_value: float, dual_bound: float) -> float:
     """Cost over bound. Both are 0 only for an instance without flows whose
-    releases are all 0, which the schedule meets exactly: its ratio is 1."""
+    releases are all 0, which the schedule meets exactly: its ratio is 1.
+    A side past float range has no ratio: InvalidInstanceError, so that a
+    command names its file."""
     if alg_value == 0 and dual_bound == 0:
         return 1.0
+    if not (isfinite(alg_value) and isfinite(dual_bound)):
+        raise InvalidInstanceError([f"twc {alg_value} and dual {dual_bound} "
+                                    "must both be finite"])
     if dual_bound <= 0:
         raise ValueError("degenerate bound: dual objective must be positive")
     return alg_value / dual_bound

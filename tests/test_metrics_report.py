@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -50,6 +51,18 @@ def test_approximation_ratio():
     assert approximation_ratio(0, 0) == 1.0
     with pytest.raises(ValueError, match="degenerate"):
         approximation_ratio(1, 0)
+
+
+@pytest.mark.parametrize("twc, dual", [
+    (math.inf, math.inf), (math.inf, 1.0), (1.0, math.inf),
+    (math.nan, 1.0), (math.inf, 0.0)])
+def test_approximation_ratio_of_a_side_past_float_range_raises(twc, dual):
+    with pytest.raises(InvalidInstanceError,
+                       match=f"twc {twc} and dual {dual} must both be "
+                             "finite$"):
+        approximation_ratio(twc, dual)
+    # Two finite sides whose sum would overflow still have a ratio.
+    assert approximation_ratio(1.5e308, 1e308) == 1.5
 
 
 def test_weight_ratio():
