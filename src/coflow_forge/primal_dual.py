@@ -465,40 +465,6 @@ def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
     }).text
 
 
-def _snapshot_ids(i: int, kind: str, side: str, port: int,
-                  snap: list) -> tuple:
-    """The ids that beta entry i's snapshot names: at flow level the
-    coflows of its [src, dst, coflow] triples at `side` port `port`,
-    ascending, else its coflow or job ids in order. The items are checked a
-    list at a time; a snapshot that fails is walked item by item, to name
-    its first bad item."""
-    end = itemgetter(0 if side == "in" else 1)
-    if kind == FLOW_LEVEL:
-        good = (set(map(type, snap)) <= {list} and set(map(len, snap)) <= {3}
-                and set(map(type, chain.from_iterable(snap))) <= {int}
-                and set(map(end, snap)) <= {port}
-                and len(set(map(tuple, snap))) == len(snap))
-    else:
-        good = set(map(type, snap)) <= {int} and len(set(snap)) == len(snap)
-    seen = set()
-    for j, item in enumerate(() if good else snap):
-        where = f"beta entry {i} snapshot item {j}"
-        if kind == FLOW_LEVEL:
-            key = tuple(typed(item, TRIPLE, where))
-            if end(key) != port:
-                raise DocumentError(f"{where} {item} is not a flow at "
-                                    f"{side} port {port}")
-        else:
-            key = typed(item, INTEGER, where)
-        # A repeat would count its coflow twice in the certificate.
-        if key in seen:
-            raise DocumentError(f"{where} {item} repeats an earlier item")
-        seen.add(key)
-    if kind == FLOW_LEVEL:
-        return tuple(sorted(set(map(itemgetter(2), snap))))
-    return tuple(snap)
-
-
 def document_to_dual(text: str) -> DualSolution:
     """Parse a dual document strictly: any malformed field raises
     DocumentError with a one-line message."""
@@ -511,11 +477,38 @@ def document_to_dual(text: str) -> DualSolution:
 
     alpha = keyed(alphas, "alpha entry", side=SIDE, port=INTEGER, id=INTEGER,
                   value=NUMBER)
-    beta = [BetaRecord(side, port, _snapshot_ids(i, kind, side, port, snap),
-                       value)
-            for i, (side, port, snap, value) in enumerate(entries(
-                betas, "beta entry", side=SIDE, port=INTEGER, snapshot=LIST,
-                value=NUMBER))]
+    beta = []
+    for i, (side, port, snap, value) in enumerate(entries(
+            betas, "beta entry", side=SIDE, port=INTEGER, snapshot=LIST,
+            value=NUMBER)):
+        # The items are checked a list at a time; a snapshot that fails is
+        # walked item by item, only to name its first bad item.
+        end = itemgetter(0 if side == "in" else 1)
+        if kind == FLOW_LEVEL:
+            good = (set(map(type, snap)) <= {list}
+                    and set(map(len, snap)) <= {3}
+                    and set(map(type, chain.from_iterable(snap))) <= {int}
+                    and set(map(end, snap)) <= {port}
+                    and len(set(map(tuple, snap))) == len(snap))
+        else:
+            good = set(map(type, snap)) <= {int} and len(set(snap)) == len(snap)
+        seen = set()
+        for j, item in enumerate(() if good else snap):
+            where = f"beta entry {i} snapshot item {j}"
+            if kind == FLOW_LEVEL:
+                key = tuple(typed(item, TRIPLE, where))
+                if end(key) != port:
+                    raise DocumentError(f"{where} {item} is not a flow at "
+                                        f"{side} port {port}")
+            else:
+                key = typed(item, INTEGER, where)
+            # A repeat would count its coflow twice in the certificate.
+            if key in seen:
+                raise DocumentError(f"{where} {item} repeats an earlier item")
+            seen.add(key)
+        ids = (sorted(set(map(itemgetter(2), snap))) if kind == FLOW_LEVEL
+               else snap)
+        beta.append(BetaRecord(side, port, tuple(ids), value))
     gamma = keyed(gammas, "gamma entry", pred=INTEGER, succ=INTEGER,
                   value=NUMBER)
     return DualSolution(kind, kappa, alpha, tuple(beta), gamma)
