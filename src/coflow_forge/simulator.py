@@ -11,8 +11,10 @@ rate 1 until the next event, so preemption happens at event boundaries only.
 The loop keeps its state between events: each core holds its ready coflows
 in priority order (a coflow enters when its release and its last predecessor
 are behind it and leaves when its flows on that core are done), each
-(core, coflow) pair its pending flows, and each core its admitted set,
-which is recomputed only when one of those lists changed.
+(core, coflow) pair its pending flows, and each core its admitted set and
+the coflows that admission drew from, which are recomputed only when one of
+those lists changed. At flow level only those coflows are re-sorted after
+an event; a core that re-admits anyway sorts them without comparing orders.
 """
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     nflows = len(src)
 
     # rank_key[fid] orders a coflow's flows by (-remaining, src, dst) as one
-    # integer; it rises by `stride` per unit sent.
+    # integer; at flow level it rises by `stride` per unit sent.
     pairs = sorted(set(zip(src, dst)))
     stride = len(pairs)
     pair_rank = {pair: i for i, pair in enumerate(pairs)}
@@ -118,9 +120,10 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     next_rel = 0
     woken: list[int] = []
     ready: list[list[int]] = [[] for _ in range(m + 1)]
-    # admitted[h] is core h's admitted set, recomputed only for the cores
-    # in `changed`.
+    # admitted[h] is core h's admitted set and sent_from[h] the coflows it
+    # draws on, both recomputed only for the cores in `changed`.
     admitted: list[list[int]] = [[] for _ in range(m + 1)]
+    sent_from: list[list[int]] = [[] for _ in range(m + 1)]
     changed: set[int] = set()
     active: list[int] = []
 
@@ -161,15 +164,19 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         # Greedy list scheduling on core h under port exclusivity. Each
         # admitted flow takes one input and one output port.
         chosen: list[int] = []
+        owners: list[int] = []
         busy = 0
         flows_of = pending[h]
         for k in ready[h]:
+            before = len(chosen)
             for fid in flows_of[k]:
                 if not busy & ports[fid]:
                     busy |= ports[fid]
                     chosen.append(fid)
-            if len(chosen) == full:
-                break
+            if len(chosen) > before:
+                owners.append(k)
+                if len(chosen) == full:
+                    break
         kept = set(chosen)
         for fid in admitted[h]:
             if remaining[fid] and fid not in kept:
@@ -179,6 +186,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             if fid not in open_seg:
                 open_seg[fid] = t
         admitted[h] = chosen
+        sent_from[h] = owners
 
     t = 0
     wake(t)
@@ -199,7 +207,8 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         step = dt * stride
         for fid in active:
             remaining[fid] -= dt
-            rank_key[fid] += step
+            if flow_level:
+                rank_key[fid] += step
             if remaining[fid]:
                 continue
             h, k = core[fid], owner[fid]
@@ -215,11 +224,12 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                 complete_coflow(k, t)
         if flow_level:
             # Only the admitted flows' remaining sizes moved; a core whose
-            # lists keep their order keeps its admitted set.
+            # lists keep their order keeps its admitted set. A core that
+            # re-admits anyway skips the copy and compare (None != a list).
             for h in range(1, m + 1):
-                for k in {owner[fid] for fid in admitted[h]}:
+                for k in sent_from[h]:
                     flows = pending[h][k]
-                    before = flows[:]
+                    before = None if h in changed else flows[:]
                     flows.sort(key=rank_key.__getitem__)
                     if flows != before:
                         changed.add(h)

@@ -526,6 +526,58 @@ def test_work_conservation_replay(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_work_conservation_replay_dense(seed):
+    # Dense coflows share ports on every core, so the flow-level re-sort
+    # changes an order at about a third of its calls.
+    inst = generate_instance(GeneratorParams(n=6, num_ports=4, num_cores=2,
+                                             deg=2, seed=seed,
+                                             density_mode="dense",
+                                             release_horizon=15))
+    perm = Permutation(tuple(sorted(c.id for c in inst.coflows)))
+    for assigner, flow_level in ((assign_flows_fdls, True),
+                                 (assign_coflows_cdls, False)):
+        asg = assigner(inst, perm)
+        sched = simulate(inst, asg, perm)
+        _replay_admissions(inst, sched, asg, perm, flow_level)
+
+
+def _resort_case(cores, flows, on_core):
+    # One coflow whose flows (src, dst, size) sit on the given cores.
+    inst = mk_instance(cores, 3, [(1, 0, 1, flows)])
+    perm = Permutation((1,))
+    asg = assign_flows_fdls(inst, perm)
+    asg.flow_to_core.update({(s, d, 1): h for (s, d, _), h
+                             in zip(flows, on_core)})
+    sched = simulate(inst, asg, perm)
+    _replay_admissions(inst, sched, asg, perm, True)
+    assert verify_schedule(sched, inst, asg).ok
+    return sched
+
+
+def test_an_event_on_another_core_reorders_a_core_without_a_completion():
+    # Flows (1,1) and (2,1) share output port 1 on core 1; (1,1) goes
+    # first, 5 units against 4. Flow (3,3) completes on core 2 at 2, when
+    # (1,1) has 3 units left: core 1 finishes nothing then, and only its
+    # changed order makes it admit (2,1) in place of (1,1).
+    sched = _resort_case(2, [(1, 1, 5), (2, 1, 4), (3, 3, 2)], [1, 1, 2])
+    assert sched.flow_completions == {(3, 3, 1): 2, (2, 1, 1): 6,
+                                      (1, 1, 1): 9}
+    assert [(g.source, g.dest, g.core, g.start, g.end)
+            for g in sched.segments] == [
+        (1, 1, 1, 0, 2), (3, 3, 2, 0, 2), (2, 1, 1, 2, 6), (1, 1, 1, 6, 9)]
+
+
+def test_a_core_that_finishes_a_flow_readmits_in_its_new_order():
+    # As above on one core: (3,3) completes on core 1 itself at 2, so the
+    # core re-admits anyway and must do so from the re-sorted list.
+    sched = _resort_case(1, [(1, 1, 5), (2, 1, 4), (3, 3, 2)], [1, 1, 1])
+    assert sched.flow_completions == {(3, 3, 1): 2, (2, 1, 1): 6,
+                                      (1, 1, 1): 9}
+    assert [(g.source, g.dest, g.start, g.end) for g in sched.segments] == [
+        (1, 1, 0, 2), (3, 3, 0, 2), (2, 1, 2, 6), (1, 1, 6, 9)]
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_work_conservation_replay_jobs(seed):
     # simulate_jobs gates job i+1 behind every coflow of job i and orders
     # coflows topologically inside each job; rebuild that instance here.
