@@ -101,6 +101,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     pair_rank = {pair: i for i, pair in enumerate(pairs)}
     rank_key = [pair_rank[src[fid], dst[fid]] - remaining[fid] * stride
                 for fid in range(nflows)]
+    by_key = rank_key.__getitem__
     # ports[fid] has one bit for the flow's input port and one for its output
     # port, numbered over the ports in use; a core is full once every input
     # or every output port in use is busy.
@@ -120,10 +121,11 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     next_rel = 0
     woken: list[int] = []
     ready: list[list[int]] = [[] for _ in range(m + 1)]
-    # admitted[h] is core h's admitted set and sent_from[h] the coflows it
-    # draws on, both recomputed only for the cores in `changed`.
+    # admitted[h] is core h's admitted set and sent_from[h] the pending
+    # lists of the coflows it draws on, both recomputed only for the cores
+    # in `changed`.
     admitted: list[list[int]] = [[] for _ in range(m + 1)]
-    sent_from: list[list[int]] = [[] for _ in range(m + 1)]
+    sent_from: list[list[list[int]]] = [[] for _ in range(m + 1)]
     changed: set[int] = set()
     active: list[int] = []
 
@@ -164,7 +166,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         # Greedy list scheduling on core h under port exclusivity. Each
         # admitted flow takes one input and one output port.
         chosen: list[int] = []
-        owners: list[int] = []
+        drawn: list[list[int]] = []
         busy = 0
         flows_of = pending[h]
         for k in ready[h]:
@@ -174,7 +176,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                     busy |= ports[fid]
                     chosen.append(fid)
             if len(chosen) > before:
-                owners.append(k)
+                drawn.append(flows_of[k])
                 if len(chosen) == full:
                     break
         kept = set(chosen)
@@ -186,7 +188,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             if fid not in open_seg:
                 open_seg[fid] = t
         admitted[h] = chosen
-        sent_from[h] = owners
+        sent_from[h] = drawn
 
     t = 0
     wake(t)
@@ -224,13 +226,15 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                 complete_coflow(k, t)
         if flow_level:
             # Only the admitted flows' remaining sizes moved; a core whose
-            # lists keep their order keeps its admitted set. A core that
-            # re-admits anyway skips the copy and compare (None != a list).
-            for h in range(1, m + 1):
-                for k in sent_from[h]:
-                    flows = pending[h][k]
-                    before = None if h in changed else flows[:]
-                    flows.sort(key=rank_key.__getitem__)
+            # lists keep their order keeps its admitted set, and a core that
+            # re-admits anyway needs no compare.
+            for h, lists in enumerate(sent_from):
+                for flows in lists:
+                    if h in changed:
+                        flows.sort(key=by_key)
+                        continue
+                    before = flows[:]
+                    flows.sort(key=by_key)
                     if flows != before:
                         changed.add(h)
         wake(t)
