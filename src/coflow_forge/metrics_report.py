@@ -9,8 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import time
-from math import isfinite
 from dataclasses import dataclass, fields
+from math import isfinite
 from statistics import mean, pstdev
 from typing import get_type_hints
 
