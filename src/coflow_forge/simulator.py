@@ -121,9 +121,8 @@ def simulate(instance: Instance, assignment: CoreAssignment,
     next_rel = 0
     woken: list[int] = []
     ready: list[list[int]] = [[] for _ in range(m + 1)]
-    # admitted[h] is core h's admitted set and sent_from[h] the pending
-    # lists of the coflows it draws on, both recomputed only for the cores
-    # in `changed`.
+    # admitted[h] and sent_from[h] are core h's admitted set and the pending
+    # lists it drew from, recomputed only for the cores in `changed`.
     admitted: list[list[int]] = [[] for _ in range(m + 1)]
     sent_from: list[list[list[int]]] = [[] for _ in range(m + 1)]
     changed: set[int] = set()

@@ -61,7 +61,9 @@ def test_approximation_ratio_of_a_side_past_float_range_raises(twc, dual):
                        match=f"twc {twc} and dual {dual} must both be "
                              "finite$"):
         approximation_ratio(twc, dual)
-    # Two finite sides whose sum would overflow still have a ratio.
+
+
+def test_approximation_ratio_divides_finite_sides_whose_sum_overflows():
     assert approximation_ratio(1.5e308, 1e308) == 1.5
 
 

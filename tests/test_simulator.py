@@ -527,8 +527,8 @@ def test_work_conservation_replay(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_work_conservation_replay_dense(seed):
-    # Dense coflows share ports on every core, so the flow-level re-sort
-    # changes an order at about a third of its calls.
+    # Dense coflows put many flows on each port of each core, so the
+    # flow-level re-sort often reorders a coflow's flows.
     inst = generate_instance(GeneratorParams(n=6, num_ports=4, num_cores=2,
                                              deg=2, seed=seed,
                                              density_mode="dense",
