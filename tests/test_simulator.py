@@ -931,3 +931,124 @@ PINNED_AUDITS = {
 
 def test_audits_match_pinned_violation_corpus():
     assert _audit_corpus() == PINNED_AUDITS
+
+
+# ---------------------------------------------------------------------------
+# pinned audits of reordered segments and of fields at the integer limits
+# ---------------------------------------------------------------------------
+
+def _reordered_audits():
+    """The corpus audit cases, each with its segments reversed and shuffled
+    by a fixed seed: orders where ties between equal starts, and the order
+    of per-segment messages, differ from the simulator's. Jobs schedules are
+    audited against their job set."""
+    audits = {"fdls": [], "cdls": [], "jobs": []}
+    for mode, horizon, deg in CORPUS:
+        inst = _corpus_instance(mode, horizon, deg)
+        js = jobset_from_instance(inst)
+        fperm, _ = permute_flow_level(inst)
+        fasg = assign_flows_fdls(inst, fperm)
+        cperm, _ = permute_coflow_level(inst)
+        casg = assign_coflows_cdls(inst, cperm)
+        runs = {"fdls": (simulate(inst, fasg, fperm), inst, fasg),
+                "cdls": (simulate(inst, casg, cperm), inst, casg),
+                "jobs": (simulate_jobs(js, permute_jobs(js)[0]), js, None)}
+        for alg, (sched, base, asg) in runs.items():
+            rng = random.Random(f"{mode}-{horizon}-{deg}-{alg}")
+            picks = sorted(rng.sample(range(len(sched.segments)),
+                                      min(3, len(sched.segments))))
+            cases = [sched] + [mutated for i in picks for _, mutated
+                               in _audit_mutations(sched, base, i)]
+            for case in cases:
+                shuffled = list(case.segments)
+                rng.shuffle(shuffled)
+                for segments in (case.segments[::-1], tuple(shuffled)):
+                    moved = replace(case, segments=segments)
+                    audits[alg] += [
+                        verify_schedule(moved, base, a).violations
+                        for a in ((None, asg) if asg else (None,))]
+    return {alg: hashlib.sha256(json.dumps(found).encode()).hexdigest()[:16]
+            for alg, found in audits.items()}
+
+
+# Values just inside and just past the int16, int32 and int64 ranges.
+LIMITS = (2**15 - 1, 2**15, -2**15 - 1, 2**16 + 1, 2**31 - 1, 2**31,
+          -2**31 - 1, 2**32 + 1, 2**63 - 1, -2**63, 2**63, 2**64 + 1)
+
+
+def _limit_cases():
+    """Named (schedule, subject, assignment) audits whose fields sit at or
+    past the integer limits."""
+    inst = mk_instance(2, 3, [(1, 0, 1, [(1, 1, 4), (1, 2, 3), (2, 1, 2)]),
+                              (2, 3, 2, [(3, 3, 5), (1, 3, 1)])],
+                       edges=[(1, 2)])
+    sched, asg, _ = _run_fdls(inst)
+    segs = sched.segments
+    for x in LIMITS:
+        for field in Segment._fields:
+            # The field on the first segment, and on it and a copy one unit
+            # later, which overlaps it on both ports when their cores agree.
+            g = segs[0]._replace(**{field: x})
+            copy = g._replace(start=g.start + 1, end=g.end + 1) \
+                if field not in ("start", "end") else g
+            for new in ((g,), (g, copy)):
+                yield (f"{field}={x} x{len(new)}",
+                       replace(sched, segments=new + segs[1:]), inst, asg)
+        for what in ("flow", "coflow", "job"):
+            flows = {**sched.flow_completions}
+            coflows = {**sched.coflow_completions}
+            jobs = {1: sched.coflow_completions[2]}
+            {"flow": flows, "coflow": coflows, "job": jobs}[what][
+                next(iter(flows)) if what == "flow" else 1] = x
+            yield (f"{what} completion {x}", Schedule(flows, coflows, jobs,
+                                                      segs),
+                   JobSet(inst.config, (Job(1, 1, (1, 2)),), inst.coflows,
+                          inst.dag), None)
+    # Coflow ids and releases at the int64 limits, every segment mutated.
+    edge = mk_instance(2, 3, [
+        (-2**63, 0, 1, [(1, 1, 3), (2, 2, 2)]), (2**31, 0, 2, [(1, 2, 2)]),
+        (2**63 - 1, 2**63 - 9, 1, [(2, 1, 1), (3, 3, 4)])],
+        edges=[(-2**63, 2**31)])
+    sched, asg, _ = _run_fdls(edge)
+    yield "limit ids", sched, edge, asg
+    for i in range(len(sched.segments)):
+        for name, mutated in _audit_mutations(sched, edge, i):
+            yield f"limit ids {name} @{i}", mutated, edge, asg
+    # Instances that hold a flow twice, a flow key past int64, a float port
+    # that equals an int one, and a segment field given as a bool.
+    one = Segment(1, 1, 1, 1, 0, 2)
+    for flows in ([(1, 1, 2), (1, 1, 2)], [(1, 1, 2), (2**64, 1, 3)],
+                  [(1.0, 1, 2)]):
+        odd = mk_instance(1, 2, [(1, 0, 1, flows)])
+        keys = {(s, d, 1): 2 for s, d, _ in flows}
+        for segments in ((one,), (one, one._replace(start=2, end=4)),
+                         (one._replace(source=True),)):
+            yield (f"{flows} {segments}", Schedule(keys, {1: 2}, {}, segments),
+                   odd, None)
+
+
+def _limit_audits():
+    found = [(name, verify_schedule(sched, subject, asg).violations)
+             for name, sched, subject, asg in _limit_cases()]
+    return hashlib.sha256(json.dumps(found).encode()).hexdigest()[:16]
+
+
+def test_verify_names_the_shorter_of_two_equal_starts_first():
+    # [0,5) and [0,3) start together on core 1's in-port 1. In (start, end)
+    # order the shorter comes first, whichever the schedule lists first.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 5), (1, 2, 3)])])
+    for segments in ((Segment(1, 1, 1, 1, 0, 5), Segment(1, 2, 1, 1, 0, 3)),
+                     (Segment(1, 2, 1, 1, 0, 3), Segment(1, 1, 1, 1, 0, 5))):
+        bad = Schedule({(1, 1, 1): 5, (1, 2, 1): 3}, {1: 5}, {}, segments)
+        assert verify_schedule(bad, inst).violations == (
+            "core 1 in-port 1: overlapping transmissions [0,3) and [0,5)",)
+
+
+def test_audits_of_reordered_corpus_schedules_match_pins():
+    assert _reordered_audits() == {"fdls": "85555b2f42360c60",
+                                   "cdls": "6b5cee3a35d7ea07",
+                                   "jobs": "c8b038b50a16b234"}
+
+
+def test_audits_at_the_integer_limits_match_pin():
+    assert _limit_audits() == "e005a5724d485803"
