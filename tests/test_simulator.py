@@ -21,7 +21,8 @@ from coflow_forge import (
 )
 from coflow_forge.assignment import assign_coflows_cdls, assign_flows_fdls
 from coflow_forge.generator import GeneratorParams, generate_instance
-from coflow_forge.metrics_report import run_algorithm
+from coflow_forge.metrics_report import (run_algorithm,
+                                         total_weighted_completion)
 from coflow_forge.model import PortDemand, topological_order
 from coflow_forge.simulator import (
     Schedule,
@@ -422,6 +423,51 @@ def test_verify_gates_a_coflow_without_flows_on_its_completion():
     early = Schedule(bad.flow_completions, {1: 10, 2: 10, 3: 5}, {}, segments)
     assert verify_schedule(early, late).violations == (
         "coflow 2 without flows completes at 10 before release 12",)
+
+
+def test_verify_flags_completions_the_subject_does_not_have():
+    # A completion for a flow, coflow or job that the subject lacks is
+    # flagged after every other message, each kind in key order.
+    inst = generate_instance(GeneratorParams(n=3, num_ports=4, num_cores=2,
+                                             seed=0))
+    sched, asg, _ = _run_fdls(inst)
+    extra = Schedule({**sched.flow_completions, (9, 9, 1): 5, (2, 9, 1): 4},
+                     {**sched.coflow_completions, 77: 3}, {5: 1},
+                     sched.segments)
+    # A plain instance has no jobs, so its job completions are not read.
+    assert verify_schedule(extra, inst, asg).violations == (
+        "completion for unknown flow (2, 9, 1)",
+        "completion for unknown flow (9, 9, 1)",
+        "completion for unknown coflow 77")
+    js = jobset_from_instance(inst)
+    jobs = simulate_jobs(js, permute_jobs(js)[0])
+    extra = replace(jobs, job_completions={**jobs.job_completions, 5: 1,
+                                           0: 2})
+    assert verify_schedule(extra, js).violations == (
+        "completion for unknown job 0", "completion for unknown job 5")
+    one = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)])])
+    late = Schedule({(1, 1, 1): 3, (1, 1, 2): 1}, {1: 3, 2: 1}, {},
+                    (Segment(1, 1, 1, 1, 0, 2),))
+    assert verify_schedule(late, one).violations == (
+        "flow (1, 1, 1) completes at 3 after its last segment ends at 2",
+        "completion for unknown flow (1, 1, 2)",
+        "completion for unknown coflow 2")
+
+
+@pytest.mark.xfail(strict=True, reason="the audit checks feasibility, not "
+                   "that a ready flow waits only on a busy port (ROADMAP "
+                   "item 9)")
+def test_verify_flags_ready_flows_left_idle():
+    # Two one-flow coflows on different ports of one core: the simulator
+    # finishes both at 1, for twc 2. Sending them over [10,11) and [20,21)
+    # leaves both ports idle while the flows are ready, for twc 32.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 1)]), (2, 0, 1, [(2, 2, 1)])])
+    sched, asg, _ = _run_fdls(inst)
+    assert total_weighted_completion(sched, inst) == 2
+    idle = Schedule({(1, 1, 1): 11, (2, 2, 2): 21}, {1: 11, 2: 21}, {},
+                    (Segment(1, 1, 1, 1, 10, 11), Segment(2, 2, 2, 1, 20, 21)))
+    assert total_weighted_completion(idle, inst) == 32
+    assert not verify_schedule(idle, inst, asg).ok
 
 
 # ---------------------------------------------------------------------------
