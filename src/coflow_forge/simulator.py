@@ -21,8 +21,8 @@ from __future__ import annotations
 import struct
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, repeat
-from math import inf
+from itertools import chain, count, repeat
+from math import inf, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -280,31 +280,40 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
                     job_completions, sched.segments)
 
 
-def _segment_columns(segments, v: list[str]) -> tuple[list, list]:
+def _int64(values, *shape: int) -> np.ndarray | None:
+    """The values as int64 of `shape`, or None if one is not in 64 bits."""
+    try:
+        return np.frombuffer(struct.pack(f"{prod(shape)}q", *values),
+                             np.int64).reshape(shape)
+    except (struct.error, TypeError):
+        return None
+
+
+def _segment_columns(segments, v: list[str], derive,
+                     dtypes: tuple) -> tuple[list, list]:
     """The segments whose six fields are integers that fit in 64 bits, and
-    their source, dest, core, start and end as int64 columns; each other
-    segment is reported in `v` and left out. The fields are packed a block
-    at a time, so that no copy of them all is made at once."""
+    the columns, in `dtypes`, that `derive` makes of their fields as int64
+    rows; each other segment is reported in `v` and left out. The fields
+    are packed a block at a time, so that no copy of them all is made at
+    once."""
     def columns(kept) -> list[np.ndarray]:
-        out = [np.empty(len(kept), dtype=np.int64) for _ in range(5)]
-        for i in range(0, len(kept), 1024):
-            block = kept[i:i + 1024]
-            fields = np.frombuffer(
-                struct.pack(f"{6 * len(block)}q", *chain.from_iterable(block)),
-                np.int64).reshape(-1, 6)
-            for column, j in zip(out, (0, 1, 3, 4, 5)):
-                column[i:i + len(block)] = fields[:, j]
+        out = [np.empty(len(kept), dtype=dtype) for dtype in dtypes]
+        for i in range(0, len(kept), 2048):
+            block = kept[i:i + 2048]
+            fields = _int64(chain.from_iterable(block), len(block), 6)
+            if fields is None:
+                raise TypeError
+            for column, values in zip(out, derive(fields)):
+                column[i:i + len(block)] = values
         return out
 
     try:
         return segments, columns(segments)
-    except (struct.error, TypeError):
+    except TypeError:
         pass
     kept = []
     for seg in segments:
-        try:
-            struct.pack("6q", *seg)
-        except (struct.error, TypeError):
+        if _int64(seg, 6) is None:
             v.append(f"segment {seg} has a field that is not a 64-bit "
                      "integer")
         else:
@@ -312,17 +321,41 @@ def _segment_columns(segments, v: list[str]) -> tuple[list, list]:
     return kept, columns(kept)
 
 
+def _key_lookup(keys: np.ndarray, limit: int):
+    """A function from (source, dest, coflow) int64 rows to their rows in
+    `keys`, the distinct flow keys, or len(keys) for any other key, read
+    from a table of the keys' offsets from their least values; None if
+    that table would have more than `limit` entries."""
+    low = keys.min(axis=0)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low, keys.max(axis=0))]
+    if prod(spans) > limit:
+        return None
+    rows = np.full(prod(spans), len(keys), np.min_scalar_type(len(keys)))
+    rows[np.ravel_multi_index(tuple((keys - low).T), spans)] = \
+        np.arange(len(keys))
+
+    def find(fields: np.ndarray) -> np.ndarray:
+        # A negative offset, or one past int64 that wraps, is out of span.
+        offsets = fields - low
+        inside = (offsets.view(np.uint64) < np.array(spans, np.uint64)).all(1)
+        return np.where(inside, rows[np.ravel_multi_index(
+            tuple(offsets.T), spans, mode="clip")], len(keys))
+    return find
+
+
 def _overlapping_neighbours(start: np.ndarray, end: np.ndarray,
-                            keys: tuple, ties: tuple = ()):
-    """The index pairs (i, j) of neighbours, sorted by `keys`, start and
-    `ties`, that share every key and where j starts before i ends. In that
-    order, segments that share the keys overlap only if two neighbours do."""
-    order = np.lexsort((*ties, start, *reversed(keys)))
-    i, j = order[:-1], order[1:]
-    keep = start[j] < end[i]
-    for key in keys:
-        keep &= key[i] == key[j]
-    return zip(i[keep].tolist(), j[keep].tolist())
+                            keys: tuple, order: np.ndarray):
+    """The index pairs (i, j) of neighbours in `order` that share every key
+    and where j starts before i ends, a few thousand neighbours at a time.
+    In an order by the keys and start, segments that share the keys
+    overlap only if two neighbours do."""
+    for at in range(1, len(order), 4096):
+        j = order[at:at + 4096]
+        i = order[at - 1:at - 1 + len(j)]
+        keep = start[j] < end[i]
+        for key in keys:
+            keep &= key[i] == key[j]
+        yield from zip(i[keep].tolist(), j[keep].tolist())
 
 
 def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
@@ -332,57 +365,97 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     capacity, each flow on one core at a time, segments within their flow's
     completion, releases, precedence, transmitted volume and per-flow
     completion bounds. A job set's coflows are audited under its intra-job
-    DAG, and each job's completion must be its last coflow's.
+    DAG, and each job's completion must be its last coflow's. Completions
+    for flows, coflows or jobs that the subject lacks come last.
 
-    The segments are audited as int64 columns; a segment with a field that
-    is not an integer in 64 bits is reported and audited no further."""
+    The segments are audited as columns; a segment with a field that is
+    not an integer in 64 bits is reported and audited no further. Array
+    operations decide every check, and the per-segment and per-flow code
+    that words a violation runs only once one has flagged it."""
     v: list[str] = []
     release = {c.id: c.release for c in instance.coflows}
     m = instance.config.num_cores
-    segments, (source, dest, core, start, end) = _segment_columns(
-        schedule.segments, v)
+
+    # Each segment's flow in the instance; unknown flows map to `nflows`.
+    # When no key repeats and all fit in 64 bits, `table` holds every flow's
+    # key, size and release, and arrays decide the per-flow checks.
+    rows = [(f.source, f.dest, c.id, f.size, c.release)
+            for c in instance.coflows for f in c.flows]
+    index = dict(zip(map(itemgetter(0, 1, 2), rows), count()))
+    if len(index) < len(rows):  # a repeated key keeps its first number
+        index = dict(zip(dict.fromkeys(map(itemgetter(0, 1, 2), rows)),
+                         count()))
+    nflows = len(index)
+    table = _int64(chain.from_iterable(rows), nflows, 5) \
+        if 0 < nflows == len(rows) else None
+    del rows
+    # A lookup of the keys maps segments to flows, unless it would be long.
+    find = table is not None and _key_lookup(
+        table[:, :3], 4 * (len(schedule.segments) + nflows)) or (
+        lambda keys: np.fromiter(map(index.get, map(tuple, keys.tolist()),
+                                     repeat(nflows)), np.int64, len(keys)))
+    # Each (core, port) as 16 bits: equal pairs get equal codes, and pairs
+    # on the instance's ports distinct ones while they fit.
+    stride = 1 if table is None else int(table[:, :2].max()) % 2**16 + 1
+
+    def derive(fields):
+        core = fields[:, 3]
+        return (core, fields[:, 4], fields[:, 5],
+                core * stride + fields[:, 0], core * stride + fields[:, 1],
+                find(fields[:, :3]))
+
+    segments, (core, start, end, *codes, flow) = _segment_columns(
+        schedule.segments, v, derive, (np.int64,) * 3 + (np.uint16,) * 2
+        + (np.min_scalar_type(nflows),))
 
     # (a) cores within 1..m; port-exclusive transmission per core and side
     v.extend(f"segment {segments[i]} has non-positive duration"
              for i in np.flatnonzero(end <= start).tolist())
     v.extend(f"segments on core {h}, outside cores 1..{m}"
              for h in sorted(set(core[(core < 1) | (core > m)].tolist())))
+    # Sorted by start, then stably by a key of 16 bits (a radix sort), the
+    # segments that share the key are in start order. Codes that may merge
+    # (core, port) pairs but never split one thus find every overlap, which
+    # the order by (core, port, start, end) then names.
+    by_start = np.argsort(start, kind="stable")
+
+    def by(key):
+        return by_start[np.argsort(key[by_start], kind="stable")]
+
     overlaps = {}
-    for side, port in (("in", source), ("out", dest)):
-        for i, j in _overlapping_neighbours(start, end, (core, port), (end,)):
-            overlaps.setdefault((int(core[i]), side, int(port[i])), (i, j))
-    del source, dest, port  # not needed below; freeing them lowers peak memory
+    for (side, k), code in zip((("in", 0), ("out", 1)), codes):
+        if any(_overlapping_neighbours(start, end, (code,), by(code))):
+            port = np.fromiter(map(itemgetter(k), segments), np.int64,
+                               len(segments))
+            order = np.lexsort((end, start, port, core))
+            for i, j in _overlapping_neighbours(start, end, (core, port),
+                                                order):
+                overlaps.setdefault((int(core[i]), side, int(port[i])),
+                                    (i, j))
+    del codes, code  # freeing each column once used lowers peak memory
     v.extend(f"core {h} {side}-port {p}: overlapping transmissions "
              f"[{start[i]},{end[i]}) and [{start[j]},{end[j]})"
              for (h, side, p), (i, j) in sorted(overlaps.items()))
 
-    # Each segment's flow in the instance; unknown flows map to `nflows`.
-    index: dict[tuple[int, int, int], int] = {}
-    for c in instance.coflows:
-        for f in c.flows:
-            index.setdefault((f.source, f.dest, c.id), len(index))
-    nflows = len(index)
-    flow = np.fromiter(map(index.get, map(itemgetter(0, 1, 2), segments),
-                           repeat(nflows)), np.int64, len(segments))
-
     # A flow sent on two cores at once; the port check takes one core's.
     twice = {}
-    for i, j in _overlapping_neighbours(start, end, (flow,)):
+    for i, j in _overlapping_neighbours(start, end, (flow,), by(flow)):
         if flow[i] < nflows and core[i] != core[j]:
             twice.setdefault(flow[i], (segments[i], segments[j]))
+    del by_start
     v.extend(f"flow {s[:3]} transmits on cores {s.core} and {t.core} at "
              f"once: [{s.start},{s.end}) and [{t.start},{t.end})"
              for s, t in twice.values())
 
     # (b) no transmission after the flow's recorded completion, which
-    # makes the completions a sound gate for successors below
+    # makes the completions a sound gate for successors below; a flow whose
+    # completion is missing or past 64 bits has every segment looked at
     completions = schedule.flow_completions
-    done = list(map(completions.get, index))
+    done = _int64(map(completions.get, index), nflows)
     last = np.full(nflows + 1, np.iinfo(np.int64).min)
     np.maximum.at(last, flow, end)
-    last_end = last.tolist()
     late = np.zeros(nflows + 1, dtype=bool)
-    late[:nflows] = [d is not None and t > d for t, d in zip(last_end, done)]
+    late[:nflows] = True if done is None else last[:-1] > done
     flagged = (flow == nflows) | late[flow]
     if assignment is not None:
         want = np.fromiter(map(assignment.flow_to_core.get, index,
@@ -392,13 +465,13 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     for i in np.flatnonzero(flagged).tolist():
         seg = segments[i]
         key = (seg.source, seg.dest, seg.coflow)
-        j = index.get(key)
-        if j is None:
+        if key not in index:
             v.append(f"segment for unknown flow {key}")
             continue
-        if done[j] is not None and seg.end > done[j]:
+        done_f = completions.get(key)
+        if done_f is not None and seg.end > done_f:
             v.append(f"flow {key} transmits until {seg.end} after its "
-                     f"completion {done[j]}")
+                     f"completion {done_f}")
         if assignment is not None and wrong[i]:
             v.append(f"flow {key} transmitted on core {seg.core}, "
                      f"assigned to {assignment.flow_to_core.get(key)}")
@@ -432,50 +505,73 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
                          "completes")
 
     # Volumes as high and low 32-bit halves of each duration, summed
-    # exactly in int64 and joined as Python ints.
+    # exactly in int64; with the low half's carry moved up, they equal a
+    # size's halves exactly when the volume equals the size.
     high = np.zeros(nflows + 1, dtype=np.int64)
     np.add.at(high, flow, end >> 32)
     np.subtract.at(high, flow, start >> 32)
     low = np.zeros(nflows + 1, dtype=np.int64)
     np.add.at(low, flow, end & 0xFFFFFFFF)
     np.subtract.at(low, flow, start & 0xFFFFFFFF)
-    volume = [(a << 32) + b for a, b in zip(high.tolist(), low.tolist())]
-    for c in instance.coflows:
-        for f in c.flows:
-            key = (f.source, f.dest, c.id)
-            j = index[key]
-            # (d) volume conservation
-            if volume[j] != f.size:
-                v.append(f"flow {key} transmitted {volume[j]} of {f.size} "
-                         "units")
-            done_f = done[j]
-            if done_f is None:
-                v.append(f"flow {key} has no completion time")
-                continue
-            # A flow short of its volume is reported above already.
-            if volume[j] == f.size > 0 and done_f > last_end[j]:
-                v.append(f"flow {key} completes at {done_f} after its last "
-                         f"segment ends at {last_end[j]}")
-            # (e) completion no earlier than release plus size
-            if done_f < c.release + f.size:
-                v.append(f"flow {key} completes at {done_f} < release + "
-                         f"size = {c.release + f.size}")
-        ck = schedule.coflow_completions.get(c.id)
-        if ck is None:
-            v.append(f"coflow {c.id} has no completion time")
-        elif c.flows:
-            last_f = max(completions.get((f.source, f.dest, c.id), 0)
-                         for f in c.flows)
-            if ck != last_f:
-                v.append(f"coflow {c.id} completion {ck} != last flow "
-                         f"{last_f}")
+    coflows = schedule.coflow_completions
+    ck = _int64((coflows.get(c.id) for c in instance.coflows),
+                len(instance.coflows))
+    clean = False
+    if table is not None and done is not None and ck is not None:
+        size, due = table[:, 3], table[:, 3] + table[:, 4]
+        counts = np.array([len(c.flows) for c in instance.coflows])
+        clean = ((high[:-1] + (low[:-1] >> 32) == size >> 32)
+                 & (low[:-1] & 0xFFFFFFFF == size & 0xFFFFFFFF)
+                 & ((size <= 0) | (done <= last[:-1])) & (done >= due)
+                 & ((table[:, 4] ^ due) & (size ^ due) >= 0)).all() and (
+            ck[counts > 0] == np.maximum.reduceat(
+                done, (np.cumsum(counts) - counts)[counts > 0])).all()
+    if not clean:
+        volume = [(a << 32) + b for a, b in zip(high.tolist(), low.tolist())]
+        last_end = last.tolist()
+        for c in instance.coflows:
+            for f in c.flows:
+                key = (f.source, f.dest, c.id)
+                j = index[key]
+                # (d) volume conservation
+                if volume[j] != f.size:
+                    v.append(f"flow {key} transmitted {volume[j]} of "
+                             f"{f.size} units")
+                done_f = completions.get(key)
+                if done_f is None:
+                    v.append(f"flow {key} has no completion time")
+                    continue
+                # A flow short of its volume is reported above already.
+                if volume[j] == f.size > 0 and done_f > last_end[j]:
+                    v.append(f"flow {key} completes at {done_f} after its "
+                             f"last segment ends at {last_end[j]}")
+                # (e) completion no earlier than release plus size
+                if done_f < c.release + f.size:
+                    v.append(f"flow {key} completes at {done_f} < release "
+                             f"+ size = {c.release + f.size}")
+            ck = coflows.get(c.id)
+            if ck is None:
+                v.append(f"coflow {c.id} has no completion time")
+            elif c.flows:
+                last_f = max(completions.get((f.source, f.dest, c.id), 0)
+                             for f in c.flows)
+                if ck != last_f:
+                    v.append(f"coflow {c.id} completion {ck} != last flow "
+                             f"{last_f}")
     # A coflow without a completion is reported above; its job is not.
     for job in getattr(instance, "jobs", ()):
-        ends = [schedule.coflow_completions.get(k) for k in job.coflows]
+        ends = [coflows.get(k) for k in job.coflows]
         done = schedule.job_completions.get(job.id)
         if None not in ends and done != max(ends):
             v.append(f"job {job.id} completion {done} != last coflow "
                      f"{max(ends)}")
+    # Completions for what the subject lacks; a plain instance has no jobs.
+    jobs = schedule.job_completions
+    known = {j.id for j in instance.jobs} if isinstance(instance, JobSet) \
+        else jobs
+    v.extend(f"completion for unknown {what} {key}" for what, given, known in
+             (("flow", completions, index), ("coflow", coflows, release),
+              ("job", jobs, known)) for key in sorted(given.keys() - known))
     return ValidationReport(tuple(v))
 
 
