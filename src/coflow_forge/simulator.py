@@ -292,10 +292,10 @@ def _int64(values, *shape: int) -> np.ndarray | None:
 def _segment_columns(segments, v: list[str], derive,
                      dtypes: tuple) -> tuple[list, list]:
     """The segments whose six fields are integers that fit in 64 bits, and
-    the columns, in `dtypes`, that `derive` makes of their fields as int64
-    rows; each other segment is reported in `v` and left out. The fields
-    are packed a block at a time, so that no copy of them all is made at
-    once."""
+    the columns, in `dtypes`, that `derive` makes of a block of them and
+    its fields as int64 rows; each other segment is reported in `v` and left
+    out. The fields are packed a block at a time, so that no copy of them
+    all is made at once."""
     def columns(kept) -> list[np.ndarray]:
         out = [np.empty(len(kept), dtype=dtype) for dtype in dtypes]
         for i in range(0, len(kept), 2048):
@@ -303,7 +303,7 @@ def _segment_columns(segments, v: list[str], derive,
             fields = _int64(chain.from_iterable(block), len(block), 6)
             if fields is None:
                 raise TypeError
-            for column, values in zip(out, derive(fields)):
+            for column, values in zip(out, derive(block, fields)):
                 column[i:i + len(block)] = values
         return out
 
@@ -389,20 +389,21 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     table = _int64(chain.from_iterable(rows), nflows, 5) \
         if 0 < nflows == len(rows) else None
     del rows
-    # A lookup of the keys maps segments to flows, unless it would be long.
-    find = table is not None and _key_lookup(
-        table[:, :3], 4 * (len(schedule.segments) + nflows)) or (
-        lambda keys: np.fromiter(map(index.get, map(tuple, keys.tolist()),
-                                     repeat(nflows)), np.int64, len(keys)))
-    # Each (core, port) as 16 bits: equal pairs get equal codes, and pairs
-    # on the instance's ports distinct ones while they fit.
+    # A lookup of the keys maps segments to flows, or the dict where the
+    # lookup would be long. Each (core, port) is coded in 16 bits: equal
+    # pairs get equal codes, and pairs on the instance's ports distinct ones
+    # while they fit.
+    find = None if table is None else _key_lookup(
+        table[:, :3], 4 * (len(schedule.segments) + nflows))
     stride = 1 if table is None else int(table[:, :2].max()) % 2**16 + 1
 
-    def derive(fields):
+    def derive(block, fields):
         core = fields[:, 3]
         return (core, fields[:, 4], fields[:, 5],
                 core * stride + fields[:, 0], core * stride + fields[:, 1],
-                find(fields[:, :3]))
+                find(fields[:, :3]) if find else np.fromiter(
+                    map(index.get, map(itemgetter(0, 1, 2), block),
+                        repeat(nflows)), np.int64, len(block)))
 
     segments, (core, start, end, *codes, flow) = _segment_columns(
         schedule.segments, v, derive, (np.int64,) * 3 + (np.uint16,) * 2
@@ -513,18 +514,21 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     low = np.zeros(nflows + 1, dtype=np.int64)
     np.add.at(low, flow, end & 0xFFFFFFFF)
     np.subtract.at(low, flow, start & 0xFFFFFFFF)
+    # Arrays decide (d), (e) and the completion checks when `table` and
+    # every completion fit in 64 bits (a release plus size past int64, which
+    # wraps, fails them); the loop below words what fails.
     coflows = schedule.coflow_completions
-    ck = _int64((coflows.get(c.id) for c in instance.coflows),
-                len(instance.coflows))
+    coflow_done = _int64((coflows.get(c.id) for c in instance.coflows),
+                         len(instance.coflows))
     clean = False
-    if table is not None and done is not None and ck is not None:
+    if table is not None and done is not None and coflow_done is not None:
         size, due = table[:, 3], table[:, 3] + table[:, 4]
         counts = np.array([len(c.flows) for c in instance.coflows])
         clean = ((high[:-1] + (low[:-1] >> 32) == size >> 32)
                  & (low[:-1] & 0xFFFFFFFF == size & 0xFFFFFFFF)
                  & ((size <= 0) | (done <= last[:-1])) & (done >= due)
                  & ((table[:, 4] ^ due) & (size ^ due) >= 0)).all() and (
-            ck[counts > 0] == np.maximum.reduceat(
+            coflow_done[counts > 0] == np.maximum.reduceat(
                 done, (np.cumsum(counts) - counts)[counts > 0])).all()
     if not clean:
         volume = [(a << 32) + b for a, b in zip(high.tolist(), low.tolist())]
