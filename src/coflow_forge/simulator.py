@@ -417,10 +417,15 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     # Sorted by start, then stably by a key of 16 bits (a radix sort), the
     # segments that share the key are in start order. Codes that may merge
     # (core, port) pairs but never split one thus find every overlap, which
-    # the order by (core, port, start, end) then names.
-    by_start = np.argsort(start, kind="stable")
+    # the order by (core, port, start, end) then names. The simulator and
+    # the documents list segments by start, and then no order by start is
+    # held, which lowers peak memory.
+    by_start = None if (start[1:] >= start[:-1]).all() \
+        else np.argsort(start, kind="stable")
 
     def by(key):
+        if by_start is None:
+            return np.argsort(key, kind="stable")
         return by_start[np.argsort(key[by_start], kind="stable")]
 
     overlaps = {}
