@@ -952,18 +952,68 @@ def test_flow_level_document_of_unsorted_flows_matches_naive_reference():
         assert dual_to_document(d, inst) == _naive_document(d, inst)
 
 
-@pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL, JOB_LEVEL])
-def test_unknown_snapshot_coflow_raises_value_error(kind):
+LEVELS = [FLOW_LEVEL, COFLOW_LEVEL, JOB_LEVEL]
+
+
+def _appended(kind, coflows):
+    """`_hand_built(kind, 0)` with one more beta record, of `coflows`."""
     dual, subject = _hand_built(kind, 0)
-    bad = DualSolution(kind, 0.5, dual.alpha,
-                       dual.beta + (BetaRecord("in", 1, (3, 99), 0.1),),
-                       dual.gamma)
-    with pytest.raises(ValueError, match="unknown coflow 99"):
-        dual_objective(bad, subject)
-    with pytest.raises(ValueError, match="unknown coflow 99"):
-        check_dual_feasibility(bad, subject)
-    with pytest.raises(ValueError, match="unknown coflow 99"):
-        dual_to_document(bad, subject)
+    return DualSolution(kind, 0.5, dual.alpha, dual.beta + (
+        BetaRecord("in", 1, coflows, 0.1),), dual.gamma), subject
+
+
+# Each record of an unknown id, with the id that every call names.
+UNKNOWN_IDS = [((1.5, 2), "1.5"), ((1, 98, 99), "98")]
+
+
+@pytest.mark.parametrize("kind, coflows, named", [
+    *(pytest.param(kind, (3, 99), "99", id=kind) for kind in LEVELS),
+    *(pytest.param(kind, coflows, named, id=f"{kind}-{named}")
+      for kind in LEVELS for coflows, named in UNKNOWN_IDS)])
+def test_unknown_snapshot_coflow_raises_value_error(kind, coflows, named):
+    bad, subject = _appended(kind, coflows)
+    for evaluate in (dual_objective, check_dual_feasibility,
+                     dual_to_document):
+        with pytest.raises(ValueError, match=f"unknown coflow {named}") as info:
+            evaluate(bad, subject)
+        assert str(info.value) == f"dual references unknown coflow {named}"
+
+
+# Records of ids that every call accepts, as (objective, sha16 of the sorted
+# LHS, sha16 of the document) with the record appended. (2, 1) and the ids
+# that equal 1 without being an int read as (1, 2).
+UNUSUAL_IDS = {"empty": (), "1": (1,), "2,1": (2, 1), "1,1": (1, 1),
+               "1.0,2": (1.0, 2), "True,2": (True, 2),
+               "int64-1,2": (np.int64(1), 2)}
+AS_1_2 = {"2,1", "1.0,2", "True,2", "int64-1,2"}
+PINNED_UNUSUAL = {
+    FLOW_LEVEL: {
+        "empty": ("73946.80903421828", "377be25659356b1d", "f34fdf2601c4f6c5"),
+        "1": ("73950.14236755161", "31c09cc5eb87d48c", "39b13f3ae48e62c7"),
+        "1,1": ("73956.80903421828", "9dd69aaece158896", "a4e5be22ab19d766"),
+        "1,2": ("73950.50903421828", "6cd14183d91dbe19", "4d88d73bc6abee8c")},
+    COFLOW_LEVEL: {
+        "empty": ("73952.2906528232", "377be25659356b1d", "fbce668516273341"),
+        "1": ("73955.62398615653", "31c09cc5eb87d48c", "46908a30020bb4cc"),
+        "1,1": ("73962.2906528232", "9dd69aaece158896", "339ae6039ec2c38c"),
+        "1,2": ("73955.9906528232", "6cd14183d91dbe19", "c93fa85013b109ef")},
+    JOB_LEVEL: {
+        "empty": ("73651.3406528232", "c38642793792d3a8", "174da7aed3909530"),
+        "1": ("73654.67398615653", "097930cce14cf7fb", "424d54edc26e0c40"),
+        "1,1": ("73661.3406528232", "e1f9a1d71140052c", "999ea3ca2b249dad"),
+        "1,2": ("73655.0406528232", "9cd77e7d33990da5", "0995e82f65239325")},
+}
+
+
+@pytest.mark.parametrize("label", UNUSUAL_IDS)
+@pytest.mark.parametrize("kind", LEVELS)
+def test_unusual_snapshot_ids_match_pinned_certificate(kind, label):
+    dual, subject = _appended(kind, UNUSUAL_IDS[label])
+    assert (repr(dual_objective(dual, subject)),
+            _sha16(repr(sorted(check_dual_feasibility(dual,
+                                                      subject).lhs.items()))),
+            _sha16(dual_to_document(dual, subject))) == \
+        PINNED_UNUSUAL[kind]["1,2" if label in AS_1_2 else label]
 
 
 @pytest.mark.parametrize("evaluate", [dual_objective, check_dual_feasibility])
