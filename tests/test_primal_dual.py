@@ -962,8 +962,10 @@ def _appended(kind, coflows):
         BetaRecord("in", 1, coflows, 0.1),), dual.gamma), subject
 
 
-# Each record of an unknown id, with the id that every call names.
-UNKNOWN_IDS = [((1.5, 2), "1.5"), ((1, 98, 99), "98")]
+# Each record of an unknown id, with the id that every call names: the first
+# unknown one in record order, also where the ids do not sort.
+UNKNOWN_IDS = [((1.5, 2), "1.5"), ((1, 98, 99), "98"), (("1", 2), "1"),
+               ((99, 98), "99")]
 
 
 @pytest.mark.parametrize("kind, coflows, named", [
