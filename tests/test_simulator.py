@@ -454,6 +454,22 @@ def test_verify_flags_completions_the_subject_does_not_have():
         "completion for unknown coflow 2")
 
 
+def test_verify_orders_unknown_completion_keys_of_mixed_types():
+    # Unknown keys that do not compare with each other are ordered by their
+    # type's name first, so an int key comes before a tuple key.
+    inst = generate_instance(GeneratorParams(n=3, num_ports=4, num_cores=2,
+                                             seed=0))
+    sched, asg, _ = _run_fdls(inst)
+    extra = Schedule({**sched.flow_completions, (9, 9, 1): 5, 77: 4},
+                     {**sched.coflow_completions, (9, 9, 1): 3, 77: 3}, {},
+                     sched.segments)
+    assert verify_schedule(extra, inst, asg).violations == (
+        "completion for unknown flow 77",
+        "completion for unknown flow (9, 9, 1)",
+        "completion for unknown coflow 77",
+        "completion for unknown coflow (9, 9, 1)")
+
+
 @pytest.mark.xfail(strict=True, reason="the audit checks feasibility, not "
                    "that a ready flow waits only on a busy port (ROADMAP "
                    "item 9)")
