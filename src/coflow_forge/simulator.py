@@ -574,13 +574,16 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
         if None not in ends and done != max(ends):
             v.append(f"job {job.id} completion {done} != last coflow "
                      f"{max(ends)}")
-    # Completions for what the subject lacks; a plain instance has no jobs.
+    # Completions for what the subject lacks, in key order within each key
+    # type, so that keys which do not compare sort too; a plain instance has
+    # no jobs.
     jobs = schedule.job_completions
     known = {j.id for j in instance.jobs} if isinstance(instance, JobSet) \
         else jobs
     v.extend(f"completion for unknown {what} {key}" for what, given, known in
              (("flow", completions, index), ("coflow", coflows, release),
-              ("job", jobs, known)) for key in sorted(given.keys() - known))
+              ("job", jobs, known)) for key in sorted(
+                  given.keys() - known, key=lambda k: (type(k).__name__, k)))
     return ValidationReport(tuple(v))
 
 
