@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 
 from coflow_forge import (
+    Coflow,
     DocumentError,
+    Flow,
     Instance,
     Job,
     JobSet,
+    NetworkConfig,
     Permutation,
     PrecedenceDag,
     permute_coflow_level,
@@ -484,6 +487,27 @@ def test_verify_flags_ready_flows_left_idle():
                     (Segment(1, 1, 1, 1, 10, 11), Segment(2, 2, 2, 1, 20, 21)))
     assert total_weighted_completion(idle, inst) == 32
     assert not verify_schedule(idle, inst, asg).ok
+
+
+@pytest.mark.xfail(strict=True, reason="a coflow without flows is checked "
+                   "against a lower bound on its completion only (ROADMAP "
+                   "item 15)")
+@pytest.mark.parametrize("assign", [assign_flows_fdls, assign_coflows_cdls],
+                         ids=["fdls", "cdls"])
+def test_verify_flags_a_late_flowless_coflow(assign):
+    # Coflow 2 has no flows, so the simulator completes it at 0, for twc 2.
+    # Completing it at 1000 instead gives twc 5002.
+    inst = Instance(NetworkConfig(1, 2), (
+        Coflow(1, 0, 1.0, (Flow(1, 1, 2),)), Coflow(2, 0, 5.0, ())),
+        PrecedenceDag.make([1, 2]))
+    perm = Permutation((1, 2))
+    asg = assign(inst, perm)
+    sched = simulate(inst, asg, perm)
+    assert total_weighted_completion(sched, inst) == 2
+    late = replace(sched, coflow_completions={**sched.coflow_completions,
+                                              2: 1000})
+    assert total_weighted_completion(late, inst) == 5002
+    assert not verify_schedule(late, inst, asg).ok
 
 
 # ---------------------------------------------------------------------------
