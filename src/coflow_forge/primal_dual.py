@@ -244,14 +244,19 @@ def permute_jobs(jobset: JobSet,
 # entities, dual objective and feasibility
 # ---------------------------------------------------------------------------
 
-def _rows(demand: PortDemand, ids: Sequence[int]) -> np.ndarray:
-    """The rows of the coflows `ids` in `demand`'s tables."""
+def _known(table: Mapping[int, object], ids: Sequence[int]) -> tuple:
+    """table[k] for each coflow id k of `ids`, in order; a ValueError names
+    the first id that `table` lacks."""
     try:
-        return np.fromiter(map(demand.row.__getitem__, ids), np.intp,
-                           len(ids))
+        return tuple(map(table.__getitem__, ids))
     except KeyError as exc:
         raise ValueError(
             f"dual references unknown coflow {exc.args[0]}") from None
+
+
+def _rows(demand: PortDemand, ids: Sequence[int]) -> np.ndarray:
+    """The rows of the coflows `ids` in `demand`'s tables."""
+    return np.fromiter(_known(demand.row, ids), np.intp, len(ids))
 
 
 class _Entities:
@@ -445,11 +450,13 @@ def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
     def snapshot(rec: BetaRecord) -> JsonText:
         column = items(rec.side, rec.port)
         try:
-            body = _SEP.join(
-                filter(None, map(column.__getitem__, sorted(rec.coflows))))
-        except KeyError as exc:
-            raise ValueError(
-                f"dual references unknown coflow {exc.args[0]}") from None
+            texts = _known(column, sorted(rec.coflows))
+        except (TypeError, ValueError):
+            # Name the first unknown id in record order, as the certificate's
+            # checks do; ids that do not sort are never all coflows.
+            _known(column, rec.coflows)
+            raise
+        body = _SEP.join(filter(None, texts))
         return JsonText("%s", (f"[{_ITEM}{body}\n{' ' * 6}]" if body
                                else "[]",))
 
