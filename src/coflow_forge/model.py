@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import struct
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -308,6 +310,15 @@ def longest_path_chi(dag: PrecedenceDag) -> int:
         for s in succ.get(n, ()):
             depth[n] = max(depth[n], 1 + depth[s])
     return max(depth.values(), default=0)
+
+
+def _int64(values, *shape: int) -> np.ndarray | None:
+    """The values as int64 of `shape`, or None if one is not in 64 bits."""
+    try:
+        return np.frombuffer(struct.pack(f"{prod(shape)}q", *values),
+                             np.int64).reshape(shape)
+    except (struct.error, TypeError):
+        return None
 
 
 class PortDemand:

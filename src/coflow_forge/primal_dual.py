@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .model import (
     INTEGER, LIST, NUMBER, SIDE, STRING, TRIPLE, Coflow, DocumentError,
-    Instance, InvalidInstanceError, JobSet, JsonText, PortDemand, entries,
-    fields, keyed, parse_json, render, typed, validate_instance,
+    Instance, InvalidInstanceError, JobSet, JsonText, PortDemand, _int64,
+    entries, fields, keyed, parse_json, render, typed, validate_instance,
     validate_jobset)
 
 FLOW_LEVEL = "flow-level"
@@ -245,10 +245,11 @@ def permute_jobs(jobset: JobSet,
 # ---------------------------------------------------------------------------
 
 def _known(table: Mapping[int, object], ids: Sequence[int]) -> tuple:
-    """table[k] for each coflow id k of `ids`, in order; a ValueError names
-    the first id that `table` lacks."""
+    """table[k] for each coflow id k of `ids`, in order, fetched in one
+    C-level call; a ValueError names the first id that `table` lacks."""
     try:
-        return tuple(map(table.__getitem__, ids))
+        return (itemgetter(*ids)(table) if len(ids) > 1
+                else tuple(map(table.__getitem__, ids)))
     except KeyError as exc:
         raise ValueError(
             f"dual references unknown coflow {exc.args[0]}") from None
@@ -256,7 +257,7 @@ def _known(table: Mapping[int, object], ids: Sequence[int]) -> tuple:
 
 def _rows(demand: PortDemand, ids: Sequence[int]) -> np.ndarray:
     """The rows of the coflows `ids` in `demand`'s tables."""
-    return np.fromiter(_known(demand.row, ids), np.intp, len(ids))
+    return _int64(_known(demand.row, ids), len(ids))
 
 
 class _Entities:
@@ -431,7 +432,7 @@ def _snapshot_items(dual: DualSolution, subject: Instance | JobSet):
     for c in subject.coflows:
         ins: dict[int, list[str]] = {}
         outs: dict[int, list[str]] = {}
-        for f in sorted(c.flows, key=lambda f: (f.source, f.dest)):
+        for f in sorted(c.flows, key=attrgetter("source", "dest")):
             text = _TRIPLE % (f.source, f.dest, c.id)
             ins.setdefault(f.source, []).append(text)
             outs.setdefault(f.dest, []).append(text)

@@ -18,7 +18,6 @@ an event; a core that re-admits anyway sorts them without comparing orders.
 """
 from __future__ import annotations
 
-import struct
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, count, repeat
@@ -29,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (INTEGER, LIST, Instance, JobSet, PrecedenceDag,
-                    ValidationReport, entries, fields, flow_rows, keyed,
-                    parse_json, render, topological_order)
+                    ValidationReport, _int64, entries, fields, flow_rows,
+                    keyed, parse_json, render, topological_order)
 from .assignment import (CoreAssignment, _check_perm, assign_flows_fdls,
                          list_order)
 from .primal_dual import COFLOW_LEVEL, FLOW_LEVEL, Permutation
@@ -278,15 +277,6 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
                        for t in job_perm.order}
     return Schedule(sched.flow_completions, sched.coflow_completions,
                     job_completions, sched.segments)
-
-
-def _int64(values, *shape: int) -> np.ndarray | None:
-    """The values as int64 of `shape`, or None if one is not in 64 bits."""
-    try:
-        return np.frombuffer(struct.pack(f"{prod(shape)}q", *values),
-                             np.int64).reshape(shape)
-    except (struct.error, TypeError):
-        return None
 
 
 def _segment_columns(segments, v: list[str], derive,
