@@ -453,8 +453,7 @@ def dual_to_document(dual: DualSolution, subject: Instance | JobSet) -> str:
         try:
             texts = _known(column, sorted(rec.coflows))
         except (TypeError, ValueError):
-            # Name the first unknown id in record order, as the certificate's
-            # checks do; ids that do not sort are never all coflows.
+            # Name the first unknown id in record order, as the checks do.
             _known(column, rec.coflows)
             raise
         body = _SEP.join(filter(None, texts))

@@ -564,9 +564,8 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
         if None not in ends and done != max(ends):
             v.append(f"job {job.id} completion {done} != last coflow "
                      f"{max(ends)}")
-    # Completions for what the subject lacks, in key order within each key
-    # type, so that keys which do not compare sort too; a plain instance has
-    # no jobs.
+    # Completions for what the subject lacks, by type name, then by key, as
+    # an int and a tuple do not compare; a plain instance has no jobs.
     jobs = schedule.job_completions
     known = {j.id for j in instance.jobs} if isinstance(instance, JobSet) \
         else jobs
