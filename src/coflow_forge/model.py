@@ -196,7 +196,7 @@ def validate_instance(instance: Instance | JobSet) -> ValidationReport:
         pairs: set[tuple[int, int]] = set()
         for f in c.flows:
             source, dest, size = f.source, f.dest, f.size
-            if not (integer(source) and integer(dest) and integer(size)):
+            if not type(source) is type(dest) is type(size) is int:
                 v.extend(_mistyped(f"coflow {c.id}: flow ({source},{dest}) "
                                    f"{name}", INTEGER, x) for name, x in (
                     ("source", source), ("dest", dest), ("size", size))
@@ -342,8 +342,9 @@ class PortDemand:
         size = np.array([f.size for f in flows], dtype=np.int64)
         squares = np.square(size, dtype=np.float64)
         self.load, self.squares = {}, {}
-        for side, end in (("in", "source"), ("out", "dest")):
-            cell = first + np.array([getattr(f, end) for f in flows], np.intp)
+        for side, ends in (("in", [f.source for f in flows]),
+                           ("out", [f.dest for f in flows])):
+            cell = first + np.array(ends, np.intp)
             load = np.zeros(self.n * ports, dtype=np.int64)
             np.add.at(load, cell, size)
             self.load[side] = load.reshape(self.n, ports)

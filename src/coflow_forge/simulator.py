@@ -272,11 +272,13 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
     perm = Permutation(tuple(priority))
     sched = simulate(gated, assign_flows_fdls(gated, perm), perm)
 
-    job_completions = {t: max(sched.coflow_completions[k]
-                              for k in jobs[t].coflows)
-                       for t in job_perm.order}
-    return Schedule(sched.flow_completions, sched.coflow_completions,
-                    job_completions, sched.segments)
+    # A coflow without flows sends nothing, so the job order holds it
+    # back from nothing: it completes when ready under the intra-job DAG.
+    done = dict(sched.coflow_completions)
+    _complete_when_ready(jobset, done)
+    return Schedule(sched.flow_completions, done, {
+        t: max(map(done.get, jobs[t].coflows)) for t in job_perm.order},
+        sched.segments)
 
 
 def _segment_columns(segments, v: list[str], derive,
@@ -348,35 +350,55 @@ def _overlapping_neighbours(start: np.ndarray, end: np.ndarray,
         yield from zip(i[keep].tolist(), j[keep].tolist())
 
 
+def _complete_when_ready(subject: Instance | JobSet, done: dict) -> list:
+    """Complete each coflow without flows, in `done`, when it is ready: at
+    the later of its release and its predecessors' completions in `done`
+    (None if one has none), in topological order. Returns the coflows
+    that a precedence cycle holds back."""
+    release = {c.id: c.release for c in subject.coflows if not c.flows}
+    preds, succs = (subject.dag.predecessors(), subject.dag.successors()) \
+        if release else ({}, {})
+    wait = {k: sum(p in release for p in preds.get(k, ())) for k in release}
+    ready = [k for k, n in wait.items() if not n]
+    for k in ready:
+        ends = [release[k], *map(done.get, preds.get(k, ()))]
+        done[k] = None if None in ends else max(ends)
+        for s in filter(wait.__contains__, succs.get(k, ())):
+            wait[s] -= 1
+            if not wait[s]:
+                ready.append(s)
+    return [k for k, n in wait.items() if n]
+
+
 def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
                     assignment: CoreAssignment | None = None
                     ) -> ValidationReport:
     """Independent feasibility audit: segments on the network's cores, port
-    capacity, each flow on one core at a time, segments within their flow's
-    completion, releases, precedence, transmitted volume and per-flow
-    completion bounds. A job set's coflows are audited under its intra-job
-    DAG, and each job's completion must be its last coflow's. Completions
-    for flows, coflows or jobs that the subject lacks come last.
+    capacity, each flow on one core at a time, releases, precedence and
+    transmitted volume, then one completion rule: each stated completion
+    equals the one derived from the segments and the subject. A flow
+    completes at its last segment's end, a coflow at its last flow, one
+    without flows when it is ready and a job at its last coflow. A job
+    set's coflows are audited under its intra-job DAG.
 
     The segments are audited as columns; a segment with a field that is
     not an integer in 64 bits is reported and audited no further. Array
-    operations decide every check, and the per-segment and per-flow code
-    that words a violation runs only once one has flagged it."""
+    operations decide every check, and the code that words a violation
+    runs only once one has flagged it."""
     v: list[str] = []
-    release = {c.id: c.release for c in instance.coflows}
     m = instance.config.num_cores
 
     # Each segment's flow in the instance; unknown flows map to `nflows`.
     # When no key repeats and all fit in 64 bits, `table` holds every flow's
-    # key, size and release, and arrays decide the per-flow checks.
-    rows = [(f.source, f.dest, c.id, f.size, c.release)
+    # key and size.
+    rows = [(f.source, f.dest, c.id, f.size)
             for c in instance.coflows for f in c.flows]
     index = dict(zip(map(itemgetter(0, 1, 2), rows), count()))
     if len(index) < len(rows):  # a repeated key keeps its first number
         index = dict(zip(dict.fromkeys(map(itemgetter(0, 1, 2), rows)),
                          count()))
     nflows = len(index)
-    table = _int64(chain.from_iterable(rows), nflows, 5) \
+    table = _int64(chain.from_iterable(rows), nflows, 4) \
         if 0 < nflows == len(rows) else None
     del rows
     # A lookup of the keys maps segments to flows, or the dict where the
@@ -443,136 +465,102 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
              f"once: [{s.start},{s.end}) and [{t.start},{t.end})"
              for s, t in twice.values())
 
-    # (b) no transmission after the flow's recorded completion, which
-    # makes the completions a sound gate for successors below; a flow whose
-    # completion is missing or past 64 bits has every segment looked at
-    completions = schedule.flow_completions
-    done = _int64(map(completions.get, index), nflows)
-    last = np.full(nflows + 1, np.iinfo(np.int64).min)
-    np.maximum.at(last, flow, end)
-    late = np.zeros(nflows + 1, dtype=bool)
-    late[:nflows] = True if done is None else last[:-1] > done
-    flagged = (flow == nflows) | late[flow]
+    # (b) segments of flows the subject lacks, or off their assigned core
+    flagged = flow == nflows
     if assignment is not None:
         want = np.fromiter(map(assignment.flow_to_core.get, index,
                                repeat(0)), np.int64, nflows)
-        wrong = core != np.append(want, 0)[flow]
-        flagged |= wrong
+        flagged |= core != np.append(want, 0)[flow]
     for i in np.flatnonzero(flagged).tolist():
         seg = segments[i]
-        key = (seg.source, seg.dest, seg.coflow)
-        if key not in index:
-            v.append(f"segment for unknown flow {key}")
-            continue
-        done_f = completions.get(key)
-        if done_f is not None and seg.end > done_f:
-            v.append(f"flow {key} transmits until {seg.end} after its "
-                     f"completion {done_f}")
-        if assignment is not None and wrong[i]:
-            v.append(f"flow {key} transmitted on core {seg.core}, "
-                     f"assigned to {assignment.flow_to_core.get(key)}")
+        v.append(f"segment for unknown flow {seg[:3]}" if flow[i] == nflows
+                 else f"flow {seg[:3]} transmitted on core {seg.core}, "
+                 f"assigned to {assignment.flow_to_core.get(seg[:3])}")
 
-    # (c) release and precedence gating, on each coflow's earliest start,
-    # coflows in the order of their first segment; then, on its completion,
-    # each coflow without flows, which has no segment to gate
+    # Derived completions: a flow's last segment end, a coflow's last flow's;
+    # none for a flow without a segment (its volume is short) or its coflow.
     coflow_rank = {c.id: r for r, c in enumerate(instance.coflows)}
     ranks = np.fromiter(map(coflow_rank.__getitem__,
                             map(itemgetter(2), index)), np.int64, nflows)
     rank = np.append(ranks, len(instance.coflows))[flow]
+    last = np.full(nflows + 1, np.iinfo(np.int64).min)
+    np.maximum.at(last, flow, end)
+    coflow_last = np.full(len(instance.coflows) + 1, np.iinfo(np.int64).min)
+    np.maximum.at(coflow_last, rank, end)
+    unsent = np.bincount(flow, minlength=nflows + 1) == 0
+    short = np.bincount(ranks, unsent[:-1], len(instance.coflows) + 1) > 0
+    flow_ends = np.where(unsent, None, last)[:-1].tolist()
+    done = {c.id: t for c, t in zip(instance.coflows, np.where(
+        short, None, coflow_last).tolist()) if c.flows}
+    cycle = _complete_when_ready(instance, done)
+
+    # (c) release and precedence gating, on each coflow's earliest start,
+    # in the subject's order; one without a segment starts at int64's
+    # largest value, which no release or completion in 64 bits passes
     earliest = np.full(len(instance.coflows) + 1, np.iinfo(np.int64).max)
     np.minimum.at(earliest, rank, start)
-    first_row = np.full(len(instance.coflows) + 1, len(segments))
-    np.minimum.at(first_row, rank, np.arange(len(segments)))
-    gated = [(instance.coflows[r].id, "starts", int(earliest[r]))
-             for r in np.argsort(first_row[:-1], kind="stable").tolist()
-             if first_row[r] < len(segments)]
-    gated += [(c.id, "without flows completes",
-               schedule.coflow_completions[c.id]) for c in instance.coflows
-              if not c.flows and c.id in schedule.coflow_completions]
     preds = instance.dag.predecessors()
-    for k, event, at in gated:
-        if at < release[k]:
-            v.append(f"coflow {k} {event} at {at} before release "
-                     f"{release[k]}")
-        for p in preds.get(k, ()):
-            done_p = schedule.coflow_completions.get(p)
-            if done_p is None or at < done_p:
-                v.append(f"coflow {k} {event} at {at} before predecessor {p} "
-                         "completes")
+    for c, at in zip(instance.coflows, earliest.tolist()):
+        if at < c.release:
+            v.append(f"coflow {c.id} starts at {at} before release "
+                     f"{c.release}")
+        v.extend(f"coflow {c.id} starts at {at} before predecessor {p} "
+                 "completes" for p in preds.get(c.id, ())
+                 if done.get(p) is not None and at < done[p])
+    v.extend(f"coflow {k} without flows waits on a precedence cycle"
+             for k in cycle)
 
-    # Volumes as high and low 32-bit halves of each duration, summed
-    # exactly in int64; with the low half's carry moved up, they equal a
-    # size's halves exactly when the volume equals the size.
+    # (d) volume conservation. Volumes as high and low 32-bit halves of
+    # each duration, summed exactly in int64; with the low half's carry
+    # moved up, they equal a size's halves exactly when the volume equals
+    # the size. Arrays decide it when `table` holds every size.
     high = np.zeros(nflows + 1, dtype=np.int64)
     np.add.at(high, flow, end >> 32)
     np.subtract.at(high, flow, start >> 32)
     low = np.zeros(nflows + 1, dtype=np.int64)
     np.add.at(low, flow, end & 0xFFFFFFFF)
     np.subtract.at(low, flow, start & 0xFFFFFFFF)
-    # Arrays decide (d), (e) and the completion checks when `table` and
-    # every completion fit in 64 bits (a release plus size past int64, which
-    # wraps, fails them); the loop below words what fails.
-    coflows = schedule.coflow_completions
-    coflow_done = _int64((coflows.get(c.id) for c in instance.coflows),
-                         len(instance.coflows))
-    clean = False
-    if table is not None and done is not None and coflow_done is not None:
-        size, due = table[:, 3], table[:, 3] + table[:, 4]
-        counts = np.array([len(c.flows) for c in instance.coflows])
-        clean = ((high[:-1] + (low[:-1] >> 32) == size >> 32)
-                 & (low[:-1] & 0xFFFFFFFF == size & 0xFFFFFFFF)
-                 & ((size <= 0) | (done <= last[:-1])) & (done >= due)
-                 & ((table[:, 4] ^ due) & (size ^ due) >= 0)).all() and (
-            coflow_done[counts > 0] == np.maximum.reduceat(
-                done, (np.cumsum(counts) - counts)[counts > 0])).all()
-    if not clean:
+    high, low = high[:-1] + (low[:-1] >> 32), low[:-1] & 0xFFFFFFFF
+    if table is None or not ((high == table[:, 3] >> 32)
+                             & (low == table[:, 3] & 0xFFFFFFFF)).all():
         volume = [(a << 32) + b for a, b in zip(high.tolist(), low.tolist())]
-        last_end = last.tolist()
-        for c in instance.coflows:
-            for f in c.flows:
-                key = (f.source, f.dest, c.id)
-                j = index[key]
-                # (d) volume conservation
-                if volume[j] != f.size:
-                    v.append(f"flow {key} transmitted {volume[j]} of "
-                             f"{f.size} units")
-                done_f = completions.get(key)
-                if done_f is None:
-                    v.append(f"flow {key} has no completion time")
-                    continue
-                # A flow short of its volume is reported above already.
-                if volume[j] == f.size > 0 and done_f > last_end[j]:
-                    v.append(f"flow {key} completes at {done_f} after its "
-                             f"last segment ends at {last_end[j]}")
-                # (e) completion no earlier than release plus size
-                if done_f < c.release + f.size:
-                    v.append(f"flow {key} completes at {done_f} < release "
-                             f"+ size = {c.release + f.size}")
-            ck = coflows.get(c.id)
-            if ck is None:
-                v.append(f"coflow {c.id} has no completion time")
-            elif c.flows:
-                last_f = max(completions.get((f.source, f.dest, c.id), 0)
-                             for f in c.flows)
-                if ck != last_f:
-                    v.append(f"coflow {c.id} completion {ck} != last flow "
-                             f"{last_f}")
-    # A coflow without a completion is reported above; its job is not.
-    for job in getattr(instance, "jobs", ()):
-        ends = [coflows.get(k) for k in job.coflows]
-        done = schedule.job_completions.get(job.id)
-        if None not in ends and done != max(ends):
-            v.append(f"job {job.id} completion {done} != last coflow "
-                     f"{max(ends)}")
-    # Completions for what the subject lacks, by type name, then by key, as
-    # an int and a tuple do not compare; a plain instance has no jobs.
-    jobs = schedule.job_completions
-    known = {j.id for j in instance.jobs} if isinstance(instance, JobSet) \
-        else jobs
-    v.extend(f"completion for unknown {what} {key}" for what, given, known in
-             (("flow", completions, index), ("coflow", coflows, release),
-              ("job", jobs, known)) for key in sorted(
-                  given.keys() - known, key=lambda k: (type(k).__name__, k)))
+        v.extend(f"flow {key} transmitted {volume[index[key]]} of {f.size} "
+                 "units" for c in instance.coflows for f in c.flows
+                 for key in [(f.source, f.dest, c.id)]
+                 if volume[index[key]] != f.size)
+
+    # One completion rule: each stated map equals its derived map. A key
+    # missing or differing is named in the subject's order, then one the
+    # subject lacks, by type name, then by key, as an int and a tuple do
+    # not compare; a plain instance has no jobs.
+    def differs(what, key, got, want) -> str:
+        if what == "flow":
+            return (f"flow {key} transmits until {want} after its completion "
+                    f"{got}" if got < want else f"flow {key} completes at "
+                    f"{got} after its last segment ends at {want}")
+        basis = "last coflow" if what == "job" else "last flow" \
+            if instance.coflows[coflow_rank[key]].flows else "ready time"
+        return f"{what} {key} completion {got} != {basis} {want}"
+
+    kinds = [("flow", schedule.flow_completions, index, flow_ends),
+             ("coflow", schedule.coflow_completions, coflow_rank,
+              list(map(done.get, coflow_rank)))]
+    if isinstance(instance, JobSet):
+        kinds.append(("job", schedule.job_completions,
+                      [j.id for j in instance.jobs],
+                      [None if None in ends else max(ends, default=None)
+                       for ends in ([done.get(k) for k in j.coflows]
+                                    for j in instance.jobs)]))
+    for what, stated, keys, derived in kinds:
+        got = list(map(stated.get, keys))
+        if got != derived:
+            for key, g, d in zip(keys, got, derived):
+                if g is None:
+                    v.append(f"{what} {key} has no completion time")
+                elif d is not None and g != d:
+                    v.append(differs(what, key, g, d))
+        v.extend(f"completion for unknown {what} {key}" for key in sorted(
+            stated.keys() - keys, key=lambda k: (type(k).__name__, k)))
     return ValidationReport(tuple(v))
 
 

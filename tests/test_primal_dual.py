@@ -1018,6 +1018,32 @@ def test_unusual_snapshot_ids_match_pinned_certificate(kind, label):
         PINNED_UNUSUAL[kind]["1,2" if label in AS_1_2 else label]
 
 
+@pytest.mark.xfail(strict=True, reason="a beta record that names a coflow "
+                   "twice counts its load twice, and only the document "
+                   "reader rejects it")
+@pytest.mark.parametrize("kind", [FLOW_LEVEL, COFLOW_LEVEL])
+def test_a_snapshot_that_names_a_coflow_twice_is_not_certified(kind):
+    # One coflow with one size-4 flow and weight 1 costs 4 in every
+    # schedule. A record that names it twice passes the check and bounds
+    # that cost by 6.0, and its document does not read back. Rejecting the
+    # record with a ValueError would mend both.
+    inst = Instance(NetworkConfig(1, 1), (
+        Coflow(1, 0, 1.0, (Flow(1, 1, 4),)),), PrecedenceDag.make([1]))
+    dual = DualSolution(kind, 0.5, {}, (BetaRecord("in", 1, (1, 1), 0.125),),
+                        {})
+    try:
+        bound = dual_objective(dual, inst) \
+            if check_dual_feasibility(dual, inst).feasible else 0
+    except ValueError:
+        bound = 0
+    assert bound <= 4
+    try:
+        text = dual_to_document(dual, inst)
+    except ValueError:
+        return
+    document_to_dual(text)
+
+
 @pytest.mark.parametrize("evaluate", [dual_objective, check_dual_feasibility])
 def test_duals_that_cannot_belong_to_the_subject_raise(evaluate):
     dual, js = _hand_built(JOB_LEVEL, 0)

@@ -26,7 +26,8 @@ from coflow_forge.assignment import assign_coflows_cdls, assign_flows_fdls
 from coflow_forge.generator import GeneratorParams, generate_instance
 from coflow_forge.metrics_report import (run_algorithm,
                                          total_weighted_completion)
-from coflow_forge.model import PortDemand, topological_order
+from coflow_forge.model import (PortDemand, topological_order,
+                                validate_instance)
 from coflow_forge.simulator import (
     Schedule,
     Segment,
@@ -235,6 +236,21 @@ def test_jobs_permutation_must_cover_the_jobs():
             simulate_jobs(js, Permutation(order))
 
 
+def test_jobs_complete_a_coflow_without_flows_when_it_is_ready():
+    # Coflow 3 of job 2 has no flows and nothing before it in its job, so
+    # it completes at its release 0 while job 1 transmits; the segments
+    # still follow the job order, and the schedule audits clean.
+    inst = mk_instance(1, 2, [(1, 0, 9, [(1, 1, 5)]), (2, 0, 1, [(1, 1, 1)]),
+                              (3, 0, 1, [])])
+    js = JobSet(inst.config, (Job(1, 9, (1,)), Job(2, 1, (2, 3))),
+                inst.coflows, inst.dag)
+    sched = simulate_jobs(js, Permutation((1, 2)))
+    assert sched.coflow_completions == {1: 5, 2: 6, 3: 0}
+    assert sched.job_completions == {1: 5, 2: 6}
+    assert verify_schedule(sched, js).ok
+    assert run_algorithm(js, "jobs")[3] == sched
+
+
 def test_jobs_respect_job_barrier():
     # Coflows of job 2 use disjoint ports but still wait for job 1.
     inst = mk_instance(2, 4, [(1, 0, 1, [(1, 1, 5)]),
@@ -336,10 +352,11 @@ def test_verify_flags_a_job_completion_that_is_not_its_last_coflows():
     sched = simulate_jobs(js, Permutation((1, 2)))
     assert sched.job_completions == {1: 5, 2: 6}
     assert verify_schedule(sched, js).ok
-    for wrong, shown in ({1: 4, 2: 6}, 4), ({2: 6}, None):
+    for wrong, shown in (
+            ({1: 4, 2: 6}, "job 1 completion 4 != last coflow 5"),
+            ({2: 6}, "job 1 has no completion time")):
         false = replace(sched, job_completions=wrong)
-        assert verify_schedule(false, js).violations == (
-            f"job 1 completion {shown} != last coflow 5",)
+        assert verify_schedule(false, js).violations == (shown,)
 
 
 def test_verify_flags_precedence_violation():
@@ -367,21 +384,25 @@ def test_verify_flags_release_violation():
 
 
 def test_verify_flags_segment_after_completion():
-    # The only segment [5,8) ends after the recorded completion 3.
+    # The only segment [5,8) ends after the recorded completion 3, so the
+    # flow and its coflow complete at 8.
     inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 3)])])
     bad = Schedule({(1, 1, 1): 3}, {1: 3}, {}, (Segment(1, 1, 1, 1, 5, 8),))
     report = verify_schedule(bad, inst)
     assert report.violations == (
-        "flow (1, 1, 1) transmits until 8 after its completion 3",)
+        "flow (1, 1, 1) transmits until 8 after its completion 3",
+        "coflow 1 completion 3 != last flow 8")
 
 
 def test_verify_flags_completion_after_last_segment():
-    # The flow's whole volume is sent in [0,2), but it records completion 9.
+    # The flow's whole volume is sent in [0,2), but it and its coflow
+    # record completion 9.
     inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)])])
     bad = Schedule({(1, 1, 1): 9}, {1: 9}, {}, (Segment(1, 1, 1, 1, 0, 2),))
     report = verify_schedule(bad, inst)
     assert report.violations == (
-        "flow (1, 1, 1) completes at 9 after its last segment ends at 2",)
+        "flow (1, 1, 1) completes at 9 after its last segment ends at 2",
+        "coflow 1 completion 9 != last flow 2")
 
 
 def test_verify_flags_flow_sent_on_two_cores_at_once():
@@ -396,8 +417,8 @@ def test_verify_flags_flow_sent_on_two_cores_at_once():
 
 
 def test_verify_flags_successor_overlapping_predecessor():
-    # Coflow 1 records completion 3 but still transmits in [4,6), while its
-    # successor runs in [3,5).
+    # Coflow 1 records completion 3 but still transmits in [4,6), so it
+    # completes at 6, while its successor runs in [3,5).
     inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 3)]),
                               (2, 0, 1, [(2, 2, 2)])], edges=[(1, 2)])
     bad = Schedule({(1, 1, 1): 3, (2, 2, 2): 5}, {1: 3, 2: 5}, {},
@@ -405,12 +426,15 @@ def test_verify_flags_successor_overlapping_predecessor():
                     Segment(1, 1, 1, 1, 4, 6)))
     report = verify_schedule(bad, inst)
     assert report.violations == (
-        "flow (1, 1, 1) transmits until 6 after its completion 3",)
+        "coflow 2 starts at 3 before predecessor 1 completes",
+        "flow (1, 1, 1) transmits until 6 after its completion 3",
+        "coflow 1 completion 3 != last flow 6")
 
 
 def test_verify_gates_a_coflow_without_flows_on_its_completion():
     # Chain 1 -> 2 -> 3 on 2 cores; coflow 2 has no flows. Coflow 2 claims
-    # completion 0 while coflow 1 runs on [0,10), so coflow 3 may start at 0.
+    # completion 0 while coflow 1 runs on [0,10), but it is ready, and so
+    # completes, at 10, which coflow 3's start at 0 is gated on.
     flows = {1: [(1, 1, 10)], 2: [], 3: [(2, 2, 5)]}
     segments = (Segment(1, 1, 1, 1, 0, 10), Segment(2, 2, 3, 2, 0, 5))
     inst = mk_instance(2, 2, [(k, 0, 1, fl) for k, fl in flows.items()],
@@ -418,19 +442,19 @@ def test_verify_gates_a_coflow_without_flows_on_its_completion():
     bad = Schedule({(1, 1, 1): 10, (2, 2, 3): 5}, {1: 10, 2: 0, 3: 5}, {},
                    segments)
     assert verify_schedule(bad, inst).violations == (
-        "coflow 2 without flows completes at 0 before predecessor 1 "
-        "completes",)
+        "coflow 3 starts at 0 before predecessor 2 completes",
+        "coflow 2 completion 0 != ready time 10")
     # Released at 12, coflow 2 cannot complete at 10.
     late = mk_instance(2, 2, [(k, 12 if k == 2 else 0, 1, fl)
                               for k, fl in flows.items()])
     early = Schedule(bad.flow_completions, {1: 10, 2: 10, 3: 5}, {}, segments)
     assert verify_schedule(early, late).violations == (
-        "coflow 2 without flows completes at 10 before release 12",)
+        "coflow 2 completion 10 != ready time 12",)
 
 
 def test_verify_flags_completions_the_subject_does_not_have():
     # A completion for a flow, coflow or job that the subject lacks is
-    # flagged after every other message, each kind in key order.
+    # flagged after the other completion messages of its kind, in key order.
     inst = generate_instance(GeneratorParams(n=3, num_ports=4, num_cores=2,
                                              seed=0))
     sched, asg, _ = _run_fdls(inst)
@@ -454,6 +478,7 @@ def test_verify_flags_completions_the_subject_does_not_have():
     assert verify_schedule(late, one).violations == (
         "flow (1, 1, 1) completes at 3 after its last segment ends at 2",
         "completion for unknown flow (1, 1, 2)",
+        "coflow 1 completion 3 != last flow 2",
         "completion for unknown coflow 2")
 
 
@@ -489,9 +514,6 @@ def test_verify_flags_ready_flows_left_idle():
     assert not verify_schedule(idle, inst, asg).ok
 
 
-@pytest.mark.xfail(strict=True, reason="a coflow without flows is checked "
-                   "against a lower bound on its completion only (ROADMAP "
-                   "item 15)")
 @pytest.mark.parametrize("assign", [assign_flows_fdls, assign_coflows_cdls],
                          ids=["fdls", "cdls"])
 def test_verify_flags_a_late_flowless_coflow(assign):
@@ -508,6 +530,54 @@ def test_verify_flags_a_late_flowless_coflow(assign):
                                               2: 1000})
     assert total_weighted_completion(late, inst) == 5002
     assert not verify_schedule(late, inst, asg).ok
+
+
+def test_verify_derives_a_coflow_without_flows_from_derived_completions():
+    # Coflow 2 has no flows and waits for coflow 1, which completes at 2.
+    # Overstating coflow 1 does not move coflow 2, and neither does
+    # completing coflow 2 before it is ready.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]), (2, 0, 5, [])],
+                       edges=[(1, 2)])
+    sched, asg, _ = _run_fdls(inst)
+    assert sched.coflow_completions == {1: 2, 2: 2}
+    for stated, found in (
+            ({1: 5, 2: 5}, ("coflow 1 completion 5 != last flow 2",
+                            "coflow 2 completion 5 != ready time 2")),
+            ({1: 2, 2: 1}, ("coflow 2 completion 1 != ready time 2",))):
+        bad = replace(sched, coflow_completions=stated)
+        assert verify_schedule(bad, inst, asg).violations == found
+
+
+def test_verify_derives_a_job_from_derived_coflow_completions():
+    # Coflow 2 of job 1 states 6, and job 1 states its last coflow's 6, but
+    # the segments complete coflow 2, and so job 1, at 5.
+    inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, 2)]), (2, 0, 1, [(1, 1, 3)]),
+                              (3, 0, 1, [(1, 1, 1)])], edges=[(1, 2)])
+    js = jobset_from_instance(inst, group_size=2)
+    sched = simulate_jobs(js, Permutation((1, 2)))
+    bad = replace(sched, coflow_completions={**sched.coflow_completions,
+                                             2: 6},
+                  job_completions={**sched.job_completions, 1: 6})
+    assert verify_schedule(bad, js).violations == (
+        "coflow 2 completion 6 != last flow 5",
+        "job 1 completion 6 != last coflow 5")
+
+
+def test_verify_reports_a_cyclic_dag_without_raising():
+    # Coflows 2 and 3 have no flows and wait on each other, so neither is
+    # ever ready; coflows 1 and 4 wait on each other too, and whichever
+    # starts first starts before the other completes.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2)]), (2, 0, 1, []),
+                              (3, 0, 1, []), (4, 0, 1, [(2, 2, 1)])],
+                       edges=[(2, 3), (3, 2), (1, 4), (4, 1)])
+    assert "cycle detected in precedence dag" in \
+        validate_instance(inst).violations
+    sched = Schedule({(1, 1, 1): 2, (2, 2, 4): 3}, {1: 2, 2: 0, 3: 0, 4: 3},
+                     {}, (Segment(1, 1, 1, 1, 0, 2), Segment(2, 2, 4, 1, 2, 3)))
+    assert verify_schedule(sched, inst).violations == (
+        "coflow 1 starts at 0 before predecessor 4 completes",
+        "coflow 2 without flows waits on a precedence cycle",
+        "coflow 3 without flows waits on a precedence cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -964,54 +1034,54 @@ def _audit_corpus():
 
 
 PINNED_AUDITS = {
-    "default-r0-d0-fdls": "1fb0aab76702da99",
-    "default-r0-d0-cdls": "d14270191d814fdf",
-    "default-r0-d0-jobs": "59ef9d007da83814",
-    "default-r0-d3-fdls": "018de99318141a4c",
-    "default-r0-d3-cdls": "a2726dcc7b1c299d",
+    "default-r0-d0-fdls": "7859e330b37a2406",
+    "default-r0-d0-cdls": "da698c3a3e8c3e5f",
+    "default-r0-d0-jobs": "d3475c2672cd3c0c",
+    "default-r0-d3-fdls": "a05ddc2e6178cb9f",
+    "default-r0-d3-cdls": "c011071af9e12468",
     "default-r0-d3-jobs": "4f87eeb9fb2f19da",
-    "default-r25-d0-fdls": "0793a94ba1cbc58e",
-    "default-r25-d0-cdls": "0a2be2fc2553326c",
+    "default-r25-d0-fdls": "2cd57f53548d1ba9",
+    "default-r25-d0-cdls": "03073316f5e6a440",
     "default-r25-d0-jobs": "9964e47e8ae3b49a",
-    "default-r25-d3-fdls": "b41b3dfa644e2891",
-    "default-r25-d3-cdls": "245de12c1912056a",
-    "default-r25-d3-jobs": "283b193c822bfd3f",
-    "dense-r0-d0-fdls": "0ff4b1203881c544",
-    "dense-r0-d0-cdls": "3f575c9cf87d4f32",
-    "dense-r0-d0-jobs": "f4e957b6c9de954e",
-    "dense-r0-d3-fdls": "882457590ef22e85",
-    "dense-r0-d3-cdls": "fcd294a2c7e8109c",
-    "dense-r0-d3-jobs": "fd7b28f2c5c67faa",
-    "dense-r25-d0-fdls": "bbf23f6b4bf80bde",
-    "dense-r25-d0-cdls": "3af254588de20c99",
-    "dense-r25-d0-jobs": "fe41db1c25acd398",
-    "dense-r25-d3-fdls": "db45017968908025",
-    "dense-r25-d3-cdls": "d89a9e072aa50b14",
+    "default-r25-d3-fdls": "c6e379249447fa93",
+    "default-r25-d3-cdls": "8e1c67c25e7df573",
+    "default-r25-d3-jobs": "1fc9a6eaff82dc42",
+    "dense-r0-d0-fdls": "330e8585a4d07aca",
+    "dense-r0-d0-cdls": "5da571d5342f24ee",
+    "dense-r0-d0-jobs": "7dd5e8f7713bbb1d",
+    "dense-r0-d3-fdls": "a6a9595e776ebd7f",
+    "dense-r0-d3-cdls": "d25e5d29f0f1a42b",
+    "dense-r0-d3-jobs": "ad4fb4d811121c61",
+    "dense-r25-d0-fdls": "6363a2711f5b4520",
+    "dense-r25-d0-cdls": "5fee03d2d96abbfb",
+    "dense-r25-d0-jobs": "aa0f132fbe7c5fa6",
+    "dense-r25-d3-fdls": "0b88761602d6edbc",
+    "dense-r25-d3-cdls": "837695cc954a63ba",
     "dense-r25-d3-jobs": "c5cb89c2141c60cc",
-    "sparse-r0-d0-fdls": "23b63e8f912e7ba5",
-    "sparse-r0-d0-cdls": "54cd1c52c6ac930a",
-    "sparse-r0-d0-jobs": "480caed2ff87c3ad",
-    "sparse-r0-d3-fdls": "e105ae6030d0f509",
-    "sparse-r0-d3-cdls": "8418c50120daace0",
-    "sparse-r0-d3-jobs": "7447ab26cbd30113",
-    "sparse-r25-d0-fdls": "1ad6508b642109b5",
-    "sparse-r25-d0-cdls": "8cddbb59ba3856f2",
-    "sparse-r25-d0-jobs": "c7af8ef382a2ef6d",
-    "sparse-r25-d3-fdls": "5bbd4836cd9c3106",
-    "sparse-r25-d3-cdls": "220174d4e3203a2f",
-    "sparse-r25-d3-jobs": "dd9e1615d780038d",
+    "sparse-r0-d0-fdls": "ead2216f539ed63c",
+    "sparse-r0-d0-cdls": "c20a9702049bbc7f",
+    "sparse-r0-d0-jobs": "edb0f6fe1298c4ac",
+    "sparse-r0-d3-fdls": "364c222e21a811ab",
+    "sparse-r0-d3-cdls": "f94a10808921f1ef",
+    "sparse-r0-d3-jobs": "553ac94491573a6c",
+    "sparse-r25-d0-fdls": "55451b9009b6ebd6",
+    "sparse-r25-d0-cdls": "33d2578b628962bc",
+    "sparse-r25-d0-jobs": "c01dc147576d8eb1",
+    "sparse-r25-d3-fdls": "23e8ae721c6dd5cd",
+    "sparse-r25-d3-cdls": "27126050254dd0f6",
+    "sparse-r25-d3-jobs": "9cffba2a29e2c474",
     "combined-r0-d0-fdls": "a898b5826f71440c",
-    "combined-r0-d0-cdls": "d53f942956e19bda",
-    "combined-r0-d0-jobs": "85dff67829259a66",
-    "combined-r0-d3-fdls": "df8f6f5d8c91896a",
-    "combined-r0-d3-cdls": "93d46b5ffd25fded",
-    "combined-r0-d3-jobs": "a930e1b6e8b51142",
-    "combined-r25-d0-fdls": "85c7948bc42ff59b",
-    "combined-r25-d0-cdls": "7719eac3c558e0fe",
-    "combined-r25-d0-jobs": "eb32c02cf0d0a08b",
-    "combined-r25-d3-fdls": "a13e43ed340a30f2",
-    "combined-r25-d3-cdls": "a3f60d715e9e093f",
-    "combined-r25-d3-jobs": "3213f25a6e95d094",
+    "combined-r0-d0-cdls": "f30aca81ec3e72bd",
+    "combined-r0-d0-jobs": "3fdcf6e5ab69e1ef",
+    "combined-r0-d3-fdls": "11ae1ad32fb91fc1",
+    "combined-r0-d3-cdls": "620a11fb581cbbb1",
+    "combined-r0-d3-jobs": "b2e74b9a9cd965eb",
+    "combined-r25-d0-fdls": "9d9916996f74288f",
+    "combined-r25-d0-cdls": "4de1529d6783efce",
+    "combined-r25-d0-jobs": "4320dd58ea55c96e",
+    "combined-r25-d3-fdls": "432027728d335fd2",
+    "combined-r25-d3-cdls": "7dcadf49eac4e0f3",
+    "combined-r25-d3-jobs": "2617c1c4feefe63d",
 }
 
 
@@ -1131,10 +1201,10 @@ def test_verify_names_the_shorter_of_two_equal_starts_first():
 
 
 def test_audits_of_reordered_corpus_schedules_match_pins():
-    assert _reordered_audits() == {"fdls": "85555b2f42360c60",
-                                   "cdls": "6b5cee3a35d7ea07",
-                                   "jobs": "c8b038b50a16b234"}
+    assert _reordered_audits() == {"fdls": "e4cfa45f1b7a6759",
+                                   "cdls": "2ea3e1c9b857a564",
+                                   "jobs": "013a921f1cf9550f"}
 
 
 def test_audits_at_the_integer_limits_match_pin():
-    assert _limit_audits() == "e005a5724d485803"
+    assert _limit_audits() == "e657ccf97ec41ac1"
