@@ -19,6 +19,7 @@ an event; a core that re-admits anyway sorts them without comparing orders.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from math import inf, prod
@@ -44,17 +45,48 @@ class Segment(NamedTuple):
     end: int
 
 
+class Segments(Sequence):
+    """Segments held as one read-only (S, 6) int64 array, `rows`, whose
+    columns follow `Segment`'s fields; it reads as the tuple of them."""
+
+    def __init__(self, rows: np.ndarray):
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(Segment._make, self.rows[i].tolist()))
+        return Segment._make(self.rows[i].tolist())
+
+    def __iter__(self):
+        return map(Segment._make, self.rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) \
+            else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Schedule:
     flow_completions: dict[tuple[int, int, int], int]
     coflow_completions: dict[int, int]
     job_completions: dict[int, int]
-    segments: tuple[Segment, ...]
+    segments: Sequence[Segment]
 
 
 def simulate(instance: Instance, assignment: CoreAssignment,
              priority: Permutation) -> Schedule:
-    """Run the per-core transmission loop; all event times are integers."""
+    """Run the per-core transmission loop; all event times are integers.
+    The instance must pass `validate_instance`: the segments are int64
+    `Segments`, and a segment field past 64 bits raises ValueError."""
     ids = _check_perm(instance, priority)
     if assignment.kind not in (FLOW_LEVEL, COFLOW_LEVEL):
         raise ValueError(f"unknown assignment kind {assignment.kind!r}")
@@ -129,8 +161,8 @@ def simulate(instance: Instance, assignment: CoreAssignment,
 
     flow_completions: dict[tuple[int, int, int], int] = {}
     coflow_completions: dict[int, int] = {}
-    # (start, core, src, dst, coflow, end), which sorts in document order.
-    segments: list[tuple[int, int, int, int, int, int]] = []
+    # (fid, start, end) of each closed segment, three ints a segment.
+    closed: list[int] = []
     open_seg: dict[int, int] = {}
 
     def unblock(k: int) -> None:
@@ -180,8 +212,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
         kept = set(chosen)
         for fid in admitted[h]:
             if remaining[fid] and fid not in kept:
-                segments.append((open_seg.pop(fid), h, src[fid], dst[fid],
-                                 owner[fid], t))
+                closed.extend((fid, open_seg.pop(fid), t))
         for fid in chosen:
             if fid not in open_seg:
                 open_seg[fid] = t
@@ -212,7 +243,7 @@ def simulate(instance: Instance, assignment: CoreAssignment,
             if remaining[fid]:
                 continue
             h, k = core[fid], owner[fid]
-            segments.append((open_seg.pop(fid), h, src[fid], dst[fid], k, t))
+            closed.extend((fid, open_seg.pop(fid), t))
             flow_completions[(src[fid], dst[fid], k)] = t
             flows = pending[h][k]
             flows.remove(fid)
@@ -237,10 +268,20 @@ def simulate(instance: Instance, assignment: CoreAssignment,
                         changed.add(h)
         wake(t)
 
-    segments.sort()
+    # The rows gather their flows' fields in place. A core's input port
+    # sends one segment at a time, so (start, core, src) is document order.
+    spans = _int64(closed, len(closed) // 3, 3)
+    table = _int64(chain(src, dst, owner, core), 4, nflows)
+    if spans is None or table is None:
+        raise ValueError(f"segment field exceeds the 64-bit limit {2**63 - 1}")
+    rows = np.empty((6, len(spans)), np.int64)
+    np.take(table, spans[:, 0], 1, rows[:4], "clip")
+    rows[4:] = spans[:, 1:].T
+    order = np.lexsort((rows[0], rows[3], rows[4]))
+    for col in rows:
+        col[:] = col[order]
     return Schedule(flow_completions, coflow_completions, {},
-                    tuple(map(tuple.__new__, repeat(Segment),
-                              map(itemgetter(2, 3, 4, 1, 0, 5), segments))))
+                    Segments(rows.T))
 
 
 def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
@@ -282,12 +323,16 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
 
 
 def _segment_columns(segments, v: list[str], derive,
-                     dtypes: tuple) -> tuple[list, list]:
+                     dtypes: tuple) -> tuple[Sequence, list]:
     """The segments whose six fields are integers that fit in 64 bits, and
-    the columns, in `dtypes`, that `derive` makes of a block of them and
-    its fields as int64 rows; each other segment is reported in `v` and left
-    out. The fields are packed a block at a time, so that no copy of them
-    all is made at once."""
+    the columns, in `dtypes`, that `derive` makes of their fields as int64
+    rows; each other segment is reported in `v` and left out. `Segments`
+    are such rows already; other segments are packed a block at a time, so
+    that no copy of them all is made at once."""
+    if isinstance(segments, Segments):
+        return segments, [values.astype(dtype, copy=False) for values, dtype
+                          in zip(derive(segments.rows), dtypes)]
+
     def columns(kept) -> list[np.ndarray]:
         out = [np.empty(len(kept), dtype=dtype) for dtype in dtypes]
         for i in range(0, len(kept), 2048):
@@ -295,7 +340,7 @@ def _segment_columns(segments, v: list[str], derive,
             fields = _int64(chain.from_iterable(block), len(block), 6)
             if fields is None:
                 raise TypeError
-            for column, values in zip(out, derive(block, fields)):
+            for column, values in zip(out, derive(fields)):
                 column[i:i + len(block)] = values
         return out
 
@@ -409,13 +454,13 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
         table[:, :3], 4 * (len(schedule.segments) + nflows))
     stride = 1 if table is None else int(table[:, :2].max()) % 2**16 + 1
 
-    def derive(block, fields):
+    def derive(fields):
         core = fields[:, 3]
         return (core, fields[:, 4], fields[:, 5],
                 core * stride + fields[:, 0], core * stride + fields[:, 1],
                 find(fields[:, :3]) if find else np.fromiter(
-                    map(index.get, map(itemgetter(0, 1, 2), block),
-                        repeat(nflows)), np.int64, len(block)))
+                    map(index.get, zip(*fields[:, :3].T.tolist()),
+                        repeat(nflows)), np.int64, len(fields)))
 
     segments, (core, start, end, *codes, flow) = _segment_columns(
         schedule.segments, v, derive, (np.int64,) * 3 + (np.uint16,) * 2

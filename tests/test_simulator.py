@@ -5,6 +5,8 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 
@@ -31,6 +33,7 @@ from coflow_forge.model import (PortDemand, topological_order,
 from coflow_forge.simulator import (
     Schedule,
     Segment,
+    Segments,
     document_to_schedule,
     schedule_to_document,
     simulate,
@@ -194,6 +197,26 @@ def test_unknown_assignment_kind_errors():
     asg = replace(assign_flows_fdls(inst, Permutation((1,))), kind="rack")
     with pytest.raises(ValueError, match="^unknown assignment kind 'rack'$"):
         simulate(inst, asg, Permutation((1,)))
+
+
+@pytest.mark.parametrize("coflow, release", [(1, 2**63), (2**63, 0),
+                                             (-2**63 - 1, 0)],
+                         ids=["release", "id", "negative-id"])
+def test_simulate_raises_past_the_64_bit_limit(coflow, release):
+    # simulate's precondition is a valid instance; the one that breaks it
+    # here fails validation, and simulate names the limit it would pass.
+    inst = mk_instance(1, 2, [(coflow, release, 1, [(1, 1, 4)])])
+    assert not validate_instance(inst).ok
+    perm = Permutation((coflow,))
+    with pytest.raises(ValueError, match=r"^segment field exceeds the "
+                       r"64-bit limit 9223372036854775807$"):
+        simulate(inst, assign_flows_fdls(inst, perm), perm)
+
+
+def test_simulate_reaches_the_64_bit_limit():
+    inst = mk_instance(1, 2, [(-2**63, 2**63 - 5, 1, [(1, 1, 4)])])
+    sched, _, _ = _run_fdls(inst)
+    assert sched.segments == (Segment(1, 1, -2**63, 1, 2**63 - 5, 2**63 - 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +863,42 @@ def test_schedule_document_round_trip():
     assert schedule_to_document(back) == text
 
 
+def test_segments_stand_in_for_the_tuple():
+    inst = generate_instance(GeneratorParams(n=5, num_ports=4, num_cores=2,
+                                             seed=2))
+    sched, _, _ = _run_fdls(inst)
+    segs = sched.segments
+    assert type(segs) is Segments and segs.rows.dtype == np.int64
+    plain = tuple(segs)
+    assert len(segs) == len(plain) > 2
+    assert all(type(g) is Segment and set(map(type, g)) == {int}
+               for g in plain)
+    assert (segs[0], segs[-1], segs[1]) == (plain[0], plain[-1], plain[1])
+    assert type(segs[1:]) is tuple and segs[1:] == plain[1:]
+    assert segs[::-1] == plain[::-1]
+    new = (plain[0]._replace(end=plain[0].end + 1),)
+    assert new + segs[1:] == new + plain[1:]
+    assert segs[:1] + new == plain[:1] + new
+    assert list(segs) == list(plain)
+    assert segs == plain and plain == segs
+    assert segs == list(plain) and list(plain) == segs
+    assert segs != plain[1:] and plain[1:] != segs
+    assert segs != new + plain[1:] and new + plain[1:] != segs
+    assert repr(segs) == repr(plain)
+    with pytest.raises(ValueError, match="read-only"):
+        segs.rows[0, 0] = 9
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(segs)
+    assert replace(sched, segments=plain) == sched
+    assert sched == replace(sched, segments=plain)
+    assert replace(sched, segments=segs[1:]) != sched
+    assert document_to_schedule(schedule_to_document(sched)) == sched
+    js = jobset_from_instance(inst)
+    jobs = simulate_jobs(js, permute_jobs(js)[0])
+    assert type(jobs.segments) is Segments
+    assert document_to_schedule(schedule_to_document(jobs)) == jobs
+
+
 def test_schedule_document_flow_without_completion():
     inst = generate_instance(GeneratorParams(n=5, num_ports=4, num_cores=2,
                                              seed=2))
@@ -1003,33 +1062,41 @@ def _audit_mutations(schedule, inst, i):
                                end=other.end)))
 
 
-def _audit_corpus():
-    out = {}
+def _corpus_runs():
+    """Each corpus schedule as (name, algorithm, schedule, subject,
+    assignment or None, rng, picks): up to three segments picked by the
+    rng seeded with the name. Jobs schedules are audited against their
+    job set, as `evaluate` audits them."""
     for mode, horizon, deg in CORPUS:
         inst = _corpus_instance(mode, horizon, deg)
         js = jobset_from_instance(inst)
-        jbase = Instance(js.config, js.coflows, js.intra_job_dag)
         fperm, _ = permute_flow_level(inst)
         fasg = assign_flows_fdls(inst, fperm)
         cperm, _ = permute_coflow_level(inst)
         casg = assign_coflows_cdls(inst, cperm)
-        jperm, _ = permute_jobs(js)
         runs = {"fdls": (simulate(inst, fasg, fperm), inst, fasg),
                 "cdls": (simulate(inst, casg, cperm), inst, casg),
-                "jobs": (simulate_jobs(js, jperm), jbase, None)}
+                "jobs": (simulate_jobs(js, permute_jobs(js)[0]), js, None)}
         for alg, (sched, base, asg) in runs.items():
             rng = random.Random(f"{mode}-{horizon}-{deg}-{alg}")
             picks = sorted(rng.sample(range(len(sched.segments)),
                                       min(3, len(sched.segments))))
-            cases = [("unmutated", sched)] + [
-                (f"{name} @{i}", mutated) for i in picks
-                for name, mutated in _audit_mutations(sched, base, i)]
-            audits = [(name, with_asg, verify_schedule(
-                mutated, base, asg if with_asg else None).violations)
-                      for name, mutated in cases
-                      for with_asg in ((False, True) if asg else (False,))]
-            out[f"{mode}-r{horizon}-d{deg}-{alg}"] = hashlib.sha256(
-                json.dumps(audits).encode()).hexdigest()[:16]
+            yield (f"{mode}-r{horizon}-d{deg}-{alg}", alg, sched, base, asg,
+                   rng, picks)
+
+
+def _audit_corpus():
+    out = {}
+    for name, _, sched, base, asg, _, picks in _corpus_runs():
+        cases = [("unmutated", sched)] + [
+            (f"{what} @{i}", mutated) for i in picks
+            for what, mutated in _audit_mutations(sched, base, i)]
+        audits = [(what, with_asg, verify_schedule(
+            mutated, base, asg if with_asg else None).violations)
+                  for what, mutated in cases
+                  for with_asg in ((False, True) if asg else (False,))]
+        out[name] = hashlib.sha256(
+            json.dumps(audits).encode()).hexdigest()[:16]
     return out
 
 
@@ -1060,7 +1127,7 @@ PINNED_AUDITS = {
     "dense-r25-d3-jobs": "c5cb89c2141c60cc",
     "sparse-r0-d0-fdls": "ead2216f539ed63c",
     "sparse-r0-d0-cdls": "c20a9702049bbc7f",
-    "sparse-r0-d0-jobs": "edb0f6fe1298c4ac",
+    "sparse-r0-d0-jobs": "90c8a6a80ab5ed18",
     "sparse-r0-d3-fdls": "364c222e21a811ab",
     "sparse-r0-d3-cdls": "f94a10808921f1ef",
     "sparse-r0-d3-jobs": "553ac94491573a6c",
@@ -1069,7 +1136,7 @@ PINNED_AUDITS = {
     "sparse-r25-d0-jobs": "c01dc147576d8eb1",
     "sparse-r25-d3-fdls": "23e8ae721c6dd5cd",
     "sparse-r25-d3-cdls": "27126050254dd0f6",
-    "sparse-r25-d3-jobs": "9cffba2a29e2c474",
+    "sparse-r25-d3-jobs": "5deae366f6c6a38d",
     "combined-r0-d0-fdls": "a898b5826f71440c",
     "combined-r0-d0-cdls": "f30aca81ec3e72bd",
     "combined-r0-d0-jobs": "3fdcf6e5ab69e1ef",
@@ -1089,6 +1156,22 @@ def test_audits_match_pinned_violation_corpus():
     assert _audit_corpus() == PINNED_AUDITS
 
 
+def test_audits_of_array_and_tuple_segments_agree():
+    # Each corpus audit case, its segments held as `Segments` rows and as a
+    # tuple of `Segment`, gives one report with and without the assignment.
+    for name, _, sched, base, asg, _, picks in _corpus_runs():
+        assert type(sched.segments) is Segments
+        cases = [sched] + [
+            replace(mutated, segments=Segments(
+                np.array(mutated.segments, np.int64).reshape(-1, 6)))
+            for i in picks for _, mutated in _audit_mutations(sched, base, i)]
+        for case in cases:
+            plain = replace(case, segments=tuple(case.segments))
+            for a in (None, asg):
+                assert verify_schedule(case, base, a) \
+                    == verify_schedule(plain, base, a), name
+
+
 # ---------------------------------------------------------------------------
 # pinned audits of reordered segments and of fields at the integer limits
 # ---------------------------------------------------------------------------
@@ -1099,30 +1182,17 @@ def _reordered_audits():
     of per-segment messages, differ from the simulator's. Jobs schedules are
     audited against their job set."""
     audits = {"fdls": [], "cdls": [], "jobs": []}
-    for mode, horizon, deg in CORPUS:
-        inst = _corpus_instance(mode, horizon, deg)
-        js = jobset_from_instance(inst)
-        fperm, _ = permute_flow_level(inst)
-        fasg = assign_flows_fdls(inst, fperm)
-        cperm, _ = permute_coflow_level(inst)
-        casg = assign_coflows_cdls(inst, cperm)
-        runs = {"fdls": (simulate(inst, fasg, fperm), inst, fasg),
-                "cdls": (simulate(inst, casg, cperm), inst, casg),
-                "jobs": (simulate_jobs(js, permute_jobs(js)[0]), js, None)}
-        for alg, (sched, base, asg) in runs.items():
-            rng = random.Random(f"{mode}-{horizon}-{deg}-{alg}")
-            picks = sorted(rng.sample(range(len(sched.segments)),
-                                      min(3, len(sched.segments))))
-            cases = [sched] + [mutated for i in picks for _, mutated
-                               in _audit_mutations(sched, base, i)]
-            for case in cases:
-                shuffled = list(case.segments)
-                rng.shuffle(shuffled)
-                for segments in (case.segments[::-1], tuple(shuffled)):
-                    moved = replace(case, segments=segments)
-                    audits[alg] += [
-                        verify_schedule(moved, base, a).violations
-                        for a in ((None, asg) if asg else (None,))]
+    for _, alg, sched, base, asg, rng, picks in _corpus_runs():
+        cases = [sched] + [mutated for i in picks for _, mutated
+                           in _audit_mutations(sched, base, i)]
+        for case in cases:
+            shuffled = list(case.segments)
+            rng.shuffle(shuffled)
+            for segments in (case.segments[::-1], tuple(shuffled)):
+                moved = replace(case, segments=segments)
+                audits[alg] += [
+                    verify_schedule(moved, base, a).violations
+                    for a in ((None, asg) if asg else (None,))]
     return {alg: hashlib.sha256(json.dumps(found).encode()).hexdigest()[:16]
             for alg, found in audits.items()}
 
