@@ -6,7 +6,6 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
-
 import pytest
 from hypothesis import given, settings
 
@@ -1064,9 +1063,9 @@ def _audit_mutations(schedule, inst, i):
 
 def _corpus_runs():
     """Each corpus schedule as (name, algorithm, schedule, subject,
-    assignment or None, rng, picks): up to three segments picked by the
-    rng seeded with the name. Jobs schedules are audited against their
-    job set, as `evaluate` audits them."""
+    assignment or None, rng, picks), where picks are up to three segments
+    drawn from the schedule's own seeded rng. Jobs schedules are audited
+    against their job set, as `evaluate` audits them."""
     for mode, horizon, deg in CORPUS:
         inst = _corpus_instance(mode, horizon, deg)
         js = jobset_from_instance(inst)
