@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from math import inf, prod
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import NamedTuple
 
 import numpy as np
@@ -322,32 +322,18 @@ def simulate_jobs(jobset: JobSet, job_perm: Permutation) -> Schedule:
         sched.segments)
 
 
-def _segment_columns(segments, v: list[str], derive,
-                     dtypes: tuple) -> tuple[Sequence, list]:
+def _segment_fields(segments, v: list[str]) -> tuple[Sequence, np.ndarray]:
     """The segments whose six fields are integers that fit in 64 bits, and
-    the columns, in `dtypes`, that `derive` makes of their fields as int64
-    rows; each other segment is reported in `v` and left out. `Segments`
-    are such rows already; other segments are packed a block at a time, so
-    that no copy of them all is made at once."""
+    those fields as one (S, 6) int64 array in `Segment` field order; each
+    other segment, of any other length too, is reported in `v` and left
+    out. `Segments` hold that array already."""
     if isinstance(segments, Segments):
-        return segments, [values.astype(dtype, copy=False) for values, dtype
-                          in zip(derive(segments.rows), dtypes)]
-
-    def columns(kept) -> list[np.ndarray]:
-        out = [np.empty(len(kept), dtype=dtype) for dtype in dtypes]
-        for i in range(0, len(kept), 2048):
-            block = kept[i:i + 2048]
-            fields = _int64(chain.from_iterable(block), len(block), 6)
-            if fields is None:
-                raise TypeError
-            for column, values in zip(out, derive(fields)):
-                column[i:i + len(block)] = values
-        return out
-
-    try:
-        return segments, columns(segments)
-    except TypeError:
-        pass
+        return segments, segments.rows
+    # A segment without a length has a length hint of 0.
+    if not set(map(length_hint, segments)) - {6}:
+        fields = _int64(chain.from_iterable(segments), len(segments), 6)
+        if fields is not None:
+            return segments, fields
     kept = []
     for seg in segments:
         if _int64(seg, 6) is None:
@@ -355,7 +341,7 @@ def _segment_columns(segments, v: list[str], derive,
                      "integer")
         else:
             kept.append(seg)
-    return kept, columns(kept)
+    return kept, _int64(chain.from_iterable(kept), len(kept), 6)
 
 
 def _key_lookup(keys: np.ndarray, limit: int):
@@ -426,8 +412,8 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     without flows when it is ready and a job at its last coflow. A job
     set's coflows are audited under its intra-job DAG.
 
-    The segments are audited as columns; a segment with a field that is
-    not an integer in 64 bits is reported and audited no further. Array
+    The segments are audited as one int64 field array; a segment that is
+    not six integers in 64 bits is reported and audited no further. Array
     operations decide every check, and the code that words a violation
     runs only once one has flagged it."""
     v: list[str] = []
@@ -454,17 +440,12 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
         table[:, :3], 4 * (len(schedule.segments) + nflows))
     stride = 1 if table is None else int(table[:, :2].max()) % 2**16 + 1
 
-    def derive(fields):
-        core = fields[:, 3]
-        return (core, fields[:, 4], fields[:, 5],
-                core * stride + fields[:, 0], core * stride + fields[:, 1],
-                find(fields[:, :3]) if find else np.fromiter(
-                    map(index.get, zip(*fields[:, :3].T.tolist()),
-                        repeat(nflows)), np.int64, len(fields)))
-
-    segments, (core, start, end, *codes, flow) = _segment_columns(
-        schedule.segments, v, derive, (np.int64,) * 3 + (np.uint16,) * 2
-        + (np.min_scalar_type(nflows),))
+    segments, fields = _segment_fields(schedule.segments, v)
+    core, start, end = fields[:, 3], fields[:, 4], fields[:, 5]
+    codes = [(core * stride + fields[:, k]).astype(np.uint16) for k in (0, 1)]
+    flow = (find(fields[:, :3]) if find else np.fromiter(
+        map(index.get, zip(*fields[:, :3].T.tolist()), repeat(nflows)),
+        np.int64, len(fields))).astype(np.min_scalar_type(nflows), copy=False)
 
     # (a) cores within 1..m; port-exclusive transmission per core and side
     v.extend(f"segment {segments[i]} has non-positive duration"
@@ -488,8 +469,7 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
     overlaps = {}
     for (side, k), code in zip((("in", 0), ("out", 1)), codes):
         if any(_overlapping_neighbours(start, end, (code,), by(code))):
-            port = np.fromiter(map(itemgetter(k), segments), np.int64,
-                               len(segments))
+            port = fields[:, k]
             order = np.lexsort((end, start, port, core))
             for i, j in _overlapping_neighbours(start, end, (core, port),
                                                 order):
@@ -614,6 +594,7 @@ def verify_schedule(schedule: Schedule, instance: Instance | JobSet,
 # ---------------------------------------------------------------------------
 
 def schedule_payload(schedule: Schedule, depth: int) -> dict:
+    segs = schedule.segments
     return {
         "flows": render(depth + 1, flow_rows(schedule.flow_completions),
                         "src dst coflow completion"),
@@ -621,8 +602,8 @@ def schedule_payload(schedule: Schedule, depth: int) -> dict:
             schedule.coflow_completions.items()), "id completion"),
         "jobs": render(depth + 1, sorted(schedule.job_completions.items()),
                        "id completion"),
-        "segments": render(depth + 1, schedule.segments,
-                           "src dst coflow core start end"),
+        "segments": render(depth + 1, segs.rows.tolist() if isinstance(
+            segs, Segments) else segs, "src dst coflow core start end"),
     }
 
 

@@ -340,6 +340,21 @@ def test_verify_audits_the_good_segments_beside_a_bad_one():
         "flow (2, 2, 1) transmitted 0 of 3 units")
 
 
+@pytest.mark.parametrize("segments", [
+    ((1, 1, 1, 1, 0), (2, 2, 2, 1, 1, 0, 2)),
+    ((1, 1, 1, 1, 0, 2, 9), (2, 2, 1, 1, 0))])
+def test_verify_reports_segments_of_the_wrong_length(segments):
+    # Each segment that is not six fields is named and left out; its fields
+    # are never realigned with a neighbour's into rows that audit.
+    inst = mk_instance(1, 2, [(1, 0, 1, [(1, 1, 2), (2, 2, 2)])])
+    sched = Schedule({(1, 1, 1): 2, (2, 2, 1): 2}, {1: 2}, {}, segments)
+    assert verify_schedule(sched, inst).violations == (
+        *(f"segment {seg} has a field that is not a 64-bit integer"
+          for seg in segments),
+        "flow (1, 1, 1) transmitted 0 of 2 units",
+        "flow (2, 2, 1) transmitted 0 of 2 units")
+
+
 def test_verify_sums_volumes_exactly_past_int64():
     big = 2**62 + 1
     inst = mk_instance(1, 1, [(1, 0, 1, [(1, 1, big)])])
@@ -892,6 +907,8 @@ def test_segments_stand_in_for_the_tuple():
     assert sched == replace(sched, segments=plain)
     assert replace(sched, segments=segs[1:]) != sched
     assert document_to_schedule(schedule_to_document(sched)) == sched
+    assert schedule_to_document(sched) == schedule_to_document(
+        replace(sched, segments=plain))
     js = jobset_from_instance(inst)
     jobs = simulate_jobs(js, permute_jobs(js)[0])
     assert type(jobs.segments) is Segments
@@ -1169,6 +1186,34 @@ def test_audits_of_array_and_tuple_segments_agree():
             for a in (None, asg):
                 assert verify_schedule(case, base, a) \
                     == verify_schedule(plain, base, a), name
+
+
+@pytest.mark.parametrize("container", [tuple, list])
+def test_verify_reports_bad_segments_across_blocks(container):
+    # The fdls, cdls and jobs segments of one corpus instance, as one
+    # schedule of more than 2,048 segments, with bad fields in the first
+    # and the second 2,048 and one segment of five fields: the report names
+    # the three in order, then audits the rest as if they were absent.
+    inst = _corpus_instance("dense", 0, 3)
+    perm, _ = permute_flow_level(inst)
+    asg = assign_flows_fdls(inst, perm)
+    sched = simulate(inst, asg, perm)
+    cperm, _ = permute_coflow_level(inst)
+    js = jobset_from_instance(inst)
+    segs = [*sched.segments, *simulate(
+        inst, assign_coflows_cdls(inst, cperm), cperm).segments,
+        *simulate_jobs(js, permute_jobs(js)[0]).segments]
+    assert len(segs) > 2100
+    bad = {5: segs[5]._replace(start=0.5), 2100: segs[2100]._replace(
+        end=2**63), len(segs) - 3: segs[-3][:5]}
+    kept = tuple(g for i, g in enumerate(segs) if i not in bad)
+    for i, g in bad.items():
+        segs[i] = g
+    assert verify_schedule(replace(sched, segments=container(segs)), inst,
+                           asg).violations == tuple(
+        f"segment {g} has a field that is not a 64-bit integer"
+        for g in bad.values()) + verify_schedule(
+        replace(sched, segments=kept), inst, asg).violations
 
 
 # ---------------------------------------------------------------------------
