@@ -1189,11 +1189,11 @@ def test_audits_of_array_and_tuple_segments_agree():
 
 
 @pytest.mark.parametrize("container", [tuple, list])
-def test_verify_reports_bad_segments_across_blocks(container):
+def test_verify_reports_bad_segments_among_thousands(container):
     # The fdls, cdls and jobs segments of one corpus instance, as one
-    # schedule of more than 2,048 segments, with bad fields in the first
-    # and the second 2,048 and one segment of five fields: the report names
-    # the three in order, then audits the rest as if they were absent.
+    # schedule of 2,302 segments, with bad fields at rows 5 and 2,100 and
+    # one segment of five fields near the end: the report names the three
+    # in order, then audits the rest as if they were absent.
     inst = _corpus_instance("dense", 0, 3)
     perm, _ = permute_flow_level(inst)
     asg = assign_flows_fdls(inst, perm)
